@@ -18,7 +18,6 @@ toolbox used throughout.
 from .capacity import (
     BindingBound,
     CapacityResult,
-    CovarianceSearchSpec,
     GridSpec,
     MatrixBoundParams,
     PowerAllocation,
@@ -34,7 +33,6 @@ from .channel import (
     CsiMode,
     Topology,
     angle_between,
-    degradation_noise_variance,
     load_config,
 )
 from .counterexample import CounterexampleReport, run_counterexample
@@ -82,7 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BindingBound",
     "CapacityResult",
-    "CovarianceSearchSpec",
     "GridSpec",
     "MatrixBoundParams",
     "PowerAllocation",
@@ -96,7 +93,6 @@ __all__ = [
     "CsiMode",
     "Topology",
     "angle_between",
-    "degradation_noise_variance",
     "load_config",
     "CounterexampleReport",
     "run_counterexample",

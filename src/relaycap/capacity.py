@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._search import golden_section_max
+from ._search import concave_max, grid_refine, split_max
 from .channel import ChannelConfig, CsiMode, Topology, angle_between
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "MatrixBoundParams",
     "CapacityResult",
     "GridSpec",
-    "CovarianceSearchSpec",
     "cutset_bounds",
     "achievable_rate",
     "optimize_capacity",
@@ -139,43 +138,22 @@ class CapacityResult:
 class GridSpec:
     """Search resolution for :func:`optimize_capacity`.
 
-    The beam angle is scanned with ``theta_points`` points (the one
-    coordinate whose profile is not concave), then polished with
-    ``polish_iters`` golden-section iterations; the power split is solved
-    exactly at every angle.
+    The beam angle (the one coordinate whose profile is not concave) is
+    scanned on ``theta_points`` points, then refined around the best point;
+    the powers are solved exactly at every angle.
     """
 
     theta_points: int = 257
-    polish_iters: int = 80
 
     def __post_init__(self) -> None:
         if self.theta_points < 2:
             raise ValueError("theta grid needs at least two points")
-        if self.polish_iters < 0:
-            raise ValueError("polish_iters must be >= 0")
 
 
-@dataclass(frozen=True)
-class CovarianceSearchSpec:
-    """Search resolution for :func:`optimize_covariance_bound`.
-
-    The free grid stage scans beam angles and the coherent fraction; the
-    pinned stage sweeps the relay-block angle on a four times denser grid
-    and polishes it with ``polish_iters`` golden-section iterations.
-    """
-
-    angle_points: int = 33
-    beta_points: int = 33
-    polish_iters: int = 80
-    residual_points: int = 9
-
-    def __post_init__(self) -> None:
-        if self.angle_points < 2 or self.beta_points < 2:
-            raise ValueError("grids need at least two points per axis")
-        if self.polish_iters < 0:
-            raise ValueError("polish_iters must be >= 0")
-        if self.residual_points < 2:
-            raise ValueError("residual_points must be >= 2")
+# Scan grid of optimize_covariance_bound: relay-block angle over [-pi/2, pi/2]
+# and its residual weight over [0, 1].
+_RELAY_ANGLE_POINTS = 133
+_RESIDUAL_POINTS = 9
 
 
 def _require_single_relay(cfg: ChannelConfig, mode: CsiMode, what: str) -> None:
@@ -248,41 +226,16 @@ def achievable_rate(cfg: ChannelConfig, alloc: PowerAllocation) -> float:
     return min(bound_rd, bound_mac)
 
 
-def _best_p21_split(g31: float, k_rd: float, k_mac: float, budget: float,
-                    coherent: float) -> tuple[float, float]:
-    """Exact inner maximization of ``min(b_rd, b_mac)`` over the p21/p31 split.
-
-    With ``theta`` and ``pb1`` fixed, both bounds are affine in ``p21`` once
-    ``p31 = budget - p21``, so the max-min is attained at an endpoint or at
-    the crossing of the two lines.  Returns ``(value, p21)``.
-    """
-    candidates = [0.0, budget]
-    slope_gap = k_rd - k_mac
-    if slope_gap > 0.0:
-        crossing = coherent / slope_gap
-        if crossing < budget:
-            candidates.append(crossing)
-    best_value = -math.inf
-    best_p21 = 0.0
-    for p21 in candidates:
-        rest = budget - p21
-        b_rd = g31 * rest + k_rd * p21
-        b_mac = g31 * rest + k_mac * p21 + coherent
-        value = min(b_rd, b_mac)
-        if value > best_value:
-            best_value = value
-            best_p21 = p21
-    return best_value, best_p21
-
-
 def optimize_capacity(cfg: ChannelConfig, grid: GridSpec | None = None) -> CapacityResult:
     """Maximize ``min(cutset_bounds)`` over power splits and beam angle.
 
     For a fixed angle the objective is concave in the powers: the ``p21`` /
-    ``p31`` split is a max-min of two affine functions (solved at its three
-    candidate points) and the coherent power profile is then concave in
-    ``pb1`` (solved by ternary search).  Only the angle needs a dense scan,
-    finished with a golden-section polish around the best grid point.
+    ``p31`` split is a max-min of two affine functions, solved exactly by
+    :func:`~relaycap._search.split_max`, and the profile over ``pb1`` is
+    then concave, solved by :func:`~relaycap._search.concave_max`.  Only the
+    angle, whose profile is not concave, needs a grid: it is scanned on
+    ``grid.theta_points`` points over ``[0, alpha]`` and refined around the
+    best one by :func:`~relaycap._search.grid_refine`.
     """
     _require_single_relay(cfg, CsiMode.SYNCHRONOUS, "optimize_capacity")
     spec = grid or GridSpec()
@@ -290,56 +243,32 @@ def optimize_capacity(cfg: ChannelConfig, grid: GridSpec | None = None) -> Capac
     n0 = cfg.noise_psd
     partner = m32 * math.sqrt(p2)
 
-    def split_at(theta: float, pb1: float) -> tuple[float, float]:
-        k_rd = g21 * math.cos(alpha - theta) ** 2
-        k_mac = g31 * math.cos(theta) ** 2
-        coherent = (math.sqrt(pb1 * g31) + partner) ** 2
-        return _best_p21_split(g31, k_rd, k_mac, p1 - pb1, coherent)
+    def best_at_theta(theta: np.ndarray):
+        """Exact max over pb1 and the p21 split at each angle; returns (value, pb1, p21)."""
+        k_rd = g21 * np.cos(alpha - theta) ** 2
+        k_mac = g31 * np.cos(theta) ** 2
 
-    def best_at_theta(theta: float) -> tuple[float, float]:
-        """Exact max over pb1 (ternary on a concave profile); returns (value, pb1)."""
-        lo, hi = 0.0, p1
-        for _ in range(60):
-            third = (hi - lo) / 3.0
-            m1 = lo + third
-            m2 = hi - third
-            if split_at(theta, m1)[0] < split_at(theta, m2)[0]:
-                lo = m1
-            else:
-                hi = m2
-        candidates = [(lo + hi) / 2.0, 0.0, p1]
-        pb1 = max(candidates, key=lambda q: split_at(theta, q)[0])
-        return split_at(theta, pb1)[0], pb1
+        def split(pb1):
+            coherent = (np.sqrt(pb1 * g31) + partner) ** 2
+            return split_max(k_rd, k_mac, g31, coherent, p1 - pb1)
+
+        value, pb1 = concave_max(lambda pb1: split(pb1)[0], np.zeros_like(theta),
+                                 np.full_like(theta, p1))
+        return value, pb1, split(pb1)[1]
 
     thetas = np.linspace(0.0, alpha, spec.theta_points) if alpha > 0.0 else np.array([0.0])
-    best_value = -math.inf
-    best_theta = 0.0
-    for theta in thetas:
-        value, _ = best_at_theta(float(theta))
-        if value > best_value:
-            best_value, best_theta = value, float(theta)
-
-    if alpha > 0.0:
-        step = alpha / (len(thetas) - 1)
-        lo = max(0.0, best_theta - step)
-        hi = min(alpha, best_theta + step)
-        theta, value = golden_section_max(lambda t: best_at_theta(t)[0], lo, hi,
-                                          iters=spec.polish_iters)
-        if value > best_value:
-            best_value, best_theta = value, theta
-
-    best_value, best_pb1 = best_at_theta(best_theta)
-    _, best_p21 = split_at(best_theta, best_pb1)
+    _, (best_theta,) = grid_refine(lambda point: best_at_theta(point[0])[0], [thetas])
+    value, pb1, p21 = (float(x) for x in best_at_theta(np.array(best_theta)))
     alloc = PowerAllocation(
-        p21=best_p21 * n0,
-        p31=max(0.0, p1 - best_pb1 - best_p21) * n0,
-        pb1=best_pb1 * n0,
+        p21=p21 * n0,
+        p31=max(0.0, p1 - pb1 - p21) * n0,
+        pb1=pb1 * n0,
         theta=best_theta,
         alpha=alpha,
     )
     bound_rd, bound_mac = cutset_bounds(cfg, alloc)
     binding = BindingBound.RELAY_DECODE if bound_rd <= bound_mac else BindingBound.MAC_COMBINE
-    return CapacityResult(rate=best_value, allocation=alloc, binding_bound=binding)
+    return CapacityResult(rate=value, allocation=alloc, binding_bound=binding)
 
 
 def phase_fading_capacity(cfg: ChannelConfig) -> float:
@@ -443,226 +372,73 @@ def _plane_basis(c21: np.ndarray, c31: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return e1, e2
 
 
-def optimize_covariance_bound(
-    cfg: ChannelConfig, search: CovarianceSearchSpec | None = None
-) -> CapacityResult:
+def optimize_covariance_bound(cfg: ChannelConfig) -> CapacityResult:
     """Maximize ``min(covariance_bounds)`` over covariance blocks.
 
-    The search parameterizes each block as a mixture of a rank-one beam in
-    the plane spanned by the gain vectors and an isotropic residual; beam
-    angles, the coherent fraction ``beta`` and the residual weights are
-    scanned on grids and polished by coordinate golden-section search, while
-    the trace split between the two blocks is solved exactly for every
-    candidate (it is again a max-min of two affine functions).  The
-    isotropic weights come out at zero, confirming that rank-one blocks
-    suffice, but they are searched rather than assumed.
+    Each block is a mixture of a rank-one beam in the plane spanned by the
+    gain vectors and an isotropic residual.  The destination block and the
+    coherent beam are pinned to ``c31``: the destination block's trace
+    enters both bounds with the same gain, and the coherent gain only adds
+    to the MAC bound, so aligning either with ``c31`` is optimal.  The
+    relay block's angle and residual weight are scanned on a grid and
+    refined (:func:`~relaycap._search.grid_refine`); at each candidate the
+    coherent share ``s = beta**2`` is solved by
+    :func:`~relaycap._search.concave_max` and the trace split between the
+    two blocks exactly by :func:`~relaycap._search.split_max`.  The residual
+    weight comes out at zero, confirming that rank-one blocks suffice, but
+    it is searched rather than assumed.  The result is replayed through
+    :func:`covariance_bounds`.
     """
     _require_single_relay(cfg, CsiMode.SYNCHRONOUS, "optimize_covariance_bound")
-    spec = search or CovarianceSearchSpec()
     g21, g31, m32, alpha, p1, p2 = _single_relay_geometry(cfg)
     n0 = cfg.noise_psd
     c21 = cfg.gain("c21")
     c31 = cfg.gain("c31")
     c32 = cfg.scalar_gain("c32")
     e1, e2 = _plane_basis(c21, c31)
-    cross_amp = 2.0 * m32 * math.sqrt(p1 * p2)
+    relay_gain = m32 ** 2 * p2
+    coherent_amp = 2.0 * m32 * math.sqrt(p1 * p2 * g31)
 
-    def q21(phi: float) -> float:
-        return g21 * math.cos(phi) ** 2
+    def best_over_share(phi_a: np.ndarray, eta_a: np.ndarray):
+        """Exact max over s and the trace split per relay block; returns (value, s, trace_a).
 
-    def q31(phi: float) -> float:
-        return g31 * math.cos(phi - alpha) ** 2
-
-    def evaluate(state: tuple[float, float, float, float, float, float]) -> tuple[float, float]:
-        """Bound value and exact relay-block trace for one search state."""
-        phi_a, phi_b, phi_u, beta, eta_a, eta_b = state
-        k_rd = (1.0 - eta_a) * q21(phi_a) + eta_a * g21 / 2.0
-        k_rd_dest = (1.0 - eta_a) * q31(phi_a) + eta_a * g31 / 2.0
-        k_dest = (1.0 - eta_b) * q31(phi_b) + eta_b * g31 / 2.0
-        coh_gain = q31(phi_u)
-        budget = p1 * (1.0 - beta ** 2)
-        constant = beta ** 2 * p1 * coh_gain + m32 ** 2 * p2 + beta * cross_amp * math.sqrt(coh_gain)
-        # min over the two bounds, affine in the trace t_a given t_b = budget - t_a
-        candidates = [0.0, budget]
-        slope_gap = k_rd - k_rd_dest
-        if slope_gap > 0.0:
-            crossing = constant / slope_gap
-            if crossing < budget:
-                candidates.append(crossing)
-        best_value, best_ta = -math.inf, 0.0
-        for t_a in candidates:
-            t_b = budget - t_a
-            bound_rd = k_rd * t_a + k_dest * t_b
-            bound_mac = k_rd_dest * t_a + k_dest * t_b + constant
-            value = min(bound_rd, bound_mac)
-            if value > best_value:
-                best_value, best_ta = value, t_a
-        return best_value, best_ta
-
-    angles = np.linspace(-math.pi / 2.0, math.pi / 2.0, spec.angle_points)
-    betas = np.linspace(0.0, 1.0, spec.beta_points)
-    # grid scan over (phi_a, phi_b, phi_u, beta): vectorized over the three
-    # angles, looped over beta to keep memory bounded; same max-min-of-affine
-    # split as evaluate(), taken at its three candidate traces
-    k_rd = (g21 * np.cos(angles) ** 2)[:, None, None]
-    k_rd_dest = (g31 * np.cos(angles - alpha) ** 2)[:, None, None]
-    k_dest = (g31 * np.cos(angles - alpha) ** 2)[None, :, None]
-    coh_gain = (g31 * np.cos(angles - alpha) ** 2)[None, None, :]
-    slope_gap = k_rd - k_rd_dest
-    inv_gap = 1.0 / np.where(slope_gap > 0.0, slope_gap, np.inf)
-    best_value = -math.inf
-    state = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-    for beta in betas:
-        budget = p1 * (1.0 - beta ** 2)
-        constant = beta ** 2 * p1 * coh_gain + m32 ** 2 * p2 + beta * cross_amp * np.sqrt(coh_gain)
-        at_zero = k_dest * budget
-        at_full = np.minimum(k_rd * budget, k_rd_dest * budget + constant)
-        crossing = constant * inv_gap
-        usable = (slope_gap > 0.0) & (crossing < budget)
-        safe = np.where(usable, crossing, 0.0)
-        at_cross = np.where(usable, k_rd * safe + k_dest * (budget - safe), -np.inf)
-        values = np.maximum(np.maximum(at_zero, at_full), at_cross)
-        flat_best = int(np.argmax(values))
-        ia, ib, iu = np.unravel_index(flat_best, values.shape)
-        if values[ia, ib, iu] > best_value:
-            best_value = float(values[ia, ib, iu])
-            state = [float(angles[ia]), float(angles[ib]), float(angles[iu]), float(beta), 0.0, 0.0]
-
-    def split_max(k_rd, k_rd_dest, k_dest, constant, budget):
-        """Vectorized exact max over the trace split (same as in evaluate)."""
-        at_zero = k_dest * budget
-        at_full = np.minimum(k_rd * budget, k_rd_dest * budget + constant)
-        gap = k_rd - k_rd_dest
-        crossing = constant / np.where(gap > 0.0, gap, np.inf)
-        usable = (gap > 0.0) & (crossing < budget)
-        safe = np.where(usable, crossing, 0.0)
-        at_cross = np.where(usable, k_rd * safe + k_dest * (budget - safe), -np.inf)
-        return np.maximum(np.maximum(at_zero, at_full), at_cross)
-
-    def best_over_coherent(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact max over the coherent share for rows (phi_a, phi_b, phi_u, eta_a, eta_b).
-
-        In the share s = beta**2 the split-maximized bound is concave (the
-        MAC bound gains p1*s plus a sqrt(s) term, the rest is affine on the
-        budget simplex), so a ternary search is exact.  Returns (value, s).
+        In s the split-maximized bound is concave: the MAC bound gains
+        p1*s plus a sqrt(s) term, the rest is affine on the budget simplex.
         """
-        phi_a, phi_b, phi_u, eta_a, eta_b = states.T
         k_rd = (1.0 - eta_a) * g21 * np.cos(phi_a) ** 2 + eta_a * g21 / 2.0
         k_rd_dest = (1.0 - eta_a) * g31 * np.cos(phi_a - alpha) ** 2 + eta_a * g31 / 2.0
-        k_dest = (1.0 - eta_b) * g31 * np.cos(phi_b - alpha) ** 2 + eta_b * g31 / 2.0
-        coh = g31 * np.cos(phi_u - alpha) ** 2
-        coh_amp = cross_amp * np.sqrt(coh)
 
-        def value_at(s: np.ndarray) -> np.ndarray:
-            constant = s * p1 * coh + m32 ** 2 * p2 + np.sqrt(s) * coh_amp
-            return split_max(k_rd, k_rd_dest, k_dest, constant, p1 * (1.0 - s))
+        def split(s):
+            constant = s * p1 * g31 + relay_gain + np.sqrt(s) * coherent_amp
+            return split_max(k_rd, k_rd_dest, g31, constant, p1 * (1.0 - s))
 
-        lo = np.zeros(len(states))
-        hi = np.ones(len(states))
-        for _ in range(90):
-            third = (hi - lo) / 3.0
-            m1 = lo + third
-            m2 = hi - third
-            move_up = value_at(m1) < value_at(m2)
-            lo = np.where(move_up, m1, lo)
-            hi = np.where(move_up, hi, m2)
-        # pick consistently among the converged point and the two ends
-        s_cand = np.stack([(lo + hi) / 2.0, np.zeros(len(states)), np.ones(len(states))])
-        v_cand = np.stack([value_at(row) for row in s_cand])
-        pick = np.argmax(v_cand, axis=0)
-        cols = np.arange(len(states))
-        return v_cand[pick, cols], s_cand[pick, cols]
+        value, share = concave_max(lambda s: split(s)[0], np.zeros_like(phi_a),
+                                   np.ones_like(phi_a))
+        return value, share, split(share)[1]
 
-    # The free scan above confirms empirically what monotonicity proves
-    # exactly: k_dest multiplies t_b in both bounds, so the destination
-    # block aligns with c31 (phi_b = alpha, eta_b = 0), and the coherent
-    # gain only ever adds to the MAC bound, so the coherent beam aligns the
-    # same way (phi_u = alpha).  With those pinned, the problem is a dense
-    # one-dimensional sweep over the relay-block angle (plus its residual
-    # weight), polished by golden section.
-    dense_angles = np.linspace(-math.pi / 2.0, math.pi / 2.0, 4 * spec.angle_points + 1)
-    eta_grid = np.linspace(0.0, 1.0, spec.residual_points)
-    phi_mesh, eta_mesh = np.meshgrid(dense_angles, eta_grid, indexing="ij")
-    rows = np.column_stack(
-        [
-            phi_mesh.ravel(),
-            np.full(phi_mesh.size, alpha),
-            np.full(phi_mesh.size, alpha),
-            eta_mesh.ravel(),
-            np.zeros(phi_mesh.size),
-        ]
-    )
-    values, shares = best_over_coherent(rows)
-    pick = int(np.argmax(values))
-    tolerance = 1e-9 * max(1.0, abs(best_value))
-    if float(values[pick]) >= best_value - tolerance:
-        best_value = float(values[pick])
-        state = [float(rows[pick, 0]), alpha, alpha,
-                 math.sqrt(max(float(shares[pick]), 0.0)), float(rows[pick, 3]), 0.0]
-
-        coh_amp_pinned = cross_amp * math.sqrt(g31)
-
-        def pinned(phi_a: float, eta_a: float) -> tuple[float, float]:
-            """Scalar twin of best_over_coherent at the pinned coordinates."""
-            k_rd = (1.0 - eta_a) * g21 * math.cos(phi_a) ** 2 + eta_a * g21 / 2.0
-            k_rd_dest = (1.0 - eta_a) * g31 * math.cos(phi_a - alpha) ** 2 + eta_a * g31 / 2.0
-
-            def value_at(s: float) -> float:
-                constant = s * p1 * g31 + m32 ** 2 * p2 + math.sqrt(s) * coh_amp_pinned
-                return _best_p21_split(g31, k_rd, k_rd_dest, p1 * (1.0 - s), constant)[0]
-
-            lo, hi = 0.0, 1.0
-            for _ in range(60):
-                third = (hi - lo) / 3.0
-                m1 = lo + third
-                m2 = hi - third
-                if value_at(m1) < value_at(m2):
-                    lo = m1
-                else:
-                    hi = m2
-            candidates = [(lo + hi) / 2.0, 0.0, 1.0]
-            share = max(candidates, key=value_at)
-            return value_at(share), share
-
-        phi_step = math.pi / (len(dense_angles) - 1)
-        eta_step = 1.0 / (spec.residual_points - 1)
-        phi_best, eta_best = state[0], state[4]
-        for _ in range(2):
-            lo = max(-math.pi / 2.0, phi_best - phi_step)
-            hi = min(math.pi / 2.0, phi_best + phi_step)
-            phi_cand, value = golden_section_max(lambda x: pinned(x, eta_best)[0], lo, hi,
-                                                 iters=spec.polish_iters)
-            if value > best_value:
-                best_value, phi_best = value, phi_cand
-            lo = max(0.0, eta_best - eta_step)
-            hi = min(1.0, eta_best + eta_step)
-            eta_cand, value = golden_section_max(lambda x: pinned(phi_best, x)[0], lo, hi,
-                                                 iters=spec.polish_iters)
-            if value > best_value:
-                best_value, eta_best = value, eta_cand
-        best_value, share = pinned(phi_best, eta_best)
-        state = [phi_best, alpha, alpha, math.sqrt(max(share, 0.0)), eta_best, 0.0]
-
-    phi_a, phi_b, phi_u, beta, eta_a, eta_b = state
-    best_value, trace_a = evaluate(tuple(state))
-    trace_b = p1 * (1.0 - beta ** 2) - trace_a
+    angles = np.linspace(-math.pi / 2.0, math.pi / 2.0, _RELAY_ANGLE_POINTS)
+    residuals = np.linspace(0.0, 1.0, _RESIDUAL_POINTS)
+    _, (phi_a, eta_a) = grid_refine(lambda point: best_over_share(*point)[0], [angles, residuals])
+    value, share, trace_a = (float(x) for x in best_over_share(np.array(phi_a), np.array(eta_a)))
+    beta = math.sqrt(share)
+    trace_b = p1 * (1.0 - share) - trace_a
 
     def beam_matrix(phi: float, eta: float, trace: float) -> np.ndarray:
         direction = math.cos(phi) * e1 + math.sin(phi) * e2
         shape = (1.0 - eta) * np.outer(direction, direction.conj()) + eta * np.eye(2) / 2.0
         return trace * shape * n0
 
-    u = math.cos(phi_u) * e1 + math.sin(phi_u) * e2
+    u = math.cos(alpha) * e1 + math.sin(alpha) * e2
     # the coherent phase is free; rotate u so the cross term adds
     twist = c32 * complex(np.vdot(c31, u))
     if abs(twist) > 0.0:
         u = u * np.exp(-1j * np.angle(twist))
     params = MatrixBoundParams(
         a=beam_matrix(phi_a, eta_a, trace_a),
-        b=beam_matrix(phi_b, eta_b, max(trace_b, 0.0)),
+        b=beam_matrix(alpha, 0.0, max(trace_b, 0.0)),
         beta=beta,
         u=u,
     )
     bound_rd, bound_mac = covariance_bounds(cfg, params)
     binding = BindingBound.RELAY_DECODE if bound_rd <= bound_mac else BindingBound.MAC_COMBINE
-    return CapacityResult(rate=best_value, allocation=params, binding_bound=binding)
+    return CapacityResult(rate=value, allocation=params, binding_bound=binding)

@@ -27,7 +27,6 @@ __all__ = [
     "ChannelConfig",
     "load_config",
     "angle_between",
-    "degradation_noise_variance",
 ]
 
 
@@ -250,26 +249,3 @@ def angle_between(c2: np.ndarray, c3: np.ndarray) -> float:
     cos_alpha = abs(np.vdot(c2, c3)) / (n2 * n3)
     return float(math.acos(min(cos_alpha, 1.0)))
 
-
-def degradation_noise_variance(c21, c31) -> float:
-    """Extra noise variance 1 - |c31|^2/|c21|^2 that degrades the destination.
-
-    Adding independent noise of this variance to a scaled copy of the relay
-    observation reproduces the destination observation, which is what makes
-    the single-antenna relay channel physically degraded. Requires scalar
-    gains with |c21| >= |c31| > 0; the result lies in [0, 1).
-    """
-    mags = []
-    for name, gain in (("c21", c21), ("c31", c31)):
-        arr = np.asarray(gain, dtype=complex).reshape(-1)
-        if arr.size != 1:
-            raise ValueError(f"{name} must be a scalar gain, got {arr.size} components")
-        mags.append(abs(complex(arr[0])))
-    m21, m31 = mags
-    if m31 == 0.0:
-        raise ValueError("c31 must be nonzero")
-    if m21 < m31:
-        raise ValueError(
-            f"degradation requires |c21| >= |c31|, got |c21|={m21:.6g} < |c31|={m31:.6g}"
-        )
-    return 1.0 - (m31 * m31) / (m21 * m21)

@@ -110,6 +110,10 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
 
 
 def _cmd_region(args: argparse.Namespace) -> int:
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
+    if args.gap and args.cut != "broadcast":
+        raise ValueError("--gap applies to --cut broadcast only")
     cfg = _load(args.config)
     if args.cut == "mac":
         if cfg.csi is CsiMode.PHASE_FADING:

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._search import golden_section_max
 from .channel import ChannelConfig, CsiMode, Topology, angle_between
 
 __all__ = [
@@ -195,6 +194,16 @@ def _check_antenna_budgets(cfg: ChannelConfig, alloc: CommonPrivateAllocation) -
         raise ValueError(f"antenna 2 spends {alloc.antenna2_total!r} W, budget is {b2!r} W")
 
 
+def _stream_rates(cfg: ChannelConfig, alloc: CommonPrivateAllocation):
+    """Rate each stream carries to each relay on its own: ``(common2, common3, private2, private3)``."""
+    g2, g3 = _broadcast_gains(cfg)
+    common2 = g2[0] * alloc.p1c + g2[1] * alloc.p2c
+    common3 = g3[0] * alloc.p1c + g3[1] * alloc.p2c
+    private2 = g2[0] * alloc.p12 + g2[1] * alloc.p22
+    private3 = g3[0] * alloc.p13 + g3[1] * alloc.p23
+    return common2, common3, private2, private3
+
+
 def common_private_rates(cfg: ChannelConfig, alloc: CommonPrivateAllocation) -> CommonPrivateRates:
     """Rates achieved by common/private superposition under phase fading.
 
@@ -203,12 +212,8 @@ def common_private_rates(cfg: ChannelConfig, alloc: CommonPrivateAllocation) -> 
     """
     _require_diamond(cfg, "common_private_rates", CsiMode.PHASE_FADING)
     _check_antenna_budgets(cfg, alloc)
-    g2, g3 = _broadcast_gains(cfg)
-    common2 = g2[0] * alloc.p1c + g2[1] * alloc.p2c
-    common3 = g3[0] * alloc.p1c + g3[1] * alloc.p2c
+    common2, common3, private2, private3 = _stream_rates(cfg, alloc)
     rc = min(common2, common3)
-    private2 = g2[0] * alloc.p12 + g2[1] * alloc.p22
-    private3 = g3[0] * alloc.p13 + g3[1] * alloc.p23
     return CommonPrivateRates(
         rc=rc,
         r2=rc + private2,
@@ -227,14 +232,10 @@ def broadcast_outer_rates(cfg: ChannelConfig, alloc: CommonPrivateAllocation) ->
     """
     _require_diamond(cfg, "broadcast_outer_rates", CsiMode.PHASE_FADING)
     _check_antenna_budgets(cfg, alloc)
-    g2, g3 = _broadcast_gains(cfg)
-    common2 = g2[0] * alloc.p1c + g2[1] * alloc.p2c
-    common3 = g3[0] * alloc.p1c + g3[1] * alloc.p2c
-    private2 = g2[0] * alloc.p12 + g2[1] * alloc.p22
-    private3 = g3[0] * alloc.p13 + g3[1] * alloc.p23
+    common2, common3, private2, private3 = _stream_rates(cfg, alloc)
     return BroadcastOuterRates(
-        r2=g2[0] * (alloc.p1c + alloc.p12) + g2[1] * (alloc.p2c + alloc.p22),
-        r3=g3[0] * (alloc.p1c + alloc.p13) + g3[1] * (alloc.p2c + alloc.p23),
+        r2=common2 + private2,
+        r3=common3 + private3,
         r_sum1=common2 + private2 + private3,
         r_sum2=common3 + private2 + private3,
     )
@@ -427,7 +428,7 @@ def beamforming_condition(c21: np.ndarray, c31: np.ndarray) -> bool:
     c31 = np.asarray(c31, dtype=complex)
     weaker = min(float(np.vdot(c21, c21).real), float(np.vdot(c31, c31).real))
     overlap = abs(complex(np.vdot(c21, c31)))
-    return weaker <= overlap + _TOL * max(1.0, overlap)
+    return weaker <= (1.0 + _TOL) * overlap
 
 
 @dataclass(frozen=True)
@@ -530,9 +531,12 @@ def min_power(
 def max_min_beam_gain(c2: np.ndarray, c3: np.ndarray) -> float:
     """Best worst-case squared gain of a single beam heard by two relays.
 
-    Maximizes ``min(|c2^H u|^2, |c3^H u|^2)`` over unit vectors ``u``.  The
-    optimizer lies in the span of the two gain vectors, so the problem is a
-    one-dimensional search over the beam angle between them.
+    Maximizes ``min(|c2^H u|^2, |c3^H u|^2)`` over unit vectors ``u``, in
+    closed form.  When :func:`beamforming_condition` holds, the beam along
+    the weaker vector is heard at least as well by the stronger relay, so
+    the value is the weaker squared norm ``min(n2, n3)**2``.  Otherwise the
+    best beam lies between the two vectors where both gains are equal, which
+    gives ``(n2 n3 sin(alpha))**2 / (n2**2 + n3**2 - 2 n2 n3 cos(alpha))``.
     """
     c2 = np.asarray(c2, dtype=complex)
     c3 = np.asarray(c3, dtype=complex)
@@ -540,18 +544,9 @@ def max_min_beam_gain(c2: np.ndarray, c3: np.ndarray) -> float:
     n3 = float(np.linalg.norm(c3))
     if n2 == 0.0 or n3 == 0.0:
         raise ValueError("both gain vectors must be nonzero")
-    alpha = angle_between(c2, c3)
-    if alpha == 0.0:
+    if beamforming_condition(c2, c3):
         return min(n2, n3) ** 2
-
-    def worst_gain(phi: float) -> float:
-        return min((n2 * math.cos(phi)) ** 2, (n3 * math.cos(alpha - phi)) ** 2)
-
-    grid = np.linspace(0.0, alpha, 257)
-    values = [worst_gain(phi) for phi in grid]
-    best = int(np.argmax(values))
-    step = alpha / 256.0
-    lo = max(0.0, grid[best] - step)
-    hi = min(alpha, grid[best] + step)
-    _, value = golden_section_max(worst_gain, lo, hi, iters=80)
-    return max(value, values[best])
+    alpha = angle_between(c2, c3)
+    # n2**2 + n3**2 - 2 n2 n3 cos(alpha) as a sum of squares, free of cancellation
+    denominator = (n2 - n3) ** 2 + 4.0 * n2 * n3 * math.sin(alpha / 2.0) ** 2
+    return (n2 * n3 * math.sin(alpha)) ** 2 / denominator

@@ -8,13 +8,13 @@ import pytest
 from relaycap import (
     BindingBound,
     ChannelConfig,
-    CovarianceSearchSpec,
     CsiMode,
     GridSpec,
     MatrixBoundParams,
     PowerAllocation,
     Topology,
     achievable_rate,
+    angle_between,
     covariance_bounds,
     cutset_bounds,
     optimize_capacity,
@@ -149,9 +149,7 @@ def test_optimize_power_scaling():
 def test_optimize_grid_spec_validation():
     with pytest.raises(ValueError, match="at least two"):
         GridSpec(theta_points=1)
-    with pytest.raises(ValueError, match="polish_iters"):
-        GridSpec(polish_iters=-1)
-    # a coarse grid still lands close thanks to the polish stage
+    # a coarse grid still lands close thanks to the refine stage
     cfg = single_relay_config(p1=2.0, p2=1.0, alpha=0.6, c32=0.9)
     fine = optimize_capacity(cfg).rate
     coarse = optimize_capacity(cfg, GridSpec(theta_points=9)).rate
@@ -294,10 +292,38 @@ def test_covariance_optimizer_zero_source_power():
     assert optimize_capacity(cfg).rate == pytest.approx(0.0, abs=1e-12)
 
 
-def test_covariance_search_spec_validation():
-    with pytest.raises(ValueError, match="at least two"):
-        CovarianceSearchSpec(angle_points=1)
-    with pytest.raises(ValueError, match="polish_iters"):
-        CovarianceSearchSpec(polish_iters=-2)
-    with pytest.raises(ValueError, match="residual_points"):
-        CovarianceSearchSpec(residual_points=1)
+
+def test_covariance_optimizer_never_beaten_by_free_grid():
+    # optimize_covariance_bound pins the destination block and the coherent
+    # beam to c31 by a monotonicity argument; a grid over all three beam
+    # angles and the coherent fraction, with the trace split solved at its
+    # candidate points (both ends and the crossing of the two bounds), must
+    # never find more
+    rng = np.random.default_rng(21)
+    angles = np.linspace(-math.pi / 2.0, math.pi / 2.0, 33)
+    for cfg in [random_single_relay(rng) for _ in range(6)] + [
+        single_relay_config(p1=2.0, p2=0.0, alpha=0.7, scale21=2.0),
+        single_relay_config(p1=2.0, p2=1.0, alpha=math.pi / 2.0, c32=0.0, scale21=1.5),
+    ]:
+        c21, c31 = cfg.gain("c21"), cfg.gain("c31")
+        g21, g31 = float(np.vdot(c21, c21).real), float(np.vdot(c31, c31).real)
+        alpha = angle_between(c21, c31)
+        m32 = abs(cfg.scalar_gain("c32"))
+        p1, p2 = cfg.powers["P1"] / cfg.noise_psd, cfg.powers["P2"] / cfg.noise_psd
+        k_rd = (g21 * np.cos(angles) ** 2)[:, None, None]
+        k_rd_dest = (g31 * np.cos(angles - alpha) ** 2)[:, None, None]
+        k_dest = (g31 * np.cos(angles - alpha) ** 2)[None, :, None]
+        coherent = (g31 * np.cos(angles - alpha) ** 2)[None, None, :]
+        best = 0.0
+        for beta in np.linspace(0.0, 1.0, 33):
+            budget = p1 * (1.0 - beta ** 2)
+            constant = (beta ** 2 * p1 * coherent + m32 ** 2 * p2
+                        + 2.0 * beta * m32 * np.sqrt(p1 * p2 * coherent))
+            gap = k_rd - k_rd_dest
+            crossing = np.clip(constant / np.where(gap > 0.0, gap, np.inf), 0.0, budget)
+            for trace_a in (0.0, budget, crossing):
+                rest = k_dest * (budget - trace_a)
+                values = np.minimum(k_rd * trace_a + rest, k_rd_dest * trace_a + rest + constant)
+                best = max(best, float(values.max()))
+        rate = optimize_covariance_bound(cfg).rate
+        assert best <= rate * (1.0 + 1e-9) + 1e-300

@@ -11,7 +11,6 @@ from relaycap import (
     CsiMode,
     Topology,
     angle_between,
-    degradation_noise_variance,
     load_config,
 )
 
@@ -202,16 +201,3 @@ def test_angle_between_errors():
         angle_between(np.array([1.0, 0.0]), np.array([1.0]))
     with pytest.raises(ValueError, match="zero gain vector"):
         angle_between(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
-
-
-def test_degradation_noise_variance():
-    assert degradation_noise_variance(np.array([2.0]), np.array([1.0])) == pytest.approx(0.75)
-    assert degradation_noise_variance(np.array([1.0]), np.array([1.0])) == 0.0
-    # phase is irrelevant; only magnitudes enter
-    assert degradation_noise_variance(np.array([2.0j]), np.array([-1.0])) == pytest.approx(0.75)
-    with pytest.raises(ValueError, match=r"\|c21\| >= \|c31\|"):
-        degradation_noise_variance(np.array([1.0]), np.array([2.0]))
-    with pytest.raises(ValueError, match="c31 must be nonzero"):
-        degradation_noise_variance(np.array([1.0]), np.array([0.0]))
-    with pytest.raises(ValueError, match="scalar gain"):
-        degradation_noise_variance(np.array([1.0, 0.0]), np.array([1.0]))

@@ -267,6 +267,9 @@ def test_beamforming_condition():
     assert not beamforming_condition(e1, v)
     # but scaling one vector down restores degradedness
     assert beamforming_condition(0.5 * v, e1)
+    # the verdict does not depend on the scale of the gains
+    assert not beamforming_condition(1e-6 * e1, 1e-6 * v)
+    assert beamforming_condition(0.5e-6 * v, 1e-6 * e1)
 
 
 def test_beamforming_rates_hand_case():
@@ -383,18 +386,33 @@ def test_max_min_beam_gain_invariances():
 
 
 def test_max_min_beam_gain_sampling_oracle():
-    # the reduction to a one-dimensional angle search must match a direct
-    # maximization over Haar-random unit vectors
+    # the closed form must match a direct maximization over Haar-random unit
+    # vectors on both of its branches (beamforming condition holding or not)
+    # and at 1e+-6 ratios between the two gain norms
     rng = np.random.default_rng(18)
-    for _ in range(5):
-        c2 = rng.normal(size=2) + 1j * rng.normal(size=2)
-        c3 = rng.normal(size=2) + 1j * rng.normal(size=2)
+    near_orthogonal = math.pi / 2.0 - 1e-7
+    pairs = [
+        (rng.normal(size=2) + 1j * rng.normal(size=2), rng.normal(size=2) + 1j * rng.normal(size=2))
+        for _ in range(5)
+    ] + [
+        (np.array([1.0, 0.0]), np.array([2.0, 0.5j])),  # condition holds
+        (np.array([1.0, 0.0]), np.array([0.3, 1.0])),  # condition fails
+        (1e-6 * np.array([1.0, 0.0]), 1e-6 * np.array([0.3, 1.0])),  # fails, tiny gains
+        (np.array([1.0, 0.0]), 1e6 * np.array([0.6, 0.8j])),  # holds, ratio 1e6
+        (np.array([1.0, 0.0]), 1e-6 * np.array([0.6, 0.8j])),  # holds, ratio 1e-6
+        (np.array([1.0, 0.0]), 1e6 * np.array([math.cos(near_orthogonal), math.sin(near_orthogonal)])),
+        (1e-6 * np.array([1.0, 0.0]), np.array([math.cos(near_orthogonal), math.sin(near_orthogonal)])),
+    ]
+    branches = set()
+    for c2, c3 in pairs:
+        branches.add(beamforming_condition(c2, c3))
         value = max_min_beam_gain(c2, c3)
         u = rng.normal(size=(100_000, 2)) + 1j * rng.normal(size=(100_000, 2))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         sampled = np.minimum(np.abs(u @ c2.conj()) ** 2, np.abs(u @ c3.conj()) ** 2).max()
-        assert sampled <= value + 1e-9
-        assert sampled >= value - 5e-3 * max(value, 1.0)
+        assert sampled <= value * (1.0 + 1e-9)
+        assert sampled >= value * (1.0 - 5e-3)
+    assert branches == {True, False}
 
 
 def test_max_min_beam_gain_rejects_zero_vectors():
