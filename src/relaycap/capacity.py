@@ -31,7 +31,8 @@ from enum import Enum
 import numpy as np
 
 from ._search import concave_max, grid_refine, split_max
-from .channel import ChannelConfig, CsiMode, Topology, angle_between
+from .channel import ChannelConfig, CsiMode, Topology, angle_between, rounding_slack
+from .matrices import require_psd
 
 __all__ = [
     "BindingBound",
@@ -165,7 +166,7 @@ def _require_single_relay(cfg: ChannelConfig, mode: CsiMode, what: str) -> None:
 
 def _check_source_budget(cfg: ChannelConfig, spent: float) -> None:
     p1 = cfg.powers["P1"]
-    if spent > p1 + 1e-12 * max(1.0, p1):
+    if spent > p1 + rounding_slack(p1):
         raise ValueError(f"source power {spent!r} W exceeds the budget P1={p1!r} W")
 
 
@@ -283,18 +284,6 @@ def phase_fading_capacity(cfg: ChannelConfig) -> float:
     return min(max(g21, g31) * p1, g31 * p1 + m32 ** 2 * p2)
 
 
-def _psd_check(name: str, matrix: np.ndarray, tol: float) -> None:
-    hermitian_gap = float(np.max(np.abs(matrix - matrix.conj().T)))
-    if hermitian_gap > tol:
-        raise ValueError(f"covariance block {name!r} is not Hermitian (gap {hermitian_gap:.3e})")
-    eigs = np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0)
-    if eigs[0] < -tol:
-        raise ValueError(
-            f"covariance block {name!r} is not positive semidefinite "
-            f"(min eigenvalue {eigs[0]:.3e})"
-        )
-
-
 def covariance_bounds(cfg: ChannelConfig, params: MatrixBoundParams) -> tuple[float, float]:
     """Evaluate the cut-set bounds in covariance form.
 
@@ -307,8 +296,8 @@ def covariance_bounds(cfg: ChannelConfig, params: MatrixBoundParams) -> tuple[fl
     p1_watts = cfg.powers["P1"]
     scale = max(1.0, p1_watts)
     tol = 1e-9 * scale
-    _psd_check("a", params.a, tol)
-    _psd_check("b", params.b, tol)
+    require_psd(params.a, tol, "covariance block 'a'")
+    require_psd(params.b, tol, "covariance block 'b'")
     if not -1e-12 <= params.beta <= 1.0 + 1e-12:
         raise ValueError(f"beta must lie in [0, 1], got {params.beta!r}")
     u_norm = float(np.linalg.norm(params.u))

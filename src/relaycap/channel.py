@@ -29,6 +29,9 @@ __all__ = [
     "angle_between",
 ]
 
+# Relative rounding allowance of the budget and rate checks.
+REL_TOL = 1e-12
+
 
 class Topology(Enum):
     """Which of the two networks a config describes."""
@@ -249,3 +252,12 @@ def angle_between(c2: np.ndarray, c3: np.ndarray) -> float:
     cos_alpha = abs(np.vdot(c2, c3)) / (n2 * n3)
     return float(math.acos(min(cos_alpha, 1.0)))
 
+
+def rounding_slack(*quantities: float) -> float:
+    """Allowance for rounding when comparing quantities of these sizes.
+
+    ``REL_TOL`` times the largest magnitude: relative, so a budget or rate
+    check keeps its meaning at any power scale, down to zero (which then
+    must hold exactly).
+    """
+    return REL_TOL * max(map(abs, quantities))

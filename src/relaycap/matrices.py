@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "is_hermitian",
     "eigenvalues_ascending",
+    "require_psd",
     "LoewnerRelation",
     "LoewnerVerdict",
     "loewner_compare",
@@ -57,6 +58,17 @@ def eigenvalues_ascending(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
         radius = np.hypot(0.5 * (a - d), abs(arr[0, 1]))
         return np.array([mean - radius, mean + radius])
     return np.linalg.eigvalsh(arr)
+
+
+def require_psd(m, tol: float, name: str = "matrix") -> None:
+    """Raise ValueError unless m is Hermitian and positive semidefinite within tol."""
+    arr = _as_square(m)
+    gap = float(np.max(np.abs(arr - arr.conj().T)))
+    if gap > tol:
+        raise ValueError(f"{name} is not Hermitian (gap {gap:.3e})")
+    lam = float(eigenvalues_ascending(arr, tol)[0])
+    if lam < -tol:
+        raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {lam:.3e})")
 
 
 class LoewnerRelation(Enum):

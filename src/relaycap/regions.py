@@ -9,7 +9,10 @@ cuts are:
 * the source broadcast cut with phase fading, for which superposition
   coding with a common and two private streams gives an inner bound
   (:func:`common_private_rates`) that can be compared numerically against
-  the cut-set outer bound (:func:`broadcast_region_gap`);
+  the cut-set outer bound (:func:`broadcast_outer_rates`) by a sweep over
+  stream powers (:func:`broadcast_region_gap`).  Every rate here is linear
+  in the six stream powers; the rate functions and the sweep share one set
+  of formulas;
 * the synchronous broadcast cut, where rank-one beamforming attains a
   simple triangular region when one relay's channel is degraded with
   respect to the other (:func:`beamforming_rates`), and the minimum total
@@ -22,11 +25,11 @@ Rates are nats per second, powers Watts.  For the broadcast cut the budgets
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, CsiMode, Topology, angle_between
+from .channel import REL_TOL, ChannelConfig, CsiMode, Topology, angle_between, rounding_slack
 
 __all__ = [
     "MacRegionPoint",
@@ -47,8 +50,6 @@ __all__ = [
     "min_power",
     "max_min_beam_gain",
 ]
-
-_TOL = 1e-12
 
 
 def _require_diamond(cfg: ChannelConfig, what: str, csi: CsiMode | None = None) -> None:
@@ -130,11 +131,12 @@ class CommonPrivateAllocation:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"power {name!r} must be finite, got {value!r}")
+        slack = rounding_slack(self.p1c, self.p2c, self.p12, self.p22, self.p13, self.p23)
         for name in ("p12", "p22", "p13", "p23"):
-            if getattr(self, name) < -_TOL:
+            if getattr(self, name) < -slack:
                 raise ValueError(f"private power {name!r} must be >= 0")
         for common, private in (("p1c", "p12"), ("p1c", "p13"), ("p2c", "p22"), ("p2c", "p23")):
-            if getattr(self, common) + getattr(self, private) < -_TOL:
+            if getattr(self, common) + getattr(self, private) < -slack:
                 raise ValueError(
                     f"stream power {common} + {private} must be >= 0; negative common power "
                     "may only offset private power on the same antenna"
@@ -188,20 +190,49 @@ def _broadcast_gains(cfg: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
 def _check_antenna_budgets(cfg: ChannelConfig, alloc: CommonPrivateAllocation) -> None:
     b1 = cfg.powers["P1"]
     b2 = cfg.powers["P2"]
-    if alloc.antenna1_total > b1 + _TOL * max(1.0, b1):
+    if alloc.antenna1_total > b1 + rounding_slack(b1, alloc.p1c, alloc.p12, alloc.p13):
         raise ValueError(f"antenna 1 spends {alloc.antenna1_total!r} W, budget is {b1!r} W")
-    if alloc.antenna2_total > b2 + _TOL * max(1.0, b2):
+    if alloc.antenna2_total > b2 + rounding_slack(b2, alloc.p2c, alloc.p22, alloc.p23):
         raise ValueError(f"antenna 2 spends {alloc.antenna2_total!r} W, budget is {b2!r} W")
 
 
-def _stream_rates(cfg: ChannelConfig, alloc: CommonPrivateAllocation):
-    """Rate each stream carries to each relay on its own: ``(common2, common3, private2, private3)``."""
+# Under phase fading every broadcast-cut rate is linear in the six stream
+# powers.  The three helpers below hold those formulas for both bounds; they
+# work elementwise on arrays, so the region sweep runs them too.
+
+
+def _stream_rates(g2, g3, p1c, p2c, p12, p22, p13, p23):
+    """Rate each stream carries on its own.
+
+    Returns ``(common2, common3, rc, private2, private3)``: the common
+    stream's rate at relays 2 and 3, the rate ``rc`` at which both decode it,
+    and each private stream's rate at its own relay.  Common and private
+    powers may be arrays of different lengths.
+    """
+    common2 = g2[0] * p1c + g2[1] * p2c
+    common3 = g3[0] * p1c + g3[1] * p2c
+    private2 = g2[0] * p12 + g2[1] * p22
+    private3 = g3[0] * p13 + g3[1] * p23
+    return common2, common3, np.minimum(common2, common3), private2, private3
+
+
+def _relay_rates(common2, common3, private2, private3):
+    """Per-relay rates ``common_k + private_k``: the inner bound with ``rc``
+    for both common rates, the outer bound with each relay's own."""
+    return common2 + private2, common3 + private3
+
+
+def _sum_cap(common, private2, private3):
+    """Sum-rate cap ``common + private2 + private3``.  With ``common = rc`` it
+    is the smaller of the two caps bit for bit, since rounding is monotone."""
+    return common + private2 + private3
+
+
+def _alloc_stream_rates(cfg: ChannelConfig, alloc: CommonPrivateAllocation, what: str):
+    _require_diamond(cfg, what, CsiMode.PHASE_FADING)
+    _check_antenna_budgets(cfg, alloc)
     g2, g3 = _broadcast_gains(cfg)
-    common2 = g2[0] * alloc.p1c + g2[1] * alloc.p2c
-    common3 = g3[0] * alloc.p1c + g3[1] * alloc.p2c
-    private2 = g2[0] * alloc.p12 + g2[1] * alloc.p22
-    private3 = g3[0] * alloc.p13 + g3[1] * alloc.p23
-    return common2, common3, private2, private3
+    return _stream_rates(g2, g3, alloc.p1c, alloc.p2c, alloc.p12, alloc.p22, alloc.p13, alloc.p23)
 
 
 def common_private_rates(cfg: ChannelConfig, alloc: CommonPrivateAllocation) -> CommonPrivateRates:
@@ -210,16 +241,14 @@ def common_private_rates(cfg: ChannelConfig, alloc: CommonPrivateAllocation) -> 
     The common stream must be decodable by both relays, so it is limited by
     the weaker link; each private stream adds on top at its own relay.
     """
-    _require_diamond(cfg, "common_private_rates", CsiMode.PHASE_FADING)
-    _check_antenna_budgets(cfg, alloc)
-    common2, common3, private2, private3 = _stream_rates(cfg, alloc)
-    rc = min(common2, common3)
+    common2, common3, rc, private2, private3 = _alloc_stream_rates(cfg, alloc, "common_private_rates")
+    r2, r3 = _relay_rates(rc, rc, private2, private3)
     return CommonPrivateRates(
         rc=rc,
-        r2=rc + private2,
-        r3=rc + private3,
-        r_sum1=common2 + private2 + private3,
-        r_sum2=common3 + private2 + private3,
+        r2=r2,
+        r3=r3,
+        r_sum1=_sum_cap(common2, private2, private3),
+        r_sum2=_sum_cap(common3, private2, private3),
     )
 
 
@@ -230,14 +259,13 @@ def broadcast_outer_rates(cfg: ChannelConfig, alloc: CommonPrivateAllocation) ->
     the sum bounds coincide with the inner ones, which is what makes the
     per-relay bounds the interesting comparison.
     """
-    _require_diamond(cfg, "broadcast_outer_rates", CsiMode.PHASE_FADING)
-    _check_antenna_budgets(cfg, alloc)
-    common2, common3, private2, private3 = _stream_rates(cfg, alloc)
+    common2, common3, _, private2, private3 = _alloc_stream_rates(cfg, alloc, "broadcast_outer_rates")
+    r2, r3 = _relay_rates(common2, common3, private2, private3)
     return BroadcastOuterRates(
-        r2=common2 + private2,
-        r3=common3 + private3,
-        r_sum1=common2 + private2 + private3,
-        r_sum2=common3 + private2 + private3,
+        r2=r2,
+        r3=r3,
+        r_sum1=_sum_cap(common2, private2, private3),
+        r_sum2=_sum_cap(common3, private2, private3),
     )
 
 
@@ -250,13 +278,14 @@ class RatePoint:
     r_sum: float
 
     def __post_init__(self) -> None:
+        slack = rounding_slack(self.r2, self.r3, self.r_sum)
         for name in ("r2", "r3", "r_sum"):
             value = getattr(self, name)
-            if not math.isfinite(value) or value < -_TOL:
+            if not math.isfinite(value) or value < -slack:
                 raise ValueError(f"rate {name!r} must be finite and >= 0, got {value!r}")
-        if self.r_sum > self.r2 + self.r3 + _TOL * max(1.0, self.r2 + self.r3):
+        if self.r_sum > self.r2 + self.r3 + slack:
             raise ValueError("r_sum cannot exceed r2 + r3")
-        if self.r_sum < max(self.r2, self.r3) - _TOL * max(1.0, self.r_sum):
+        if self.r_sum < max(self.r2, self.r3) - slack:
             raise ValueError("r_sum cannot be smaller than max(r2, r3)")
 
 
@@ -268,152 +297,122 @@ def _suffix_max(grid: np.ndarray) -> np.ndarray:
     return out[::-1, ::-1].copy()
 
 
+# Bins per rate axis of the achievable-region lookup in broadcast_region_gap.
+_RATE_BINS = 256
+
+
 @dataclass(frozen=True)
 class BroadcastGapReport:
     """Worst shortfall of superposition coding against the outer bound.
 
     ``max_gap`` is the largest amount (nats/s) by which some outer-bound
-    demand triple exceeds what any achievable point with at least its
-    per-relay rates offers in sum rate; ``rate_resolution`` is the rate
-    quantization implied by the power grid, the natural yardstick for
-    calling the gap zero.  ``worst_demand`` records the triple attaining the
-    gap.  ``outer_points`` and ``achievable_points`` sample the two frontier
-    surfaces as ``(r2, r3, best r_sum)`` rows.
+    demand triple exceeds what any achievable point covering its per-relay
+    rates up to ``rate_resolution`` offers in sum rate.  ``rate_resolution``
+    is the rate quantization implied by the power grid: the matching slack,
+    and the natural yardstick for calling the gap zero.  ``worst_demand``
+    records the triple attaining the gap.
     """
 
     max_gap: float
     rate_resolution: float
-    matching_slack: float
     steps: int
     worst_demand: RatePoint
-    outer_points: np.ndarray = field(repr=False)
-    achievable_points: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        for name in ("outer_points", "achievable_points"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
 
-def _frontier_points(grid: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    ii, jj = np.nonzero(np.isfinite(grid))
-    if ii.size == 0:
-        return np.empty((0, 3))
-    return np.column_stack([edges[ii], edges[jj], grid[ii, jj]])
+def _masked_stream_rates(g2, g3, b1: float, b2: float, steps: int, common1, common2):
+    """Stream rates over a power grid, one common-power pair at a time.
+
+    Each private stream's powers run over ``steps`` points per antenna on
+    ``[0, P]``; the common powers over ``common1`` x ``common2``.  For each
+    common pair this yields :func:`_stream_rates` with the private rates
+    restricted to the grid points that keep both antenna budgets and on which
+    a negative common power cancels only private power on its own antenna.
+    """
+    private1 = np.linspace(0.0, b1, steps)
+    private2 = np.linspace(0.0, b2, steps)
+    p12, p22, p13, p23 = (
+        arr.ravel() for arr in np.meshgrid(private1, private2, private1, private2, indexing="ij")
+    )
+    p1c, p2c = (arr.ravel() for arr in np.meshgrid(common1, common2, indexing="ij"))
+    c2, c3, rc, q2, q3 = _stream_rates(g2, g3, p1c, p2c, p12, p22, p13, p23)
+    spent1 = p12 + p13
+    spent2 = p22 + p23
+    # rounding is monotone, so p1c + min(p12, p13) >= -slack1 holds exactly
+    # when both p1c + p12 and p1c + p13 do
+    least1 = np.minimum(p12, p13)
+    least2 = np.minimum(p22, p23)
+    slack1 = rounding_slack(b1)
+    slack2 = rounding_slack(b2)
+    for k in range(p1c.size):
+        keep = (
+            (p1c[k] + spent1 <= b1 + slack1)
+            & (p2c[k] + spent2 <= b2 + slack2)
+            & (p1c[k] + least1 >= -slack1)
+            & (p2c[k] + least2 >= -slack2)
+        )
+        if keep.any():
+            yield c2[k], c3[k], rc[k], q2[keep], q3[keep]
 
 
-def broadcast_region_gap(
-    cfg: ChannelConfig,
-    steps: int = 16,
-    rate_bins: int = 256,
-    matching_slack: float | None = None,
-) -> BroadcastGapReport:
+def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapReport:
     """Sweep both bounds on power grids and measure the worst mismatch.
 
-    Every outer-bound corner is turned into a demand triple (clipped into
-    the valid cone) and matched against the best achievable sum rate among
-    grid points whose per-relay rates cover the demand up to
-    ``matching_slack`` (default: the grid's rate resolution).  For the outer
-    sweep the common powers also take negative values, which is where the
-    outer box can poke out of the superposition region.
+    Both passes walk the same stream-power grid and take their rates from the
+    formulas of :func:`common_private_rates` and :func:`broadcast_outer_rates`.
+    The achievable pass bins the best sum rate by per-relay rates.  The outer
+    pass also lets the common powers go negative, which is where the outer
+    box can poke out of the superposition region; it turns every corner into
+    a demand triple (clipped into the valid cone) and matches it against the
+    best achievable sum rate among points whose per-relay rates cover the
+    demand up to the rate resolution.
     """
     _require_diamond(cfg, "broadcast_region_gap", CsiMode.PHASE_FADING)
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    if rate_bins < 2:
-        raise ValueError("rate_bins must be >= 2")
     g2, g3 = _broadcast_gains(cfg)
     gmax = np.maximum(g2, g3)
     b1 = cfg.powers["P1"]
     b2 = cfg.powers["P2"]
     resolution = (b1 / (steps - 1)) * gmax[0] + (b2 / (steps - 1)) * gmax[1]
-    slack = resolution if matching_slack is None else float(matching_slack)
-    if slack < 0.0 or not math.isfinite(slack):
-        raise ValueError(f"matching_slack must be finite and >= 0, got {matching_slack!r}")
-
     axis_max = gmax[0] * b1 + gmax[1] * b2
     if axis_max <= 0.0:
-        zero = RatePoint(0.0, 0.0, 0.0)
-        empty = np.zeros((1, 3))
-        return BroadcastGapReport(0.0, 0.0, slack, steps, zero, empty, empty)
-    delta = axis_max / (rate_bins - 1)
-    edges = np.arange(rate_bins) * delta
+        return BroadcastGapReport(0.0, 0.0, steps, RatePoint(0.0, 0.0, 0.0))
+    delta = axis_max / (_RATE_BINS - 1)
 
-    private1 = np.linspace(0.0, b1, steps)
-    private2 = np.linspace(0.0, b2, steps)
-    p12m, p22m, p13m, p23m = (
-        arr.ravel() for arr in np.meshgrid(private1, private2, private1, private2, indexing="ij")
-    )
-    priv_rate2 = g2[0] * p12m + g2[1] * p22m
-    priv_rate3 = g3[0] * p13m + g3[1] * p23m
-    spent1 = p12m + p13m
-    spent2 = p22m + p23m
-    budget_tol1 = _TOL * max(1.0, b1)
-    budget_tol2 = _TOL * max(1.0, b2)
+    def bins(rates: np.ndarray) -> np.ndarray:
+        # truncation floors every rate that does not clip to bin 0
+        return np.clip((rates / delta).astype(int), 0, _RATE_BINS - 1)
 
-    def bucket(values: np.ndarray) -> np.ndarray:
-        return np.clip((values / delta).astype(int), 0, rate_bins - 1)
+    achievable = np.full((_RATE_BINS, _RATE_BINS), -np.inf)
+    commons = np.linspace(0.0, b1, steps), np.linspace(0.0, b2, steps)
+    for _, _, rc, q2, q3 in _masked_stream_rates(g2, g3, b1, b2, steps, *commons):
+        r2, r3 = _relay_rates(rc, rc, q2, q3)
+        np.maximum.at(achievable, (bins(r2), bins(r3)), _sum_cap(rc, q2, q3))
+    cover = _suffix_max(achievable)
 
-    ach_grid = np.full((rate_bins, rate_bins), -np.inf)
-    for p1c in private1:
-        for p2c in private2:
-            keep = (p1c + spent1 <= b1 + budget_tol1) & (p2c + spent2 <= b2 + budget_tol2)
-            if not keep.any():
-                continue
-            rc = min(g2[0] * p1c + g2[1] * p2c, g3[0] * p1c + g3[1] * p2c)
-            r2 = rc + priv_rate2[keep]
-            r3 = rc + priv_rate3[keep]
-            r_sum = rc + priv_rate2[keep] + priv_rate3[keep]
-            np.maximum.at(ach_grid, (bucket(r2), bucket(r3)), r_sum)
-    ach_cover = _suffix_max(ach_grid)
-
-    common1 = np.linspace(-b1, b1, 2 * steps - 1)
-    common2_grid = np.linspace(-b2, b2, 2 * steps - 1)
-    outer_grid = np.full((rate_bins, rate_bins), -np.inf)
     max_gap = -math.inf
     worst = (0.0, 0.0, 0.0)
-    for p1c in common1:
-        for p2c in common2_grid:
-            keep = (
-                (p1c + spent1 <= b1 + budget_tol1)
-                & (p2c + spent2 <= b2 + budget_tol2)
-                & (p1c + p12m >= -_TOL)
-                & (p1c + p13m >= -_TOL)
-                & (p2c + p22m >= -_TOL)
-                & (p2c + p23m >= -_TOL)
-            )
-            if not keep.any():
-                continue
-            c2 = g2[0] * p1c + g2[1] * p2c
-            c3 = g3[0] * p1c + g3[1] * p2c
-            r2_raw = c2 + priv_rate2[keep]
-            r3_raw = c3 + priv_rate3[keep]
-            r_sum_raw = min(c2, c3) + priv_rate2[keep] + priv_rate3[keep]
-            # clip each corner into the valid cone of rate triples
-            r_sum_d = np.maximum(r_sum_raw, 0.0)
-            r2_d = np.clip(r2_raw, 0.0, r_sum_d)
-            r3_d = np.clip(r3_raw, 0.0, r_sum_d)
-            r_sum_d = np.minimum(r_sum_d, r2_d + r3_d)
-            # floor, not ceil: the bucket holding a point with r >= demand - slack
-            # must stay inside the lookup, so matching is lenient by < one bin
-            ii = np.clip(np.floor((r2_d - slack) / delta).astype(int), 0, rate_bins - 1)
-            jj = np.clip(np.floor((r3_d - slack) / delta).astype(int), 0, rate_bins - 1)
-            gaps = r_sum_d - ach_cover[ii, jj]
-            k = int(np.argmax(gaps))
-            if gaps[k] > max_gap:
-                max_gap = float(gaps[k])
-                worst = (float(r2_d[k]), float(r3_d[k]), float(r_sum_d[k]))
-            np.maximum.at(outer_grid, (bucket(r2_d), bucket(r3_d)), r_sum_d)
+    commons = np.linspace(-b1, b1, 2 * steps - 1), np.linspace(-b2, b2, 2 * steps - 1)
+    for c2, c3, rc, q2, q3 in _masked_stream_rates(g2, g3, b1, b2, steps, *commons):
+        r2, r3 = _relay_rates(c2, c3, q2, q3)
+        # clip each corner into the valid cone of rate triples
+        r_sum = np.maximum(_sum_cap(rc, q2, q3), 0.0)
+        r2 = np.clip(r2, 0.0, r_sum)
+        r3 = np.clip(r3, 0.0, r_sum)
+        r_sum = np.minimum(r_sum, r2 + r3)
+        # floor, not ceil: the bin holding a point with r >= demand - slack
+        # must stay inside the lookup, so matching is lenient by < one bin
+        gaps = r_sum - cover[bins(r2 - resolution), bins(r3 - resolution)]
+        k = int(np.argmax(gaps))
+        if gaps[k] > max_gap:
+            max_gap = float(gaps[k])
+            worst = (float(r2[k]), float(r3[k]), float(r_sum[k]))
 
     return BroadcastGapReport(
         max_gap=max_gap,
         rate_resolution=resolution,
-        matching_slack=slack,
         steps=steps,
         worst_demand=RatePoint(*worst),
-        outer_points=_frontier_points(outer_grid, edges),
-        achievable_points=_frontier_points(ach_grid, edges),
     )
 
 
@@ -428,7 +427,7 @@ def beamforming_condition(c21: np.ndarray, c31: np.ndarray) -> bool:
     c31 = np.asarray(c31, dtype=complex)
     weaker = min(float(np.vdot(c21, c21).real), float(np.vdot(c31, c31).real))
     overlap = abs(complex(np.vdot(c21, c31)))
-    return weaker <= (1.0 + _TOL) * overlap
+    return weaker <= (1.0 + REL_TOL) * overlap
 
 
 @dataclass(frozen=True)
@@ -479,7 +478,7 @@ def beamforming_rates(cfg: ChannelConfig, weights: BeamformingWeights) -> Beamfo
     g_strong, g_weak = (g31, g21) if swapped else (g21, g31)
     budget = cfg.powers["P1"]
     spent = weights.private * g_strong + weights.common * g_weak
-    if spent > budget + _TOL * max(1.0, budget):
+    if spent > budget + rounding_slack(budget):
         raise ValueError(f"beam weights spend {spent!r} W, budget is {budget!r} W")
     n0 = cfg.noise_psd
     r_strong = (weights.private * g_strong ** 2 + weights.common * g_weak ** 2) / n0

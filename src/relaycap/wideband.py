@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import FiniteJoint, eigenvalues_ascending, is_hermitian
+from .matrices import FiniteJoint, require_psd
 
 __all__ = [
     "DEFAULT_BANDWIDTHS",
@@ -53,8 +53,7 @@ def gaussian_scaled_mi(signal_var: float, noise_psd: float, bandwidth: float) ->
     """
     if not (math.isfinite(signal_var) and signal_var >= 0.0):
         raise ValueError(f"signal_var must be finite and >= 0, got {signal_var}")
-    if not (math.isfinite(noise_psd) and noise_psd > 0.0):
-        raise ValueError(f"noise_psd must be finite and positive, got {noise_psd}")
+    _validate_noise_psd(noise_psd)
     if not (math.isfinite(bandwidth) and bandwidth > 0.0):
         raise ValueError(f"bandwidth must be finite and positive, got {bandwidth}")
     return bandwidth * math.log1p(signal_var / (noise_psd * bandwidth))
@@ -99,6 +98,11 @@ def _validate_bandwidths(bandwidths) -> np.ndarray:
     return b
 
 
+def _validate_noise_psd(noise_psd) -> None:
+    if not (math.isfinite(noise_psd) and noise_psd > 0.0):
+        raise ValueError(f"noise_psd must be finite and positive, got {noise_psd}")
+
+
 def _finish_report(bandwidths, values, target, rel_tol, ses=None) -> LimitCheckReport:
     abs_tol = rel_tol * abs(target) if target != 0.0 else rel_tol
     err = float(abs(values[-1] - target))
@@ -134,6 +138,7 @@ def check_limit_constant_phase(
         raise ValueError(f"input_var must have {c.size} entries, got {var.size}")
     if np.any(var < 0) or np.any(~np.isfinite(var)):
         raise ValueError("input_var entries must be finite and >= 0")
+    _validate_noise_psd(noise_psd)
     b = _validate_bandwidths(bandwidths)
 
     if covariance is None:
@@ -148,10 +153,7 @@ def check_limit_constant_phase(
         cov = np.asarray(covariance, dtype=complex)
         if cov.shape != (c.size, c.size):
             raise ValueError(f"covariance must have shape {(c.size, c.size)}, got {cov.shape}")
-        if not is_hermitian(cov, 1e-9):
-            raise ValueError("covariance must be Hermitian")
-        if eigenvalues_ascending(cov, 1e-9)[0] < -1e-9:
-            raise ValueError("covariance must be positive semidefinite")
+        require_psd(cov, 1e-9, "covariance")
 
     signal_var = float(np.real(c.conj() @ cov @ c))
     signal_var = max(signal_var, 0.0)
@@ -192,8 +194,7 @@ def check_limit_phase_fading(
         raise ValueError("input_var entries must be finite and >= 0")
     if num_phase_samples < 1:
         raise ValueError("num_phase_samples must be >= 1")
-    if noise_psd <= 0 or not math.isfinite(noise_psd):
-        raise ValueError(f"noise_psd must be finite and positive, got {noise_psd}")
+    _validate_noise_psd(noise_psd)
     b = _validate_bandwidths(bandwidths)
 
     amps = mags * np.sqrt(var)
@@ -249,57 +250,37 @@ def _log_mixture_at(z, offsets, log_w, sigma_sq):
     return peak + np.log(np.exp(expo - peak[:, None]).sum(axis=1))
 
 
-def _mi_components_quadrature(s, probs, inverse, group_p, sigma_sq, order):
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    z = math.sqrt(sigma_sq) * (nodes[:, None] + 1j * nodes[None, :]).ravel()
-    w2 = np.outer(weights, weights).ravel() / np.pi
-    log_p = np.log(probs)
-    noise_term = -(np.abs(z) ** 2) / sigma_sq
+def _mi_components(s, probs, inverse, group_p, sigma_sq, noise):
+    """Mutual-information parts of the discrete input s in complex Gaussian
+    noise of variance sigma_sq, in nats per channel use.
 
-    total = 0.0
-    marginal = 0.0
-    conditional = 0.0
+    Returns I(X;Y) and, with atoms grouped by label U, I(U;Y) and I(X;Y|U),
+    each averaged atom by atom over the points and weights that ``noise()``
+    returns: fixed Gauss-Hermite nodes, or fresh Monte Carlo draws with
+    weights None (equal weights). Only Monte Carlo averages come with
+    standard errors; for quadrature the fourth value is None.
+    """
+    log_p = np.log(probs)
+    means = [0.0, 0.0, 0.0]
+    variances = [0.0, 0.0, 0.0]
     for k in range(s.size):
+        z, weights = noise()
+        noise_term = -(np.abs(z) ** 2) / sigma_sq
         offsets = s[k] - s
         lse_all = _log_mixture_at(z, offsets, log_p, sigma_sq)
         grp = inverse == inverse[k]
         lse_grp = _log_mixture_at(
             z, offsets[grp], log_p[grp] - math.log(group_p[inverse[k]]), sigma_sq
         )
-        total += probs[k] * float(w2 @ (noise_term - lse_all))
-        marginal += probs[k] * float(w2 @ (lse_grp - lse_all))
-        conditional += probs[k] * float(w2 @ (noise_term - lse_grp))
-    return total, marginal, conditional, None
-
-
-def _mi_components_monte_carlo(s, probs, inverse, group_p, sigma_sq, n, rng):
-    scale = math.sqrt(sigma_sq / 2.0)
-    total = 0.0
-    marginal = 0.0
-    conditional = 0.0
-    var_tot = 0.0
-    var_marg = 0.0
-    var_cond = 0.0
-    for k in range(s.size):
-        z = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        noise_term = -(np.abs(z) ** 2) / sigma_sq
-        offsets = s[k] - s
-        lse_all = _log_mixture_at(z, offsets, np.log(probs), sigma_sq)
-        grp = inverse == inverse[k]
-        lse_grp = _log_mixture_at(
-            z, offsets[grp], np.log(probs[grp]) - math.log(group_p[inverse[k]]), sigma_sq
-        )
-        f_tot = noise_term - lse_all
-        f_marg = lse_grp - lse_all
-        f_cond = noise_term - lse_grp
-        total += probs[k] * float(f_tot.mean())
-        marginal += probs[k] * float(f_marg.mean())
-        conditional += probs[k] * float(f_cond.mean())
-        var_tot += probs[k] ** 2 * float(f_tot.var()) / n
-        var_marg += probs[k] ** 2 * float(f_marg.var()) / n
-        var_cond += probs[k] ** 2 * float(f_cond.var()) / n
-    ses = (math.sqrt(var_tot), math.sqrt(var_marg), math.sqrt(var_cond))
-    return total, marginal, conditional, ses
+        terms = (noise_term - lse_all, lse_grp - lse_all, noise_term - lse_grp)
+        for i, f in enumerate(terms):
+            if weights is None:
+                means[i] += probs[k] * float(f.mean())
+                variances[i] += probs[k] ** 2 * float(f.var()) / f.size
+            else:
+                means[i] += probs[k] * float(weights @ f)
+    ses = None if weights is not None else tuple(math.sqrt(v) for v in variances)
+    return (*means, ses)
 
 
 def _weighted_variance(values, probs) -> float:
@@ -336,8 +317,7 @@ def check_conditional_limits(
             f"gain vectors must match the joint dimension {joint.dim}, "
             f"got {c1.size} and {c2.size}"
         )
-    if noise_psd <= 0 or not math.isfinite(noise_psd):
-        raise ValueError(f"noise_psd must be finite and positive, got {noise_psd}")
+    _validate_noise_psd(noise_psd)
     b = _validate_bandwidths(bandwidths)
 
     keep = joint.probs > 0.0
@@ -364,26 +344,29 @@ def check_conditional_limits(
 
     use_mc = probs.size > max_quadrature_support
     streams = np.random.SeedSequence(rng_seed).spawn(b.size)
+    nodes, node_weights = np.polynomial.hermite.hermgauss(quad_order)
+    unit_nodes = (nodes[:, None] + 1j * nodes[None, :]).ravel()
+    unit_weights = np.outer(node_weights, node_weights).ravel() / np.pi
+
+    def noise_at(idx: int, sigma_sq: float):
+        """Noise points and weights for every atom at bandwidth index idx."""
+        if use_mc:
+            rng = np.random.default_rng(streams[idx])
+            scale = math.sqrt(sigma_sq / 2.0)
+            return lambda: (
+                scale * (rng.standard_normal(mc_samples) + 1j * rng.standard_normal(mc_samples)),
+                None,
+            )
+        z = math.sqrt(sigma_sq) * unit_nodes
+        return lambda: (z, unit_weights)
 
     vals = {"total": [], "marginal": [], "conditional": []}
     ses = {"total": [], "marginal": [], "conditional": []} if use_mc else None
     for idx, bk in enumerate(b):
         sigma_sq = noise_psd * bk
-        if use_mc:
-            rng = np.random.default_rng(streams[idx])
-            tot1, marg1, _, se1 = _mi_components_monte_carlo(
-                s1, probs, inverse, group_p, sigma_sq, mc_samples, rng
-            )
-            _, _, cond2, se2 = _mi_components_monte_carlo(
-                s2, probs, inverse, group_p, sigma_sq, mc_samples, rng
-            )
-        else:
-            tot1, marg1, _, se1 = _mi_components_quadrature(
-                s1, probs, inverse, group_p, sigma_sq, quad_order
-            )
-            _, _, cond2, se2 = _mi_components_quadrature(
-                s2, probs, inverse, group_p, sigma_sq, quad_order
-            )
+        noise = noise_at(idx, sigma_sq)
+        tot1, marg1, _, se1 = _mi_components(s1, probs, inverse, group_p, sigma_sq, noise)
+        _, _, cond2, se2 = _mi_components(s2, probs, inverse, group_p, sigma_sq, noise)
         vals["total"].append(bk * tot1)
         vals["marginal"].append(bk * marg1)
         vals["conditional"].append(bk * cond2)

@@ -76,6 +76,11 @@ def test_cutset_rejects_over_budget():
     alloc = PowerAllocation(p21=1.5, p31=1.0, pb1=0.0, theta=0.0)
     with pytest.raises(ValueError, match="exceeds the budget"):
         cutset_bounds(cfg, alloc)
+    # the allowance is relative: 500x a tiny budget is still over it
+    tiny = single_relay_config(p1=1e-15)
+    with pytest.raises(ValueError, match="exceeds the budget"):
+        cutset_bounds(tiny, PowerAllocation(p21=5e-13, p31=0.0, pb1=0.0, theta=0.0))
+    cutset_bounds(tiny, PowerAllocation(p21=5e-16, p31=5e-16, pb1=0.0, theta=0.0))
 
 
 def test_cutset_requires_synchronous_single_relay():

@@ -12,6 +12,7 @@ from relaycap import (
     is_hermitian,
     loewner_compare,
 )
+from relaycap.matrices import require_psd
 
 
 def test_is_hermitian():
@@ -53,6 +54,20 @@ def test_eigenvalues_trace_and_det_consistent():
 def test_eigenvalues_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         eigenvalues_ascending(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+def test_require_psd():
+    require_psd(np.array([[2.0, 1 + 1j], [1 - 1j, 3.0]]), 1e-9)
+    require_psd(np.zeros((3, 3)), 0.0)
+    require_psd(-1e-10 * np.eye(2), 1e-9)  # within tolerance
+    with pytest.raises(ValueError, match="block 'a' is not Hermitian"):
+        require_psd(np.array([[1.0, 1.0], [0.0, 1.0]]), 1e-9, "block 'a'")
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        require_psd(np.diag([1.0, -1e-6]), 1e-9)
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        require_psd(np.diag([1.0, 2.0, -1.0]), 1e-9)
+    with pytest.raises(ValueError, match="non-finite"):
+        require_psd(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1e-9)
 
 
 def test_loewner_compare_trivial_orders():

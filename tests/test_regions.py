@@ -160,6 +160,11 @@ def test_common_private_allocation_validation():
     assert ok.antenna1_total == pytest.approx(0.6)
     with pytest.raises(ValueError, match="may only offset"):
         CommonPrivateAllocation(p1c=-0.2, p2c=0.0, p12=0.5, p22=0.0, p13=0.1, p23=0.0)
+    # the rounding allowance scales with the powers themselves
+    with pytest.raises(ValueError, match="private power"):
+        CommonPrivateAllocation(p1c=0.0, p2c=0.0, p12=-1e-13, p22=0.0, p13=0.0, p23=0.0)
+    with pytest.raises(ValueError, match="may only offset"):
+        CommonPrivateAllocation(p1c=-2e-13, p2c=0.0, p12=1e-13, p22=0.0, p13=5e-13, p23=0.0)
 
 
 def test_common_private_budget_checks():
@@ -172,6 +177,15 @@ def test_common_private_budget_checks():
         broadcast_outer_rates(
             cfg, CommonPrivateAllocation(p1c=0.0, p2c=0.8, p12=0.0, p22=0.3, p13=0.0, p23=0.0)
         )
+    # a tiny budget is held to its own scale: 500x over it is rejected
+    tiny = diamond_config(p1=1e-15, p2=1e-15)
+    with pytest.raises(ValueError, match="antenna 1 spends"):
+        common_private_rates(
+            tiny, CommonPrivateAllocation(p1c=0.0, p2c=0.0, p12=5e-13, p22=0.0, p13=0.0, p23=0.0)
+        )
+    common_private_rates(
+        tiny, CommonPrivateAllocation(p1c=0.0, p2c=0.0, p12=5e-16, p22=1e-15, p13=5e-16, p23=0.0)
+    )
 
 
 def test_common_private_requires_phase_fading_diamond():
@@ -194,6 +208,14 @@ def test_rate_point_validation():
         RatePoint(r2=1.0, r3=1.0, r_sum=2.5)
     with pytest.raises(ValueError, match="cannot be smaller"):
         RatePoint(r2=1.0, r3=2.0, r_sum=1.5)
+    # the checks are relative: tiny rates get no absolute allowance
+    with pytest.raises(ValueError, match="cannot exceed"):
+        RatePoint(r2=1e-13, r3=1e-13, r_sum=1e-12)
+    with pytest.raises(ValueError, match="cannot be smaller"):
+        RatePoint(r2=1e-13, r3=2e-13, r_sum=1.5e-13)
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        RatePoint(r2=-1e-13, r3=0.0, r_sum=0.0)
+    RatePoint(r2=1e-13, r3=1e-13, r_sum=2e-13 * (1.0 + 1e-15))
 
 
 def test_suffix_max():
@@ -223,8 +245,6 @@ def test_broadcast_gap_small_cases():
         cfg = diamond_config(p1=1.5, p2=2.0, c21=c21, c31=c31)
         report = broadcast_region_gap(cfg, steps=8)
         assert report.max_gap <= 2.0 * report.rate_resolution
-        assert report.outer_points.shape[1] == 3
-        assert report.achievable_points.shape[1] == 3
         assert isinstance(report.worst_demand, RatePoint)
 
 
@@ -235,21 +255,36 @@ def test_broadcast_gap_zero_power():
     assert report.rate_resolution == 0.0
 
 
-def test_broadcast_gap_report_arrays_read_only():
-    cfg = diamond_config(p1=1.0, p2=1.0)
-    report = broadcast_region_gap(cfg, steps=4, rate_bins=32)
-    with pytest.raises(ValueError):
-        report.outer_points[0, 0] = -1.0
+# Exact values pin the sweep's grid and rate arithmetic, down to which
+# corner it reports first.
+_GAP_CASES = {
+    "dominated": dict(p1=1.5, p2=2.0, c21=(0.4, 0.3), c31=(0.8, 0.9)),
+    "crossed": dict(p1=1.5, p2=2.0, c21=(1.0, 0.2), c31=(0.3, 0.9)),
+    "noisy": dict(p1=0.324, p2=0.473, noise_psd=0.5, c21=(0.343, 1.175j), c31=(1.413, -0.854)),
+}
+_GAP_PINNED = [
+    ("dominated", 4, 0.0, 0.8600000000000001, (0.0, 2.58, 2.58)),
+    ("dominated", 8, 0.0, 0.36857142857142855, (0.0, 2.58, 2.58)),
+    ("crossed", 4, 0.0, 1.04, (1.5, 1.62, 3.12)),
+    ("crossed", 8, 0.0, 0.44571428571428573, (1.5, 1.62, 3.12)),
+    ("noisy", 4, 0.0, 0.8666159873333333, (1.3060712500000002, 1.293776712, 2.599847962)),
+    ("noisy", 8, 0.0, 0.3714068517142858, (1.3060712500000005, 1.293776712, 2.599847962)),
+]
+
+
+@pytest.mark.parametrize("name, steps, max_gap, resolution, worst", _GAP_PINNED)
+def test_broadcast_gap_pinned_values(name, steps, max_gap, resolution, worst):
+    report = broadcast_region_gap(diamond_config(**_GAP_CASES[name]), steps=steps)
+    assert report.max_gap == max_gap
+    assert report.rate_resolution == resolution
+    demand = report.worst_demand
+    assert (demand.r2, demand.r3, demand.r_sum) == worst
 
 
 def test_broadcast_gap_validation():
     cfg = diamond_config()
     with pytest.raises(ValueError, match="steps"):
         broadcast_region_gap(cfg, steps=1)
-    with pytest.raises(ValueError, match="rate_bins"):
-        broadcast_region_gap(cfg, rate_bins=1)
-    with pytest.raises(ValueError, match="matching_slack"):
-        broadcast_region_gap(cfg, matching_slack=-0.5)
     with pytest.raises(ValueError, match="csi mode"):
         broadcast_region_gap(diamond_config(csi=CsiMode.SYNCHRONOUS))
 
@@ -303,6 +338,9 @@ def test_beamforming_rates_errors():
     cfg = diamond_config(p1=1.0, c21=(1.0, 0.0), c31=(0.5, 0.0), csi=CsiMode.SYNCHRONOUS)
     with pytest.raises(ValueError, match="spend"):
         beamforming_rates(cfg, BeamformingWeights(private=2.0, common=0.0))
+    tiny = diamond_config(p1=1e-15, c21=(1.0, 0.0), c31=(0.5, 0.0), csi=CsiMode.SYNCHRONOUS)
+    with pytest.raises(ValueError, match="spend"):
+        beamforming_rates(tiny, BeamformingWeights(private=5e-13, common=0.0))
     ortho = diamond_config(c21=(1.0, 0.0), c31=(0.0, 1.0), csi=CsiMode.SYNCHRONOUS)
     with pytest.raises(ValueError, match="degraded"):
         beamforming_rates(ortho, BeamformingWeights(private=0.1, common=0.1))

@@ -70,6 +70,8 @@ def test_constant_phase_validation():
         check_limit_constant_phase(np.ones(2), [-1.0, 1.0], 1.0)
     with pytest.raises(ValueError, match="ascending"):
         check_limit_constant_phase(np.ones(2), np.ones(2), 1.0, bandwidths=[100.0, 10.0])
+    with pytest.raises(ValueError, match="noise_psd"):
+        check_limit_constant_phase(np.ones(2), np.ones(2), 0.0)
     with pytest.raises(ValueError, match="Hermitian"):
         check_limit_constant_phase(
             np.ones(2), np.ones(2), 1.0, covariance=np.array([[1.0, 1.0], [0.0, 1.0]])
