@@ -18,7 +18,6 @@ toolbox used throughout.
 from .capacity import (
     BindingBound,
     CapacityResult,
-    GridSpec,
     MatrixBoundParams,
     PowerAllocation,
     achievable_rate,
@@ -80,7 +79,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BindingBound",
     "CapacityResult",
-    "GridSpec",
     "MatrixBoundParams",
     "PowerAllocation",
     "achievable_rate",

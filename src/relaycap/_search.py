@@ -7,8 +7,10 @@ each optimizer nests the same three steps:
   it is a max-min of two affine lines;
 * :func:`concave_max` maximizes over the coherent power share, whose
   split-maximized profile is concave, by golden-section search;
-* :func:`grid_refine` handles the beam-angle coordinates, which are not
-  concave: a grid scan, then rounds of finer grids around the best point.
+* :func:`grid_refine` handles the outer coordinates (the beam angles of the
+  covariance search, which are not concave, and the dual multiplier of the
+  power-form search): a grid scan, then rounds of finer grids around the
+  best point.
 
 All three are vectorised: they take and return arrays, one entry per
 candidate, so a whole batch of angles costs one call.

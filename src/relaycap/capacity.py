@@ -15,6 +15,16 @@ Two equivalent parameterizations are implemented:
 The two routes bound the same quantity, which makes them useful as mutual
 cross-checks: an optimizer bug in one is unlikely to reproduce in the other.
 
+Both cuts are concave over a convex budget set, so the capacity also equals
+the Lagrangian dual ``min over lambda in [0, 1] of g(lambda)``, where
+``g(lambda)`` is the largest ``lambda * relay_decode + (1 - lambda) *
+mac_combine`` any allocation reaches.  That inner maximum has a closed form
+(a 2x2 eigenvalue and a scalar coherent power), and ``g`` is convex in
+``lambda``.  :func:`optimize_capacity` minimizes ``g`` over ``lambda``,
+takes the beam angle from the minimizer, solves the powers exactly at that
+one angle, and returns ``g(lambda*)`` as a certified upper bound next to the
+achieved rate.  :func:`optimize_covariance_bound` stays a primal search.
+
 With phase fading (no carrier-phase tracking at the transmitters) the
 coherent terms average out and the capacity has a closed form, provided by
 :func:`phase_fading_capacity`.
@@ -39,7 +49,6 @@ __all__ = [
     "PowerAllocation",
     "MatrixBoundParams",
     "CapacityResult",
-    "GridSpec",
     "cutset_bounds",
     "achievable_rate",
     "optimize_capacity",
@@ -128,29 +137,22 @@ class MatrixBoundParams:
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """Optimized bound value together with the maximizing parameters."""
+    """Optimized bound value together with the maximizing parameters.
+
+    ``rate`` is what ``allocation`` achieves.  ``upper_bound``, set by
+    :func:`optimize_capacity`, is a Lagrangian dual value that no allocation
+    can exceed, so the capacity lies in ``[rate, upper_bound]`` up to
+    rounding; :func:`optimize_covariance_bound` leaves it ``None``.
+    """
 
     rate: float
     allocation: "PowerAllocation | MatrixBoundParams"
     binding_bound: BindingBound
+    upper_bound: float | None = None
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Search resolution for :func:`optimize_capacity`.
-
-    The beam angle (the one coordinate whose profile is not concave) is
-    scanned on ``theta_points`` points, then refined around the best point;
-    the powers are solved exactly at every angle.
-    """
-
-    theta_points: int = 257
-
-    def __post_init__(self) -> None:
-        if self.theta_points < 2:
-            raise ValueError("theta grid needs at least two points")
-
-
+# Scan grid of the dual multiplier lambda over [0, 1] in optimize_capacity.
+_MULTIPLIER_POINTS = 257
 # Scan grid of optimize_covariance_bound: relay-block angle over [-pi/2, pi/2]
 # and its residual weight over [0, 1].
 _RELAY_ANGLE_POINTS = 133
@@ -227,49 +229,76 @@ def achievable_rate(cfg: ChannelConfig, alloc: PowerAllocation) -> float:
     return min(bound_rd, bound_mac)
 
 
-def optimize_capacity(cfg: ChannelConfig, grid: GridSpec | None = None) -> CapacityResult:
+def optimize_capacity(cfg: ChannelConfig) -> CapacityResult:
     """Maximize ``min(cutset_bounds)`` over power splits and beam angle.
 
-    For a fixed angle the objective is concave in the powers: the ``p21`` /
-    ``p31`` split is a max-min of two affine functions, solved exactly by
-    :func:`~relaycap._search.split_max`, and the profile over ``pb1`` is
-    then concave, solved by :func:`~relaycap._search.concave_max`.  Only the
-    angle, whose profile is not concave, needs a grid: it is scanned on
-    ``grid.theta_points`` points over ``[0, alpha]`` and refined around the
-    best one by :func:`~relaycap._search.grid_refine`.
+    The capacity equals the minimum over ``lambda`` in ``[0, 1]`` of the
+    convex dual ``g(lambda)``, the largest ``lambda * relay_decode + (1 -
+    lambda) * mac_combine`` over all allocations.  Per unit of power a beam
+    at angle ``theta`` earns ``e(theta)^T M e(theta)`` with ``M = lambda g21
+    e(alpha) e(alpha)^T + (1 - lambda) g31 e(0) e(0)^T``, so the best beam
+    earns the top eigenvalue of ``M``, or ``g31`` on the beam that also
+    carries the direct link; the coherent power ``pb1`` then maximizes a
+    concave quadratic in ``sqrt(pb1)``.  :func:`~relaycap._search.grid_refine`
+    finds the minimum, returned as ``upper_bound``, and the top-eigenvector
+    angle at the minimizer is the optimal beam angle.
+
+    The powers are solved exactly at that one angle rather than read from
+    the dual: the minimizer is known only to about 1e-8, an error that costs
+    rate at second order through the angle but at first order through the
+    dual's powers.  The ``p21`` / ``p31`` split is a max-min of two affine
+    functions, solved by :func:`~relaycap._search.split_max`, and the
+    profile over ``pb1`` is then concave, solved by
+    :func:`~relaycap._search.concave_max`.  The allocation is replayed
+    through :func:`cutset_bounds` to pick the binding cut.
     """
     _require_single_relay(cfg, CsiMode.SYNCHRONOUS, "optimize_capacity")
-    spec = grid or GridSpec()
     g21, g31, m32, alpha, p1, p2 = _single_relay_geometry(cfg)
     n0 = cfg.noise_psd
     partner = m32 * math.sqrt(p2)
 
-    def best_at_theta(theta: np.ndarray):
-        """Exact max over pb1 and the p21 split at each angle; returns (value, pb1, p21)."""
-        k_rd = g21 * np.cos(alpha - theta) ** 2
-        k_mac = g31 * np.cos(theta) ** 2
+    def dual(lam):
+        """g(lam) and the top-eigenvector angle, clipped to [0, alpha], elementwise."""
+        mac_weight = 1.0 - lam
+        a = lam * g21 * math.cos(alpha) ** 2 + mac_weight * g31
+        b = lam * g21 * math.cos(alpha) * math.sin(alpha)
+        c = lam * g21 * math.sin(alpha) ** 2
+        k = np.maximum(g31, (a + c) / 2.0 + np.hypot((a - c) / 2.0, b))
+        theta = np.clip(0.5 * np.arctan2(2.0 * b, a - c), 0.0, alpha)
+        # stationary sqrt(pb1) = num / den, capped at sqrt(p1); num = 0 (dead
+        # relay, lam = 1, no direct link) means no coherent power, even at den = 0
+        num = mac_weight * partner * math.sqrt(g31)
+        den = k - mac_weight * g31
+        cap = math.sqrt(p1)
+        capped = num >= cap * den
+        root = np.where(capped & (num > 0.0), cap, num / np.where(capped, 1.0, den))
+        value = k * (p1 - root ** 2) + mac_weight * (root * math.sqrt(g31) + partner) ** 2
+        return value, theta
 
-        def split(pb1):
-            coherent = (np.sqrt(pb1 * g31) + partner) ** 2
-            return split_max(k_rd, k_mac, g31, coherent, p1 - pb1)
+    lams = np.linspace(0.0, 1.0, _MULTIPLIER_POINTS)
+    neg_bound, (lam,) = grid_refine(lambda point: -dual(point[0])[0], [lams])
+    theta = float(dual(lam)[1])
 
-        value, pb1 = concave_max(lambda pb1: split(pb1)[0], np.zeros_like(theta),
-                                 np.full_like(theta, p1))
-        return value, pb1, split(pb1)[1]
+    k_rd = g21 * math.cos(alpha - theta) ** 2
+    k_mac = g31 * math.cos(theta) ** 2
 
-    thetas = np.linspace(0.0, alpha, spec.theta_points) if alpha > 0.0 else np.array([0.0])
-    _, (best_theta,) = grid_refine(lambda point: best_at_theta(point[0])[0], [thetas])
-    value, pb1, p21 = (float(x) for x in best_at_theta(np.array(best_theta)))
+    def split(pb1):
+        coherent = (np.sqrt(pb1 * g31) + partner) ** 2
+        return split_max(k_rd, k_mac, g31, coherent, p1 - pb1)
+
+    value, pb1 = concave_max(lambda pb1: split(pb1)[0], 0.0, p1)
+    value, pb1, p21 = float(value), float(pb1), float(split(pb1)[1])
     alloc = PowerAllocation(
         p21=p21 * n0,
         p31=max(0.0, p1 - pb1 - p21) * n0,
         pb1=pb1 * n0,
-        theta=best_theta,
+        theta=theta,
         alpha=alpha,
     )
     bound_rd, bound_mac = cutset_bounds(cfg, alloc)
     binding = BindingBound.RELAY_DECODE if bound_rd <= bound_mac else BindingBound.MAC_COMBINE
-    return CapacityResult(rate=value, allocation=alloc, binding_bound=binding)
+    return CapacityResult(rate=value, allocation=alloc, binding_bound=binding,
+                          upper_bound=-neg_bound)
 
 
 def phase_fading_capacity(cfg: ChannelConfig) -> float:
@@ -294,8 +323,7 @@ def covariance_bounds(cfg: ChannelConfig, params: MatrixBoundParams) -> tuple[fl
     """
     _require_single_relay(cfg, CsiMode.SYNCHRONOUS, "covariance_bounds")
     p1_watts = cfg.powers["P1"]
-    scale = max(1.0, p1_watts)
-    tol = 1e-9 * scale
+    tol = rounding_slack(p1_watts)
     require_psd(params.a, tol, "covariance block 'a'")
     require_psd(params.b, tol, "covariance block 'b'")
     if not -1e-12 <= params.beta <= 1.0 + 1e-12:

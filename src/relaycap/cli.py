@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .capacity import GridSpec, optimize_capacity, optimize_covariance_bound, phase_fading_capacity
+from .capacity import optimize_capacity, optimize_covariance_bound, phase_fading_capacity
 from .channel import ChannelConfig, CsiMode, Topology, load_config
 from .counterexample import CAVEAT, comparison_rows, run_counterexample
 from .matrices import eigenvalues_ascending, is_hermitian, loewner_compare
@@ -89,8 +89,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
         lines.append(("rate", _fmt(phase_fading_capacity(cfg))))
         _emit(lines, args.out)
         return EXIT_OK
-    grid = GridSpec(theta_points=4 * args.grid + 1)
-    result = optimize_capacity(cfg, grid)
+    result = optimize_capacity(cfg)
     alloc = result.allocation
     lines += [
         ("rate", _fmt(result.rate)),
@@ -316,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cap = sub.add_parser("capacity", help="optimize the single-relay capacity bounds")
     p_cap.add_argument("--config", required=True, help="channel config JSON file")
-    p_cap.add_argument("--grid", type=int, default=64, help="relay-angle grid density (default 64)")
     p_cap.add_argument(
         "--cross-check", action="store_true",
         help="also run the covariance-form search and print both rates",

@@ -207,6 +207,9 @@ def check_limit_phase_fading(
     for idx, bk in enumerate(b):
         rng = np.random.default_rng(streams[idx])
         slope = 1.0 / (noise_psd + mean_v / bk)  # d/dv of the closed form at mean_v
+        # the samples cluster around the closed form at mean_v; squaring them
+        # about it, not about 0, keeps their spread from cancelling away
+        centre = bk * math.log1p(mean_v / (noise_psd * bk))
         total = 0.0
         total_sq = 0.0
         remaining = num_phase_samples
@@ -217,10 +220,11 @@ def check_limit_phase_fading(
             v = received.real**2 + received.imag**2
             sample = bk * np.log1p(v / (noise_psd * bk)) - slope * (v - mean_v)
             total += float(sample.sum())
+            sample -= centre
             total_sq += float(sample @ sample)
             remaining -= n
         mean = total / num_phase_samples
-        var_est = max(total_sq / num_phase_samples - mean * mean, 0.0)
+        var_est = max(total_sq / num_phase_samples - (mean - centre) ** 2, 0.0)
         values[idx] = mean
         ses[idx] = math.sqrt(var_est / num_phase_samples)
     return _finish_report(b, values, target, rel_tol, ses=ses)

@@ -9,7 +9,6 @@ from relaycap import (
     BindingBound,
     ChannelConfig,
     CsiMode,
-    GridSpec,
     MatrixBoundParams,
     PowerAllocation,
     Topology,
@@ -151,14 +150,29 @@ def test_optimize_power_scaling():
     assert optimize_capacity(both).rate == pytest.approx(r1, rel=1e-10)
 
 
-def test_optimize_grid_spec_validation():
-    with pytest.raises(ValueError, match="at least two"):
-        GridSpec(theta_points=1)
-    # a coarse grid still lands close thanks to the refine stage
-    cfg = single_relay_config(p1=2.0, p2=1.0, alpha=0.6, c32=0.9)
-    fine = optimize_capacity(cfg).rate
-    coarse = optimize_capacity(cfg, GridSpec(theta_points=9)).rate
-    assert coarse == pytest.approx(fine, rel=1e-6)
+# optimize_capacity's rates on fixed channels, as computed by the beam-angle
+# grid search the dual minimization replaced
+PINNED_RATES = [
+    (dict(p1=2.0, p2=1.0, alpha=0.4, c32=0.8, scale21=1.5), 3.541600488991634),
+    (dict(p1=2.0, p2=1.0, alpha=0.4, c32=0.8), 2.0),
+    (dict(p1=3.0, p2=0.2, alpha=1.1, c32=0.3, scale21=2.5), 3.3068351987067945),
+    (dict(p1=1.0, p2=4.0, alpha=0.05, c32=0.2, scale21=2.2, noise_psd=0.3), 5.981014523622558),
+    (dict(p1=2.0, p2=1.0, alpha=0.0, c32=0.5, scale21=2.0), 3.330456345123857),
+    (dict(p1=2.0, p2=1.0, alpha=math.pi / 2, c32=0.6, scale21=1.3), 2.2484),
+    (dict(p1=5.0, p2=2.0, alpha=0.7, c32=0.0, scale21=1.8), 5.000000000000001),
+    (dict(p1=1e-3, p2=2e-3, alpha=0.9, c32=0.4, scale21=3.0, noise_psd=1e-3), 2.207767163657284),
+    (dict(p1=1e3, p2=5e2, alpha=0.3, c32=0.5, scale21=2.5, scale31=0.7, noise_psd=10.0),
+     106.316058319098),
+]
+PINNED_RANDOM_RATES = [20.928719660099965, 2.354440463860232, 2.776401282562711]
+
+
+def test_optimize_pinned_rates():
+    for kwargs, rate in PINNED_RATES:
+        assert optimize_capacity(single_relay_config(**kwargs)).rate == pytest.approx(rate, rel=1e-11)
+    rng = np.random.default_rng(606)
+    for rate in PINNED_RANDOM_RATES:
+        assert optimize_capacity(random_single_relay(rng)).rate == pytest.approx(rate, rel=1e-11)
 
 
 def test_phase_fading_capacity_hand_case():
@@ -265,6 +279,11 @@ def test_covariance_bounds_validation():
     with pytest.raises(ValueError, match="exceeding the budget"):
         covariance_bounds(cfg, MatrixBoundParams(a=1.5 * np.eye(2), b=np.zeros((2, 2)),
                                                  beta=0.0, u=u))
+    # the allowance is relative: a block 500000x over a tiny budget is rejected
+    tiny = single_relay_config(p1=1e-15)
+    with pytest.raises(ValueError, match="exceeding the budget"):
+        covariance_bounds(tiny, MatrixBoundParams(a=2.5e-10 * np.eye(2), b=np.zeros((2, 2)),
+                                                  beta=0.0, u=u))
 
 
 def test_covariance_optimizer_matches_power_optimizer():
@@ -281,6 +300,7 @@ def test_covariance_optimizer_internal_consistency():
     result = optimize_covariance_bound(cfg)
     params = result.allocation
     assert isinstance(params, MatrixBoundParams)
+    assert result.upper_bound is None  # a primal search certifies nothing
     rd, mac = covariance_bounds(cfg, params)
     assert min(rd, mac) == pytest.approx(result.rate, rel=1e-9)
     expect = BindingBound.RELAY_DECODE if rd <= mac else BindingBound.MAC_COMBINE

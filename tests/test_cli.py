@@ -49,6 +49,7 @@ def parse_kv(text: str) -> dict:
 def test_capacity_synchronous(sync_config, capsys):
     assert main(["capacity", "--config", sync_config]) == EXIT_OK
     kv = parse_kv(capsys.readouterr().out)
+    assert list(kv) == ["csi", "rate", "binding", "p21", "p31", "pb1", "theta", "alpha"]
     assert kv["csi"] == "synchronous"
     assert float(kv["rate"]) > 2.0  # relaying beats the direct link g31 * P1 = 2
     assert kv["binding"] in ("relay_decode", "mac_combine")
@@ -79,6 +80,14 @@ def test_capacity_phase_fading(fading_config, capsys):
     # closed form: min(max(1,1)*2, 2 + 0.64) = 2
     assert float(kv["rate"]) == pytest.approx(2.0)
     assert "p21" not in kv
+
+
+def test_capacity_rejects_grid_flag(sync_config, capsys):
+    # the optimizer has no angle grid left to size
+    with pytest.raises(SystemExit) as err:
+        main(["capacity", "--config", sync_config, "--grid", "8"])
+    assert err.value.code == EXIT_BAD_INPUT
+    assert "unrecognized arguments: --grid 8" in capsys.readouterr().err
 
 
 def test_capacity_missing_file(tmp_path, capsys):

@@ -103,6 +103,16 @@ def test_phase_fading_two_antennas():
     assert report.final_abs_err < 1e-3 * report.target
 
 
+def test_phase_fading_standard_error_at_large_bandwidth():
+    # a weak link's samples sit near a nonzero centre with a spread ~1e-10
+    # times smaller; their standard error still falls exactly as 1/B
+    report = check_limit_phase_fading([0.01, 0.02], [1.0, 1.0], 1.0, rng_seed=3,
+                                      num_phase_samples=20_000)
+    scaled = report.standard_errors * report.bandwidths
+    assert np.all(scaled > 0.0)
+    np.testing.assert_allclose(scaled, scaled[0], rtol=0.01)
+
+
 def test_phase_fading_deterministic_given_seed():
     a = check_limit_phase_fading([1.0, 0.7], [1.0, 2.0], 1.0, rng_seed=5)
     b = check_limit_phase_fading([1.0, 0.7], [1.0, 2.0], 1.0, rng_seed=5)
