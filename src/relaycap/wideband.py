@@ -10,7 +10,10 @@ compare against the variance-ratio target:
   in closed form for a caller-chosen input covariance;
 * phase fading: the closed form averaged over uniform i.i.d. link phases for
   a fully correlated Gaussian input, converging to sum |c_i|^2 var_i / N0
-  because phase averaging kills every cross term;
+  because phase averaging kills every cross term. One phase is averaged in
+  closed form, so with at most two antennas (every link a config can hold)
+  the value is exact and its standard error 0; only the phases beyond two
+  are sampled;
 * discrete joints (U, X): exact Gauss-Hermite integration of the discrete-
   input mutual information (Monte Carlo beyond 16 support points), used to
   verify the conditional-variance decomposition
@@ -65,7 +68,8 @@ class LimitCheckReport:
 
     tolerance is the absolute threshold the convergence flag was judged
     against (relative tolerance times the target, or the raw tolerance for a
-    zero target). standard_errors is populated by Monte Carlo checkers.
+    zero target). standard_errors is populated by the checkers that can
+    sample (all 0 where the phase-fading checker was exact).
     """
 
     bandwidths: np.ndarray
@@ -177,16 +181,30 @@ def check_limit_phase_fading(
     The input is the fully correlated Gaussian X_i = sqrt(var_i) * S, the
     hardest case for the limit: conditioned on the link phases its received
     variance |sum |c_i| e^{-j phi_i} sqrt(var_i)|^2 swings with every draw,
-    and only the uniform phase average removes the cross terms. Each
-    bandwidth gets its own seeded substream.
+    and only the uniform phase average removes the cross terms. Complex
+    gains are accepted as given: only their moduli enter.
 
-    The estimator subtracts a first-order control variate: the received
-    variance has exactly known mean sum |c_i|^2 var_i (uniform phases kill
-    every cross term), so removing its linear contribution leaves only the
-    curvature of log1p as noise. The estimate stays unbiased; the reported
-    standard errors are those of the corrected samples.
+    Only relative phases matter, so the first is fixed at 0, and the last
+    is averaged in closed form (:func:`_last_phase_average`). With at most
+    two antennas nothing random is left: the values are exact, their
+    standard errors are 0, and ``num_phase_samples`` and ``rng_seed`` are
+    not used. With three or more, the n - 2 phases in between are sampled,
+    ``num_phase_samples`` draws per bandwidth from that bandwidth's own
+    seeded substream.
+
+    The sampled estimator subtracts a first-order control variate: the
+    variance A = |w|^2 + |a_n|^2 that the closed form is conditioned on has
+    exactly known mean sum |c_i|^2 var_i (uniform phases kill every cross
+    term), so removing its linear contribution leaves only the curvature of
+    log1p as noise. The estimate stays unbiased; the reported standard
+    errors are those of the corrected samples.
     """
-    mags = np.abs(np.asarray(gain_mags, dtype=float).reshape(-1))
+    gains = np.asarray(gain_mags, dtype=complex).reshape(-1)
+    # hypot, unlike abs of a complex array, rounds alike whatever the memory
+    # layout, so reordering the links reorders the moduli bit for bit
+    mags = np.hypot(gains.real, gains.imag)
+    if not np.all(np.isfinite(mags)):
+        raise ValueError("gain_mags entries must be finite")
     var = np.asarray(input_var, dtype=float).reshape(-1)
     if var.size != mags.size:
         raise ValueError(f"input_var must have {mags.size} entries, got {var.size}")
@@ -198,27 +216,36 @@ def check_limit_phase_fading(
     b = _validate_bandwidths(bandwidths)
 
     amps = mags * np.sqrt(var)
-    target = float(amps @ amps) / noise_psd
+    mean_v = math.fsum(amps * amps)  # correctly rounded, so order-free
+    target = mean_v / noise_psd
+    last = float(amps[-1]) if amps.size else 0.0
+    first = float(amps[0]) if amps.size > 1 else 0.0
 
+    if amps.size <= 2:
+        values = b * _last_phase_average(first, last, noise_psd * b)
+        return _finish_report(b, values, target, rel_tol, ses=np.zeros(b.size))
+
+    middle = amps[1:-1]
     streams = np.random.SeedSequence(rng_seed).spawn(b.size)
     values = np.empty(b.size)
     ses = np.empty(b.size)
-    mean_v = float(amps @ amps)
     for idx, bk in enumerate(b):
         rng = np.random.default_rng(streams[idx])
-        slope = 1.0 / (noise_psd + mean_v / bk)  # d/dv of the closed form at mean_v
+        s = noise_psd * bk
+        slope = bk / (s + mean_v)  # d/dA of the closed form at mean_v
         # the samples cluster around the closed form at mean_v; squaring them
         # about it, not about 0, keeps their spread from cancelling away
-        centre = bk * math.log1p(mean_v / (noise_psd * bk))
+        centre = bk * math.log1p(mean_v / s)
         total = 0.0
         total_sq = 0.0
         remaining = num_phase_samples
         while remaining > 0:
             n = min(remaining, _PHASE_CHUNK)
-            phases = rng.uniform(0.0, 2.0 * np.pi, size=(n, amps.size))
-            received = np.exp(1j * phases) @ amps
-            v = received.real**2 + received.imag**2
-            sample = bk * np.log1p(v / (noise_psd * bk)) - slope * (v - mean_v)
+            phases = rng.uniform(0.0, 2.0 * np.pi, size=(n, middle.size))
+            w = first + np.exp(1j * phases) @ middle
+            w_abs = np.abs(w)
+            sample = bk * _last_phase_average(w_abs, last, s)
+            sample -= slope * ((w_abs * w_abs + last * last) - mean_v)
             total += float(sample.sum())
             sample -= centre
             total_sq += float(sample @ sample)
@@ -228,6 +255,23 @@ def check_limit_phase_fading(
         values[idx] = mean
         ses[idx] = math.sqrt(var_est / num_phase_samples)
     return _finish_report(b, values, target, rel_tol, ses=ses)
+
+
+def _last_phase_average(w_abs, a, s):
+    """E over uniform psi of log1p(|w + a e^{j psi}|^2 / s), elementwise.
+
+    The received variance is A + C cos psi with A = |w|^2 + a^2 and
+    C = 2 |w| a, and the average of log(s + A + C cos psi) is
+    log((s + A + root) / 2) with root = sqrt((s + A)^2 - C^2). Written as
+    log1p((A + (root - s)) / (2 s)) with root - s = (2 s A + lo hi) / (root + s),
+    lo = (|w| - a)^2 and hi = (|w| + a)^2, every term is nonnegative: the
+    form with (s + A)^2 - C^2 cancels, by about 1e-11 absolute at B = 1e5.
+    """
+    lo = (w_abs - a) ** 2
+    hi = (w_abs + a) ** 2
+    big_a = w_abs * w_abs + a * a
+    root = np.sqrt((s + lo) * (s + hi))
+    return np.log1p((big_a + (2.0 * s * big_a + lo * hi) / (root + s)) / (2.0 * s))
 
 
 @dataclass(frozen=True)

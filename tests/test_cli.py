@@ -222,6 +222,16 @@ def test_verify_limits_phase_fading(diamond_fading_config, capsys):
     assert len(lines) == 1 + 4 * 5  # four diamond links
 
 
+def test_verify_limits_phase_fading_is_exact(diamond_fading_config, capsys):
+    # every diamond link has at most two antennas, so nothing is sampled
+    outputs = []
+    for seed in ("1", "2"):
+        code = main(["verify-limits", "--config", diamond_fading_config, "--seed", seed])
+        assert code == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_matrix_check_psd(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps([[2.0, 1.0], [1.0, 2.0]]))

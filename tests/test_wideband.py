@@ -1,7 +1,11 @@
 """Scaled mutual information and its vanishing-SNR limit checks."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from relaycap import (
     DEFAULT_BANDWIDTHS,
@@ -11,6 +15,7 @@ from relaycap import (
     check_limit_phase_fading,
     gaussian_scaled_mi,
 )
+from relaycap.wideband import _last_phase_average
 
 
 def test_gaussian_scaled_mi_values():
@@ -105,20 +110,142 @@ def test_phase_fading_two_antennas():
 
 def test_phase_fading_standard_error_at_large_bandwidth():
     # a weak link's samples sit near a nonzero centre with a spread ~1e-10
-    # times smaller; their standard error still falls exactly as 1/B
-    report = check_limit_phase_fading([0.01, 0.02], [1.0, 1.0], 1.0, rng_seed=3,
-                                      num_phase_samples=20_000)
+    # times smaller; their standard error still falls exactly as 1/B (three
+    # links, so that one phase is sampled)
+    report = check_limit_phase_fading([0.01, 0.02, 0.015], [1.0, 1.0, 1.0], 1.0,
+                                      rng_seed=3, num_phase_samples=20_000)
     scaled = report.standard_errors * report.bandwidths
     assert np.all(scaled > 0.0)
     np.testing.assert_allclose(scaled, scaled[0], rtol=0.01)
 
 
 def test_phase_fading_deterministic_given_seed():
-    a = check_limit_phase_fading([1.0, 0.7], [1.0, 2.0], 1.0, rng_seed=5)
-    b = check_limit_phase_fading([1.0, 0.7], [1.0, 2.0], 1.0, rng_seed=5)
+    # three links, so that one phase is sampled and the seed matters
+    gains, var = [1.0, 0.7, 0.4], [1.0, 2.0, 1.5]
+    a = check_limit_phase_fading(gains, var, 1.0, rng_seed=5)
+    b = check_limit_phase_fading(gains, var, 1.0, rng_seed=5)
     np.testing.assert_array_equal(a.scaled_mi, b.scaled_mi)
-    c = check_limit_phase_fading([1.0, 0.7], [1.0, 2.0], 1.0, rng_seed=6)
+    c = check_limit_phase_fading(gains, var, 1.0, rng_seed=6)
     assert not np.array_equal(a.scaled_mi, c.scaled_mi)
+
+
+def _last_phase_oracle(w, a, noise_psd, bandwidth):
+    """B * E_psi log1p(|w + a e^{j psi}|^2 / (N0 B)) by adaptive quadrature.
+
+    The variance is written (w - a)^2 + 4 w a sin^2(t/2), t = pi - psi, with
+    no cancelling term. It turns over at t ~ knee, which can be ~1e-8 wide;
+    breakpoints around the knee let quad resolve it.
+    """
+    s = noise_psd * bandwidth
+
+    def integrand(t):
+        return bandwidth * math.log1p(((w - a) ** 2 + 4.0 * w * a * math.sin(t / 2.0) ** 2) / s)
+
+    points = None
+    if w * a > 0.0:
+        knee = math.sqrt((s + (w - a) ** 2) / (w * a))
+        points = [p for p in knee * np.logspace(-2, 2, 5) if p < math.pi] or None
+    value, _ = quad(integrand, 0.0, math.pi, epsabs=0.0, epsrel=1e-13, limit=200,
+                    points=points)
+    return value / math.pi
+
+
+EXACT_BANDWIDTHS = (1e-3, 1e-1, 1e1, 1e3, 1e5, 1e8)
+
+
+@pytest.mark.parametrize(
+    "gains",
+    [
+        [1.0],
+        [1e6],
+        [1e-6],
+        [1.0, 1.0],
+        [1e6, 1e6],  # equal amplitudes: the variance touches 0
+        [1e-6, 1e-6],
+        [1e6, 1e-6],
+        [1e-6, 1e6],
+        [0.0, 2.5],  # a zero link
+        [3.0, 0.0],
+        [0.3 + 0.4j, 1.7],
+    ],
+)
+@pytest.mark.parametrize("noise_psd", [1e-3, 1.0, 1e3])
+def test_phase_fading_exact_matches_quadrature(gains, noise_psd):
+    report = check_limit_phase_fading(gains, np.ones(len(gains)), noise_psd,
+                                      EXACT_BANDWIDTHS, rng_seed=0)
+    mags = np.abs(np.asarray(gains, dtype=complex))
+    w = mags[0] if mags.size == 2 else 0.0
+    for value, bandwidth in zip(report.scaled_mi, report.bandwidths):
+        expected = _last_phase_oracle(w, mags[-1], noise_psd, bandwidth)
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+    np.testing.assert_array_equal(report.standard_errors, 0.0)
+
+
+@pytest.mark.parametrize("gains", [[0.8], [1.0, 0.7], [1e-6, 1e6]])
+def test_phase_fading_exact_ignores_seed_and_sample_count(gains):
+    var = np.full(len(gains), 2.0)
+    base = check_limit_phase_fading(gains, var, 0.5, rng_seed=0, num_phase_samples=1)
+    other = check_limit_phase_fading(gains, var, 0.5, rng_seed=99, num_phase_samples=10**6)
+    np.testing.assert_array_equal(base.scaled_mi, other.scaled_mi)
+    np.testing.assert_array_equal(base.standard_errors, 0.0)
+    np.testing.assert_array_equal(other.standard_errors, 0.0)
+
+
+def test_phase_fading_exact_allocates_no_sample_arrays():
+    # one array of 10^6 samples would take 8 MB
+    tracemalloc.start()
+    try:
+        check_limit_phase_fading([1.0, 0.7], [1.0, 2.0], 1.0, rng_seed=0,
+                                 num_phase_samples=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_phase_fading_three_links_match_quadrature():
+    # one phase is sampled; the oracle integrates the same closed form over it
+    rng = np.random.default_rng(8008)
+    worst = 0.0
+    for k in range(20):
+        amps = np.abs(rng.normal(size=3)) + 0.05
+        noise_psd = float(rng.uniform(0.5, 2.0))
+        report = check_limit_phase_fading(amps, np.ones(3), noise_psd, rng_seed=100 + k,
+                                          num_phase_samples=20_000)
+        for value, se, bandwidth in zip(report.scaled_mi, report.standard_errors,
+                                        report.bandwidths):
+            s = noise_psd * bandwidth
+
+            def closed_form(phi):
+                w = abs(amps[0] + amps[1] * np.exp(1j * phi))
+                return bandwidth * float(_last_phase_average(w, amps[2], s))
+
+            expected = quad(closed_form, 0.0, math.pi, epsabs=0.0, epsrel=1e-13,
+                            limit=200)[0] / math.pi
+            assert se > 0.0
+            worst = max(worst, abs(value - expected) / se)
+    assert worst <= 4.0
+
+
+def test_phase_fading_complex_gains_use_their_modulus():
+    report = check_limit_phase_fading([1j, 0.6 - 0.8j], [1.0, 1.0], 1.0, rng_seed=0)
+    real = check_limit_phase_fading([1.0, 1.0], [1.0, 1.0], 1.0, rng_seed=0)
+    assert report.target == pytest.approx(2.0, rel=1e-15)
+    np.testing.assert_allclose(report.scaled_mi, real.scaled_mi, rtol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.inf)])
+def test_phase_fading_rejects_non_finite_gains(bad):
+    with pytest.raises(ValueError, match="gain_mags"):
+        check_limit_phase_fading([1.0, bad], [1.0, 1.0], 1.0, rng_seed=0)
+
+
+def test_phase_fading_empty_gain_vector():
+    report = check_limit_phase_fading([], [], 1.0, rng_seed=0)
+    assert report.target == 0.0
+    assert report.converged
+    np.testing.assert_array_equal(report.scaled_mi, 0.0)
+    np.testing.assert_array_equal(report.standard_errors, 0.0)
 
 
 def test_phase_fading_zero_power():
