@@ -3,13 +3,15 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relaycap import (
     ChannelConfig,
     CsiMode,
+    FiniteJoint,
     Topology,
+    check_conditional_limits,
     check_limit_phase_fading,
     optimize_capacity,
 )
@@ -113,3 +115,85 @@ def test_phase_fading_monotone_below_target(link):
     values = report.scaled_mi
     assert np.all(np.diff(values) >= -1e-15 * values[1:])
     assert np.all(values <= report.target * (1.0 + 1e-12))
+
+
+@st.composite
+def finite_joints(draw):
+    """A joint (U, X) of one to six atoms on the ``UNIT`` grid in one or two
+    complex dimensions, up to three labels and probabilities in small integer
+    ratios, with two gain vectors from the same grid.
+
+    N0 is drawn relative to var[c1^H X], so that the SNR at the lowest
+    bandwidth spans 1e-1 to 1e3. The values are sums of log-densities of
+    order 1 whose differences are about SNR / B per channel use, so each
+    carries an absolute rounding error of about 1e-16 B: at B = 1e5 that is
+    1e-9 of the total once var[c1^H X] / N0 falls to about 1e-2.
+    """
+    atoms = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 2))
+
+    def vector():
+        return np.array([complex(draw(UNIT), draw(UNIT)) for _ in range(dim)])
+
+    x = np.array([vector() for _ in range(atoms)])
+    labels = [float(draw(st.integers(0, 2))) for _ in range(atoms)]
+    weights = np.array([draw(st.integers(1, 4)) for _ in range(atoms)], dtype=float)
+    c1 = vector()
+    c2 = c1 if draw(st.booleans()) else vector()
+    probs = weights / weights.sum()
+    s1 = x @ c1.conj()
+    spread = float(probs @ np.abs(s1 - probs @ s1) ** 2)
+    assume(spread > 0.0)
+    noise_psd = spread * 10.0 ** draw(st.integers(-3, 1)) / 10.0
+    return FiniteJoint(x=x, y=labels, probs=probs), c1, c2, noise_psd
+
+
+def _sweeps(reports):
+    return np.array([reports.total.scaled_mi, reports.marginal.scaled_mi,
+                     reports.conditional.scaled_mi])
+
+
+def _targets(reports):
+    return np.array([reports.total.target, reports.marginal.target,
+                     reports.conditional.target])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(finite_joints(), SCALES)
+def test_conditional_limits_joint_scaling(case, t):
+    # scaling every atom by t and N0 by t^2 leaves every variance ratio as it was
+    joint, c1, c2, noise_psd = case
+    base = check_conditional_limits(joint, c1, c2, noise_psd)
+    scaled_joint = FiniteJoint(x=joint.x * t, y=joint.y, probs=joint.probs)
+    scaled = check_conditional_limits(scaled_joint, c1, c2, noise_psd * t * t)
+    scale = np.max(np.abs(base.total.scaled_mi))
+    np.testing.assert_allclose(_sweeps(scaled), _sweeps(base), rtol=0.0, atol=1e-9 * scale)
+    np.testing.assert_allclose(_targets(scaled), _targets(base), rtol=1e-12, atol=1e-12 * scale)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(finite_joints(), st.randoms(use_true_random=False))
+def test_conditional_limits_atom_permutation(case, random):
+    # the atoms are a set: listing them in another order, each with its label
+    # and probability, changes nothing
+    joint, c1, c2, noise_psd = case
+    order = list(range(joint.probs.size))
+    random.shuffle(order)
+    permuted = FiniteJoint(x=joint.x[order], y=joint.y[order], probs=joint.probs[order])
+    base = check_conditional_limits(joint, c1, c2, noise_psd)
+    moved = check_conditional_limits(permuted, c1, c2, noise_psd)
+    scale = np.max(np.abs(base.total.scaled_mi))
+    np.testing.assert_allclose(_sweeps(moved), _sweeps(base), rtol=0.0, atol=1e-9 * scale)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(finite_joints())
+def test_conditional_limits_conditional_sweep_reads_c2_only(case):
+    # the conditional sweep depends on c2 alone; with c1 == c2 it is read from
+    # the first pass, otherwise a second pass computes it
+    joint, c1, c2, noise_psd = case
+    mixed = check_conditional_limits(joint, c1, c2, noise_psd)
+    same = check_conditional_limits(joint, c2, c2, noise_psd)
+    scale = max(np.max(np.abs(mixed.total.scaled_mi)), np.max(np.abs(same.total.scaled_mi)))
+    np.testing.assert_allclose(mixed.conditional.scaled_mi, same.conditional.scaled_mi,
+                               rtol=0.0, atol=1e-9 * scale)

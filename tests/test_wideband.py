@@ -361,6 +361,212 @@ def test_conditional_limits_validation():
         check_conditional_limits(joint, c, c, -1.0)
 
 
+def test_conditional_limits_rejects_bad_settings():
+    joint = two_point_joint()
+    c = np.array([1.0, 0.0])
+    # checked on the quadrature path too, where mc_samples is not used
+    for samples in (0, 1):
+        with pytest.raises(ValueError, match="mc_samples"):
+            check_conditional_limits(joint, c, c, 1.0, mc_samples=samples)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            check_conditional_limits(joint, np.array([bad, 0.6]), c, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            check_conditional_limits(joint, c, np.array([1.0, complex(0.0, bad)]), 1.0)
+    with pytest.raises(ValueError, match="quad_order"):
+        check_conditional_limits(joint, c, c, 1.0, quad_order=0)
+
+
+def test_conditional_limits_equal_atoms_carry_no_information():
+    # every atom at one point: X is known before anything is received
+    x = np.ones((4, 2))
+    joint = FiniteJoint(x=x, y=[0.0, 1.0, 1.0, 2.0], probs=[0.1, 0.2, 0.3, 0.4])
+    c = np.array([0.8, 0.6])
+    reports = check_conditional_limits(joint, c, c, 0.7)
+    for report in (reports.total, reports.marginal, reports.conditional):
+        assert report.target == 0.0
+        np.testing.assert_allclose(report.scaled_mi, 0.0, atol=1e-9)
+
+
+def _longdouble_oracle(joint, c1, c2, noise_psd, bandwidths, quad_order=40):
+    """B*I(X;Y1), B*I(U;Y1) and B*I(X;Y2|U) from the checker's Gauss-Hermite
+    sums, evaluated in np.longdouble in the textbook form: log-densities with
+    the |z|^2 term kept, and no log-sum-exp shift."""
+    ld = np.longdouble
+    keep = joint.probs > 0.0
+    x = joint.x[keep]
+    probs = joint.probs[keep].astype(ld)
+    _, labels = np.unique(joint.y[keep], return_inverse=True)
+    nodes, node_weights = np.polynomial.hermite.hermgauss(quad_order)
+    nodes = nodes.astype(ld)
+    u_re = np.repeat(nodes, nodes.size)
+    u_im = np.tile(nodes, nodes.size)
+    weights = np.outer(node_weights, node_weights).ravel().astype(ld) / np.arccos(ld(-1))
+
+    def parts(s, sigma_sq):
+        s_re = s.real.astype(ld)
+        s_im = s.imag.astype(ld)
+        z_re = np.sqrt(sigma_sq) * u_re
+        z_im = np.sqrt(sigma_sq) * u_im
+        out = np.zeros(3, dtype=ld)
+        for k in range(s.size):
+            dist = ((z_re[:, None] + s_re[k] - s_re[None, :]) ** 2
+                    + (z_im[:, None] + s_im[k] - s_im[None, :]) ** 2) / sigma_sq
+            dens = np.exp(-dist)
+            own = -(z_re * z_re + z_im * z_im) / sigma_sq
+            mix = np.log(dens @ probs)
+            grp = labels == labels[k]
+            mix_grp = np.log(dens[:, grp] @ probs[grp] / probs[grp].sum())
+            out += probs[k] * np.array(
+                [weights @ (own - mix), weights @ (mix_grp - mix), weights @ (own - mix_grp)]
+            )
+        return out
+
+    values = np.zeros((3, len(bandwidths)))
+    for idx, bk in enumerate(bandwidths):
+        sigma_sq = ld(noise_psd) * ld(bk)
+        first = parts(x @ np.conj(c1), sigma_sq)
+        second = parts(x @ np.conj(c2), sigma_sq)
+        values[:, idx] = (ld(bk) * np.array([first[0], first[1], second[2]])).astype(float)
+    return values
+
+
+def _oracle_joints():
+    rng = np.random.default_rng(11)
+    c = np.array([0.8, 0.6])
+    return [
+        # singleton groups: X is a function of U
+        (two_point_joint(0.3), c, c, 1.0),
+        # one group, in which two atoms are equal: U carries nothing
+        (FiniteJoint(x=[[1.0, 0.0], [-1.0, 0.5], [0.2, 0.9], [1.0, 0.0]], y=[3.0] * 4,
+                     probs=[0.4, 0.3, 0.2, 0.1]), c, np.array([0.1, 1.0]), 0.5),
+        # C2's four-atom joint
+        (FiniteJoint(x=[[1.0, 0.0], [0.5, 0.5], [-1.0, 0.2], [0.0, -1.0]],
+                     y=[0.0, 0.0, 1.0, 1.0], probs=[0.3, 0.2, 0.3, 0.2]), c, c, 0.7),
+        # one atom in two groups
+        (FiniteJoint(x=[[1.0, -1.0], [1.0, -1.0], [-0.5, 2.0], [0.25, 0.0], [2.0, 1.5]],
+                     y=[0.0, 1.0, 1.0, 1.0, 2.0], probs=[0.3, 0.1, 0.2, 0.15, 0.25]),
+         np.array([1.0, 0.5]), np.array([-0.25, 1.0]), 0.4),
+        # complex atoms and gains in three groups
+        (FiniteJoint(x=[[1.0 + 0.5j, 0.2], [-0.3j, 1.1], [0.7, -0.4 + 0.9j],
+                        [-1.2, 0.3j], [0.1 + 0.1j, -0.8], [0.6j, 0.6]],
+                     y=[2.0, 0.0, 1.0, 2.0, 0.0, 1.0],
+                     probs=[0.1, 0.25, 0.15, 0.2, 0.05, 0.25]),
+         np.array([0.9 - 0.2j, 0.4j]), np.array([0.3, 1.2 + 0.5j]), 1.3),
+        # singleton groups with complex atoms
+        (FiniteJoint(x=rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2)),
+                     y=np.arange(5.0), probs=rng.dirichlet(np.ones(5))),
+         c, np.array([0.2j, 1.0]), 2.0),
+        # a zero-probability atom, dropped before integration
+        (FiniteJoint(x=[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [5.0, 5.0]],
+                     y=[0.0, 1.0, 1.0, 0.0], probs=[0.4, 0.35, 0.25, 0.0]), c, c, 1.0),
+        # one antenna
+        (FiniteJoint(x=[[1.0], [-2.0], [0.5], [0.0]], y=[0.0, 1.0, 0.0, 1.0],
+                     probs=[0.25, 0.25, 0.25, 0.25]), np.array([1.0]), np.array([0.5j]), 0.3),
+        # far-apart atoms, high SNR at the low bandwidths: |d|^2 / sigma^2 up to 400
+        (FiniteJoint(x=[[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [-10.0, -10.0]],
+                     y=[0.0, 0.0, 1.0, 1.0], probs=[0.25, 0.25, 0.25, 0.25]),
+         np.array([1.0, 0.0]), np.array([0.6, 0.8]), 0.05),
+        # a nearly impossible atom beside likely ones
+        (FiniteJoint(x=[[1.0, 1.0], [-1.0, 0.5], [3.0, -2.0]], y=[0.0, 0.0, 1.0],
+                     probs=[0.5 - 5e-7, 0.5 - 5e-7, 1e-6]), c, c, 0.8),
+        # random joint, eight atoms, two unequal groups
+        (FiniteJoint(x=rng.normal(size=(8, 2)), y=[0, 0, 0, 0, 0, 1, 1, 1],
+                     probs=rng.dirichlet(np.full(8, 2.0))), c, np.array([-0.6, 0.8]), 1.0),
+    ]
+
+
+@pytest.mark.parametrize("case", range(11))
+def test_conditional_limits_match_longdouble_sums(case):
+    joint, c1, c2, noise_psd = _oracle_joints()[case]
+    reports = check_conditional_limits(joint, c1, c2, noise_psd)
+    oracle = _longdouble_oracle(joint, c1, c2, noise_psd, DEFAULT_BANDWIDTHS)
+    scale = np.max(np.abs(oracle[0]))
+    got = (reports.total.scaled_mi, reports.marginal.scaled_mi, reports.conditional.scaled_mi)
+    for values, expected in zip(got, oracle):
+        np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-9 * scale)
+
+
+# Sweeps pinned from the earlier kernel, which kept the |z|^2 term and ran the
+# second pass in full: (total, marginal, conditional) and, on Monte Carlo, their
+# standard errors. The same draws in the same order must give the same values.
+PINNED_QUADRATURE = {
+    2: ([0.6644288910452383, 0.7058284996923868, 0.7103294783865366, 0.7107837619639259, 0.71082923291227],
+        [0.6616182906627361, 0.7030171539678087, 0.7075180581000148, 0.7079723342208022, 0.7080178044169263],
+        [0.0028106003825021184, 0.002811345724578085, 0.0028114202865215632, 0.00281142774312358, 0.0028114284953472115]),
+    3: ([1.9727666255989345, 2.4368647379150032, 2.4922029949897535, 2.4978133568521717, 2.498375078854487],
+        [1.9571956911936095, 2.4212451613789145, 2.476578537505646, 2.4821884111054855, 2.48275008427979],
+        [1.4997713984975745, 2.0811857023501816, 2.170164135945375, 2.17960801040467, 2.1805583960701864]),
+    4: ([0.45901842930984804, 0.47093453611553454, 0.4721740191096697, 0.4722984736891506, 0.47231092423427373],
+        [0.15012482629597, 0.14940874820451142, 0.14931512211541154, 0.1493055242098876, 0.14930456206062137],
+        [0.37498338134118797, 0.3930845816751154, 0.3949027888312208, 0.3950843207659661, 0.395102470567738]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_QUADRATURE))
+def test_conditional_limits_pinned_quadrature(case):
+    joint, c1, c2, noise_psd = _oracle_joints()[case]
+    reports = check_conditional_limits(joint, c1, c2, noise_psd)
+    pinned = PINNED_QUADRATURE[case]
+    scale = np.max(np.abs(pinned[0]))
+    got = (reports.total.scaled_mi, reports.marginal.scaled_mi, reports.conditional.scaled_mi)
+    for values, expected in zip(got, pinned):
+        np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-9 * scale)
+
+
+def _eighteen_atom_joint():
+    rng = np.random.default_rng(7)
+    x = np.round(rng.normal(size=(18, 2)), 3)
+    return FiniteJoint(x=x, y=np.arange(18.0) % 3, probs=np.full(18, 1.0 / 18))
+
+
+PINNED_MONTE_CARLO = [
+    # 18 atoms, c1 == c2
+    (lambda: (_eighteen_atom_joint(), np.array([1.0, 0.5]), np.array([1.0, 0.5]), 1.0,
+              dict(bandwidths=[10.0, 1000.0], mc_samples=3000, rng_seed=5)),
+     ([1.0891922313604196, 1.0346771488818658],
+      [0.11340229648699277, 0.120958535176916],
+      [0.9328595131420087, 0.8697816477115737]),
+     ([0.01743038785076302, 0.2060386305366089],
+      [0.005645341030398721, 0.06738212420778224],
+      [0.01675523231006909, 0.19345808847213267])),
+    # the complex three-group joint forced onto Monte Carlo, c1 != c2
+    (lambda: (*_oracle_joints()[4],
+              dict(bandwidths=[10.0, 1e3, 1e5], max_quadrature_support=4, mc_samples=4000,
+                   rng_seed=9)),
+     ([0.4451464493846562, 0.7385237760558159, 4.763575852010884],
+      [0.1435968014853278, 0.3296192423342487, 0.04619113488266278],
+      [0.4068704116138999, 0.26356288104530967, -0.8543182936635213]),
+     ([0.019945923800956854, 0.20523979015400456, 2.073404553965828],
+      [0.012211355318509745, 0.12282294293808386, 1.231686652296939],
+      [0.014926881737030852, 0.16188313446314462, 1.5947310823791505])),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PINNED_MONTE_CARLO)))
+def test_conditional_limits_pinned_monte_carlo(case):
+    build, pinned, pinned_ses = PINNED_MONTE_CARLO[case]
+    joint, c1, c2, noise_psd, options = build()
+    reports = check_conditional_limits(joint, c1, c2, noise_psd, **options)
+    scale = np.max(np.abs(pinned[0]))
+    parts = (reports.total, reports.marginal, reports.conditional)
+    for report, expected, expected_ses in zip(parts, pinned, pinned_ses):
+        np.testing.assert_allclose(report.scaled_mi, expected, rtol=0.0, atol=1e-9 * scale)
+        np.testing.assert_allclose(report.standard_errors, expected_ses, rtol=1e-12, atol=0.0)
+
+
+def test_conditional_limits_monte_carlo_passes_draw_independently():
+    # the conditional sweep comes from its own draws, so the chain rule
+    # total = marginal + conditional holds only statistically, never to rounding
+    build, _, _ = PINNED_MONTE_CARLO[0]
+    joint, c1, c2, noise_psd, options = build()
+    reports = check_conditional_limits(joint, c1, c2, noise_psd, **options)
+    resid = reports.total.scaled_mi - reports.marginal.scaled_mi - reports.conditional.scaled_mi
+    spread = np.sqrt(reports.total.standard_errors ** 2 + reports.marginal.standard_errors ** 2
+                     + reports.conditional.standard_errors ** 2)
+    assert np.all(np.abs(resid) > 1e-3 * spread)
+
+
 def test_default_bandwidths_ascend():
     assert list(DEFAULT_BANDWIDTHS) == sorted(DEFAULT_BANDWIDTHS)
     assert DEFAULT_BANDWIDTHS[0] >= 1.0
