@@ -1,12 +1,17 @@
-"""The three searches shared by the single-relay optimizers.
+"""The searches shared by the single-relay optimizers.
 
-In the low-power limit both cut-set bounds are affine in every power, so
-each optimizer nests the same three steps:
+In the low-power limit both cut-set bounds are affine in every power, and
+the coherent share enters only through one square root, so each optimizer
+nests the same three steps:
 
 * :func:`split_max` solves the split of a budget between two beams exactly:
   it is a max-min of two affine lines;
-* :func:`concave_max` maximizes over the coherent power share, whose
-  split-maximized profile is concave, by golden-section search;
+* :func:`coherent_max` maximizes over the coherent share in closed form:
+  the split-maximized profile is the smaller of a line and a term concave
+  in the square root of the share, so its maximum is one of six candidates
+  (the ends, the curved term's stationary point, and the kink where the two
+  cross with its floating-point neighbours), each evaluated exactly by
+  :func:`split_max`;
 * :func:`grid_refine` handles the outer coordinates (the beam angles of the
   covariance search, which are not concave, and the dual multiplier of the
   power-form search): a grid scan, then rounds of finer grids around the
@@ -22,9 +27,6 @@ import math
 
 import numpy as np
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# golden-section steps: the bracket shrinks to 0.618**56 ~ 2e-12 of its width
-CONCAVE_ITERS = 56
 # each refine round lays this many points per axis over two grid steps, so
 # the step shrinks 8-fold per round, by about 7e10 over all rounds
 REFINE_POINTS = 17
@@ -54,35 +56,67 @@ def split_max(k_a, k_b, k_rest, constant, budget):
     return value, t
 
 
-def concave_max(f, lo, hi):
-    """Maximize a concave ``f`` on ``[lo, hi]``, elementwise over arrays.
+def coherent_max(k_a, k_b, k_rest, b2, s_hi, k0, k1, k2):
+    """Exact max over the coherent share ``s`` in ``[0, s_hi]`` of :func:`split_max`.
 
-    ``f`` maps an array of points (the shape of ``lo`` and ``hi``) to the
-    values there.  Golden-section search is exact for concave functions,
-    flat stretches included; the interval ends are compared at the finish,
-    so a maximum on the boundary is found exactly.  Returns ``(value, x)``.
+    The split is solved at the constant ``K(s) = k0 + k1 sqrt(s) + k2 s``
+    and the budget ``B(s) = b2 (s_hi - s)``, all coefficients nonnegative.
+    With ``u = k_a - k_rest`` and ``w = k_b - k_rest``, the split's value is
+    ``k_rest B`` when ``u <= 0`` and otherwise ``min(k_a B, kappa B + rho
+    K)``, where ``(kappa, rho)`` is ``(k_b, 1)`` when ``w >= 0`` and
+    ``(k_rest, u / (u - w))`` when ``w < 0``.  The second term is concave in
+    ``x = sqrt(s)``, so the maximum over ``s`` lies at an end, at that
+    term's stationary point, or at the kink where the two terms cross,
+    ``B = K / (k_a - k_b)``.  Near ``s_hi`` the kink is placed by its
+    budget, which ``s`` itself cannot resolve there, and as the profile can
+    be steep on one side of it, both floating-point neighbours of its share
+    are tried too.  Each of these six candidates is evaluated exactly, so
+    the value returned is attained at the share returned.  Arguments
+    broadcast together; returns ``(value, share, t)`` arrays with ``t`` the
+    split at that share, ties going to ``s = 0``.
     """
-    a = np.asarray(lo, dtype=float)
-    b = np.asarray(hi, dtype=float)
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(CONCAVE_ITERS):
-        # a maximizer lies in [a, x2] (left) or in [x1, b]; the interior
-        # point that survives becomes the new x2 (left) or x1
-        left = f1 >= f2
-        a = np.where(left, a, x1)
-        b = np.where(left, x2, b)
-        width = _INV_PHI * (b - a)
-        x1 = b - width
-        x2 = a + width
-        f_new = f(np.where(left, x1, x2))
-        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
-    xs = np.stack([np.where(f1 >= f2, x1, x2), np.broadcast_to(lo, a.shape),
-                   np.broadcast_to(hi, a.shape)])
-    values = f(xs)
-    pick = np.argmax(values, axis=0)[None]
-    return np.take_along_axis(values, pick, 0)[0], np.take_along_axis(xs, pick, 0)[0]
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (k_a, k_b, k_rest, b2, s_hi, k0, k1, k2)))
+    u = np.subtract(k_a, k_rest)
+    w = np.subtract(k_b, k_rest)
+    rest_piece = (w < 0.0) & (u > 0.0)
+    rho = np.divide(u, u - w, out=np.ones(shape), where=rest_piece)
+    kappa = np.where(rest_piece, k_rest, k_b)
+    s = np.empty((6,) + shape)
+    s[0] = 0.0
+    s[1] = _stationary_share(rho * k1, kappa * b2 - rho * k2, s_hi)
+    s[2], s[3], s[4] = _kink_shares(np.subtract(k_a, k_b), b2, s_hi, k0, k1, k2)
+    s[5] = s_hi
+    value, t = split_max(k_a, k_b, k_rest, k0 + k1 * np.sqrt(s) + k2 * s, b2 * (s_hi - s))
+    pick = np.argmax(value, axis=0)[None]
+    return tuple(np.take_along_axis(v, pick, 0)[0] for v in (value, s, t))
+
+
+def _stationary_share(num, den, s_hi):
+    """``x**2`` at the stationary point ``x = num / (2 den)`` of a piece
+    ``-den x**2 + num x + const``, clipped to ``[0, s_hi]``; ``s_hi`` where
+    the piece does not curve down (``den <= 0``)."""
+    x = np.divide(num, 2.0 * den, out=np.full(np.shape(den), np.inf), where=den > 0.0)
+    return np.minimum(np.clip(x, 0.0, np.sqrt(s_hi)) ** 2, s_hi)
+
+
+def _kink_shares(c, b2, s_hi, k0, k1, k2):
+    """The share where ``c B(s) = K(s)`` and its two floating-point
+    neighbours; all zero where there is no such share (``c <= 0``, or
+    ``c B(0) <= K(0)``).
+
+    In ``x`` the kink solves ``(c b2 + k2) x**2 + k1 x - gap = 0`` with
+    ``gap = c b2 s_hi - k0 > 0``, whose positive root is taken in the form
+    free of cancellation.  Then ``B / b2 = K(x) / (c b2)``: where it is
+    below ``s_hi / 2`` the share is ``s_hi - B / b2``, which keeps a small
+    budget to its own precision, and ``x**2`` otherwise.
+    """
+    ok = (c > 0.0) & (c * b2 * s_hi > k0)
+    gap = np.where(ok, c * b2 * s_hi - k0, 0.0)
+    root = k1 + np.sqrt(k1 * k1 + 4.0 * (c * b2 + k2) * gap)
+    x = np.divide(2.0 * gap, root, out=np.zeros_like(gap), where=ok)
+    depth = np.divide(k0 + (k1 + k2 * x) * x, c * b2, out=np.zeros_like(gap), where=ok)
+    s = np.where(ok, np.where(depth < s_hi / 2.0, s_hi - depth, np.minimum(x * x, s_hi)), 0.0)
+    return s, np.nextafter(s, 0.0), np.nextafter(s, s_hi)
 
 
 def grid_refine(f, axes):

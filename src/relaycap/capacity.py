@@ -40,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._search import concave_max, grid_refine, split_max
+from ._search import coherent_max, grid_refine
 from .channel import ChannelConfig, CsiMode, Topology, angle_between, rounding_slack
 from .matrices import require_psd
 
@@ -241,16 +241,17 @@ def optimize_capacity(cfg: ChannelConfig) -> CapacityResult:
     carries the direct link; the coherent power ``pb1`` then maximizes a
     concave quadratic in ``sqrt(pb1)``.  :func:`~relaycap._search.grid_refine`
     finds the minimum, returned as ``upper_bound``, and the top-eigenvector
-    angle at the minimizer is the optimal beam angle.
+    angle at the minimizer is the optimal beam angle.  Where ``g`` is flat
+    at its minimum that angle can miss, so the beam pointed at the relay
+    (``theta = alpha``) is tried as well and the better of the two kept.
 
-    The powers are solved exactly at that one angle rather than read from
+    The powers are solved exactly at these angles rather than read from
     the dual: the minimizer is known only to about 1e-8, an error that costs
     rate at second order through the angle but at first order through the
     dual's powers.  The ``p21`` / ``p31`` split is a max-min of two affine
-    functions, solved by :func:`~relaycap._search.split_max`, and the
-    profile over ``pb1`` is then concave, solved by
-    :func:`~relaycap._search.concave_max`.  The allocation is replayed
-    through :func:`cutset_bounds` to pick the binding cut.
+    functions and the profile over ``pb1`` is then concave, both solved in
+    closed form by :func:`~relaycap._search.coherent_max`.  The allocation
+    is replayed through :func:`cutset_bounds` to pick the binding cut.
     """
     _require_single_relay(cfg, CsiMode.SYNCHRONOUS, "optimize_capacity")
     g21, g31, m32, alpha, p1, p2 = _single_relay_geometry(cfg)
@@ -277,17 +278,12 @@ def optimize_capacity(cfg: ChannelConfig) -> CapacityResult:
 
     lams = np.linspace(0.0, 1.0, _MULTIPLIER_POINTS)
     neg_bound, (lam,) = grid_refine(lambda point: -dual(point[0])[0], [lams])
-    theta = float(dual(lam)[1])
-
-    k_rd = g21 * math.cos(alpha - theta) ** 2
-    k_mac = g31 * math.cos(theta) ** 2
-
-    def split(pb1):
-        coherent = (np.sqrt(pb1 * g31) + partner) ** 2
-        return split_max(k_rd, k_mac, g31, coherent, p1 - pb1)
-
-    value, pb1 = concave_max(lambda pb1: split(pb1)[0], 0.0, p1)
-    value, pb1, p21 = float(value), float(pb1), float(split(pb1)[1])
+    thetas = np.array([float(dual(lam)[1]), alpha])
+    values, pb1s, p21s = coherent_max(
+        g21 * np.cos(alpha - thetas) ** 2, g31 * np.cos(thetas) ** 2, g31, 1.0, p1,
+        partner ** 2, 2.0 * partner * math.sqrt(g31), g31)
+    best = int(np.argmax(values))
+    value, pb1, p21, theta = (float(v[best]) for v in (values, pb1s, p21s, thetas))
     alloc = PowerAllocation(
         p21=p21 * n0,
         p31=max(0.0, p1 - pb1 - p21) * n0,
@@ -399,9 +395,9 @@ def optimize_covariance_bound(cfg: ChannelConfig) -> CapacityResult:
     to the MAC bound, so aligning either with ``c31`` is optimal.  The
     relay block's angle and residual weight are scanned on a grid and
     refined (:func:`~relaycap._search.grid_refine`); at each candidate the
-    coherent share ``s = beta**2`` is solved by
-    :func:`~relaycap._search.concave_max` and the trace split between the
-    two blocks exactly by :func:`~relaycap._search.split_max`.  The residual
+    coherent share ``s = beta**2`` and the trace split between the two
+    blocks are solved exactly by :func:`~relaycap._search.coherent_max`,
+    the kernel :func:`optimize_capacity` runs over ``pb1``.  The residual
     weight comes out at zero, confirming that rank-one blocks suffice, but
     it is searched rather than assumed.  The result is replayed through
     :func:`covariance_bounds`.
@@ -424,14 +420,7 @@ def optimize_covariance_bound(cfg: ChannelConfig) -> CapacityResult:
         """
         k_rd = (1.0 - eta_a) * g21 * np.cos(phi_a) ** 2 + eta_a * g21 / 2.0
         k_rd_dest = (1.0 - eta_a) * g31 * np.cos(phi_a - alpha) ** 2 + eta_a * g31 / 2.0
-
-        def split(s):
-            constant = s * p1 * g31 + relay_gain + np.sqrt(s) * coherent_amp
-            return split_max(k_rd, k_rd_dest, g31, constant, p1 * (1.0 - s))
-
-        value, share = concave_max(lambda s: split(s)[0], np.zeros_like(phi_a),
-                                   np.ones_like(phi_a))
-        return value, share, split(share)[1]
+        return coherent_max(k_rd, k_rd_dest, g31, p1, 1.0, relay_gain, coherent_amp, p1 * g31)
 
     angles = np.linspace(-math.pi / 2.0, math.pi / 2.0, _RELAY_ANGLE_POINTS)
     residuals = np.linspace(0.0, 1.0, _RESIDUAL_POINTS)

@@ -442,7 +442,10 @@ def check_conditional_limits(
     keep = joint.probs > 0.0
     x = joint.x[keep]
     y = joint.y[keep]
+    # FiniteJoint lets the sum miss 1 by 1e-9, and each sweep would then be
+    # off by about B times that
     probs = joint.probs[keep]
+    probs = probs / probs.sum()
     _, inverse = np.unique(y, return_inverse=True)
     group_p = np.bincount(inverse, weights=probs)
 

@@ -31,6 +31,18 @@ def single_relay_config(
     )
 
 
+def gains_single_relay(p1, p2, noise_psd, c21, c31, c32):
+    """Synchronous single-relay network with the gains given entry by entry."""
+    return ChannelConfig(
+        topology=Topology.SINGLE_RELAY,
+        csi=CsiMode.SYNCHRONOUS,
+        powers={"P1": p1, "P2": p2},
+        gains={"c21": np.asarray(c21, dtype=complex), "c31": np.asarray(c31, dtype=complex),
+               "c32": np.array([c32], dtype=complex)},
+        noise_psd=noise_psd,
+    )
+
+
 def diamond_config(
     p1=2.0,
     p2=1.0,

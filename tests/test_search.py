@@ -4,11 +4,53 @@ Both single-relay optimizers run on these kernels, so a kernel bug would
 shift them alike and their agreement (C3) would not show it.
 """
 
-import numpy as np
+import math
 
-from relaycap._search import concave_max, grid_refine, split_max
+import numpy as np
+import pytest
+
+from relaycap import optimize_capacity, optimize_covariance_bound
+from relaycap._search import coherent_max, grid_refine, split_max
+from relaycap.channel import rounding_slack
+
+from helpers import gains_single_relay
 
 DENSE = 10_001
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# golden-section steps: the bracket shrinks to 0.618**56 ~ 2e-12 of its width
+CONCAVE_ITERS = 56
+
+
+def concave_max(f, lo, hi):
+    """Maximize a concave ``f`` on ``[lo, hi]``, elementwise over arrays.
+
+    The golden-section search the optimizers ran over the coherent share
+    before :func:`coherent_max`, kept as its oracle.  ``f`` maps an array of
+    points (the shape of ``lo`` and ``hi``) to the values there.  The
+    interval ends are compared at the finish, so a maximum on the boundary
+    is found exactly.  Returns ``(value, x)``.
+    """
+    a = np.asarray(lo, dtype=float)
+    b = np.asarray(hi, dtype=float)
+    x1 = b - _INV_PHI * (b - a)
+    x2 = a + _INV_PHI * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(CONCAVE_ITERS):
+        # a maximizer lies in [a, x2] (left) or in [x1, b]; the interior
+        # point that survives becomes the new x2 (left) or x1
+        left = f1 >= f2
+        a = np.where(left, a, x1)
+        b = np.where(left, x2, b)
+        width = _INV_PHI * (b - a)
+        x1 = b - width
+        x2 = a + width
+        f_new = f(np.where(left, x1, x2))
+        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+    xs = np.stack([np.where(f1 >= f2, x1, x2), np.broadcast_to(lo, a.shape),
+                   np.broadcast_to(hi, a.shape)])
+    values = f(xs)
+    pick = np.argmax(values, axis=0)[None]
+    return np.take_along_axis(values, pick, 0)[0], np.take_along_axis(xs, pick, 0)[0]
 
 
 def _lines(k_a, k_b, k_rest, constant, budget, t):
@@ -106,3 +148,77 @@ def test_grid_refine_finds_the_global_maximum_of_a_wavy_profile():
     assert y == 0.25
     assert abs(value2 - (value - 0.0625)) <= 1e-12
     assert abs(z - x) <= 1e-9
+
+
+def _share_profile(k_a, k_b, k_rest, b2, s_hi, k0, k1, k2, s):
+    return split_max(k_a, k_b, k_rest, k0 + k1 * np.sqrt(s) + k2 * s, b2 * (s_hi - s))
+
+
+def test_coherent_max_matches_dense_sampling_and_golden_search():
+    rng = np.random.default_rng(33)
+    n = 400
+    k_a, k_b, k_rest, b2, k0, k1, k2 = rng.uniform(0.0, 3.0, size=(7, n))
+    s_hi = rng.uniform(0.0, 2.0, size=n)
+    # degenerate rows: u <= 0, w >= u, a dead relay (k1 = 0, and K = 0 too),
+    # zero share range, zero budget, and gain ratios of 1e+-12
+    k_a[:10] = k_rest[:10] * rng.uniform(0.0, 1.0, size=10)
+    k_b[10:20] = k_a[10:20] + rng.uniform(0.0, 1.0, size=10)
+    k1[20:30] = 0.0
+    k0[25:30] = k2[25:30] = 0.0
+    s_hi[30:35] = 0.0
+    b2[35:40] = 0.0
+    for rows, factor in ((slice(40, 50), 1e12), (slice(50, 60), 1e-12)):
+        k_a[rows] *= factor
+        k_b[rows] *= factor
+        k_rest[rows] *= factor
+    k1[60:65] *= 1e12
+    k1[65:70] *= 1e-12
+    k2[70:75] *= 1e-12
+    k0[75:80] *= 1e12
+    args = (k_a, k_b, k_rest, b2, s_hi, k0, k1, k2)
+
+    value, share, t = coherent_max(*args)
+    # the value is attained: it is the exact split at a feasible share
+    assert np.all((0.0 <= share) & (share <= s_hi))
+    exact, exact_t = _share_profile(*args, share)
+    np.testing.assert_array_equal(value, exact)
+    np.testing.assert_array_equal(t, exact_t)
+    # and it reaches the best of the dense samples and of the golden search
+    dense = _share_profile(*args, np.linspace(0.0, s_hi, DENSE))[0].max(axis=0)
+    golden, _ = concave_max(lambda s: _share_profile(*args, s)[0], np.zeros(n), s_hi)
+    reference = np.maximum(dense, golden)
+    assert np.all(value >= reference * (1.0 - 1e-13))
+
+
+def test_coherent_max_scalar_degenerate_cases():
+    # zero share range: the only share is 0
+    value, share, t = coherent_max(2.0, 1.0, 0.5, 3.0, 0.0, 1.0, 1.0, 1.0)
+    assert (float(share), float(t)) == (0.0, 0.0)
+    assert float(value) == float(split_max(2.0, 1.0, 0.5, 1.0, 0.0)[0])
+    # no budget to split (b2 = 0): every share gives min(0, K) = 0, and ties
+    # go to s = 0
+    value, share, _ = coherent_max(2.0, 1.0, 0.5, 0.0, 1.5, 1.0, 1.0, 1.0)
+    assert (float(value), float(share)) == (0.0, 0.0)
+    # a beam better on both bounds than coherent power: no share at all
+    value, share, t = coherent_max(3.0, 3.0, 1.0, 1.0, 2.0, 0.0, 0.0, 0.5)
+    assert (float(value), float(share), float(t)) == (6.0, 0.0, 2.0)
+
+
+# Channels whose optimal share sits at a steep kink next to its upper end,
+# where a share found in sqrt(s) or rounded from it loses the rate. On the
+# second the best shares are one and two ulps below the end (rate 3.24e-6),
+# and the end itself leaves no budget for the relay beam (rate 0).
+KINK_CHANNELS = [
+    gains_single_relay(1.0, 1.0, 1.0, (0, 0.25j), (0, 2.5e-5j), 2.5e-5j),
+    gains_single_relay(1e6, 1e6, 1e6, (1e6, 0), (1e-3, 0), 8e-4),
+]
+
+
+def test_coherent_max_resolves_kinks_next_to_the_end():
+    for cfg in KINK_CHANNELS:
+        power = optimize_capacity(cfg)
+        cov = optimize_covariance_bound(cfg)
+        for rate in (power.rate, cov.rate):
+            bound = power.upper_bound
+            assert bound * (1.0 - 1e-12) <= rate <= bound + rounding_slack(bound)
+    assert optimize_capacity(KINK_CHANNELS[1]).rate == pytest.approx(3.24e-6, rel=1e-12)

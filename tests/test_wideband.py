@@ -388,6 +388,18 @@ def test_conditional_limits_equal_atoms_carry_no_information():
         np.testing.assert_allclose(report.scaled_mi, 0.0, atol=1e-9)
 
 
+def test_conditional_limits_normalise_the_joint():
+    # a sum of probabilities 9e-10 above 1 is accepted; used as given it put
+    # every sweep about B * 9e-10 low, 9e-5 at B = 1e5
+    c = np.array([1.0, 0.0])
+    bandwidths = [1e3, 1e4, 1e5]
+    exact = check_conditional_limits(two_point_joint(), c, c, 1.0, bandwidths)
+    off = FiniteJoint(x=two_point_joint().x, y=[1.0, -1.0], probs=[0.5, 0.5 + 9e-10])
+    reports = check_conditional_limits(off, c, c, 1.0, bandwidths)
+    for got, want in ((reports.total, exact.total), (reports.marginal, exact.marginal)):
+        np.testing.assert_allclose(got.scaled_mi, want.scaled_mi, rtol=0.0, atol=1e-8)
+
+
 def _longdouble_oracle(joint, c1, c2, noise_psd, bandwidths, quad_order=40):
     """B*I(X;Y1), B*I(U;Y1) and B*I(X;Y2|U) from the checker's Gauss-Hermite
     sums, evaluated in np.longdouble in the textbook form: log-densities with
