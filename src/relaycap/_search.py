@@ -12,13 +12,13 @@ nests the same three steps:
   (the ends, the curved term's stationary point, and the kink where the two
   cross with its floating-point neighbours), each evaluated exactly by
   :func:`split_max`;
-* :func:`grid_refine` handles the outer coordinates (the beam angles of the
-  covariance search, which are not concave, and the dual multiplier of the
-  power-form search): a grid scan, then rounds of finer grids around the
-  best point.
+* :func:`grid_refine` handles the one outer coordinate of each optimizer
+  (the relay-block angle of the covariance search, which is not concave,
+  and the dual multiplier of the power-form search): a grid scan, then
+  rounds of finer grids around the best point.
 
-All three are vectorised: they take and return arrays, one entry per
-candidate, so a whole batch of angles costs one call.
+All three are vectorised: the kernels take and return arrays, one entry per
+candidate, and :func:`grid_refine` passes each stage's whole grid to one call.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import math
 
 import numpy as np
 
-# each refine round lays this many points per axis over two grid steps, so
-# the step shrinks 8-fold per round, by about 7e10 over all rounds
+# each refine round lays this many points over two grid steps, so the step
+# shrinks 8-fold per round, by about 7e10 over all rounds
 REFINE_POINTS = 17
 REFINE_ROUNDS = 12
 
@@ -119,34 +119,27 @@ def _kink_shares(c, b2, s_hi, k0, k1, k2):
     return s, np.nextafter(s, 0.0), np.nextafter(s, s_hi)
 
 
-def grid_refine(f, axes):
-    """Maximize ``f`` over a box by a grid scan refined around the best point.
+def grid_refine(f, axis):
+    """Maximize ``f`` over an interval by a grid scan refined around the best point.
 
-    ``axes`` holds one ascending, evenly spaced grid per coordinate (a single
-    point pins that coordinate); the box is their span.  ``f`` maps a tuple
-    of equally shaped coordinate arrays to the values there and is called
-    once per stage with the whole grid of that stage.  After the scan, each
-    of ``REFINE_ROUNDS`` rounds lays ``REFINE_POINTS`` points per axis over
-    one grid step either side of the best point so far, clipped to the box.
-    The result is never worse than the best scanned point.  Returns
-    ``(value, point)`` with ``point`` a tuple of floats.
+    ``axis`` is an ascending, evenly spaced grid of at least two points; the
+    interval is its span.  ``f`` maps an array of points to the values there
+    and is called once per stage with the whole grid of that stage.  After
+    the scan, each of ``REFINE_ROUNDS`` rounds lays ``REFINE_POINTS`` points
+    over one grid step either side of the best point so far, clipped to the
+    interval.  The result is never worse than the best scanned point.
+    Returns ``(value, point)`` as floats.
     """
-    axes = [np.asarray(axis, dtype=float) for axis in axes]
-    lows = [float(axis[0]) for axis in axes]
-    highs = [float(axis[-1]) for axis in axes]
-    steps = [(hi - lo) / (len(axis) - 1) if len(axis) > 1 else 0.0
-             for axis, lo, hi in zip(axes, lows, highs)]
-    best_value, best = -math.inf, tuple(lows)
+    axis = np.asarray(axis, dtype=float)
+    lo, hi = float(axis[0]), float(axis[-1])
+    step = (hi - lo) / (len(axis) - 1)
+    best_value, best = -math.inf, lo
     for round_ in range(REFINE_ROUNDS + 1):
         if round_:
-            if not any(steps):
-                break
-            axes = [np.linspace(max(lo, x - h), min(hi, x + h), REFINE_POINTS) if h
-                    else np.array([x]) for x, h, lo, hi in zip(best, steps, lows, highs)]
-            steps = [2.0 * h / (REFINE_POINTS - 1) for h in steps]
-        mesh = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
-        values = f(tuple(mesh))
+            axis = np.linspace(max(lo, best - step), min(hi, best + step), REFINE_POINTS)
+            step = 2.0 * step / (REFINE_POINTS - 1)
+        values = f(axis)
         pick = int(np.argmax(values))
         if values[pick] > best_value:
-            best_value, best = float(values[pick]), tuple(float(m[pick]) for m in mesh)
+            best_value, best = float(values[pick]), float(axis[pick])
     return best_value, best

@@ -153,10 +153,8 @@ class CapacityResult:
 
 # Scan grid of the dual multiplier lambda over [0, 1] in optimize_capacity.
 _MULTIPLIER_POINTS = 257
-# Scan grid of optimize_covariance_bound: relay-block angle over [-pi/2, pi/2]
-# and its residual weight over [0, 1].
+# Scan grid of the relay-block angle over [-pi/2, pi/2] in optimize_covariance_bound.
 _RELAY_ANGLE_POINTS = 133
-_RESIDUAL_POINTS = 9
 
 
 def _require_single_relay(cfg: ChannelConfig, mode: CsiMode, what: str) -> None:
@@ -277,7 +275,7 @@ def optimize_capacity(cfg: ChannelConfig) -> CapacityResult:
         return value, theta
 
     lams = np.linspace(0.0, 1.0, _MULTIPLIER_POINTS)
-    neg_bound, (lam,) = grid_refine(lambda point: -dual(point[0])[0], [lams])
+    neg_bound, lam = grid_refine(lambda lam: -dual(lam)[0], lams)
     thetas = np.array([float(dual(lam)[1]), alpha])
     values, pb1s, p21s = coherent_max(
         g21 * np.cos(alpha - thetas) ** 2, g31 * np.cos(thetas) ** 2, g31, 1.0, p1,
@@ -388,19 +386,25 @@ def _plane_basis(c21: np.ndarray, c31: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def optimize_covariance_bound(cfg: ChannelConfig) -> CapacityResult:
     """Maximize ``min(covariance_bounds)`` over covariance blocks.
 
-    Each block is a mixture of a rank-one beam in the plane spanned by the
-    gain vectors and an isotropic residual.  The destination block and the
-    coherent beam are pinned to ``c31``: the destination block's trace
-    enters both bounds with the same gain, and the coherent gain only adds
-    to the MAC bound, so aligning either with ``c31`` is optimal.  The
-    relay block's angle and residual weight are scanned on a grid and
-    refined (:func:`~relaycap._search.grid_refine`); at each candidate the
-    coherent share ``s = beta**2`` and the trace split between the two
-    blocks are solved exactly by :func:`~relaycap._search.coherent_max`,
-    the kernel :func:`optimize_capacity` runs over ``pb1``.  The residual
-    weight comes out at zero, confirming that rank-one blocks suffice, but
-    it is searched rather than assumed.  The result is replayed through
-    :func:`covariance_bounds`.
+    Each block is a rank-one beam in the plane spanned by the gain vectors.
+    The destination block and the coherent beam are pinned to ``c31``: the
+    destination block's trace enters both bounds with the same gain, and
+    the coherent gain only adds to the MAC bound, so aligning either with
+    ``c31`` is optimal.  The relay block's angle is scanned on a grid and
+    refined (:func:`~relaycap._search.grid_refine`), then the beams pointed
+    at the relay and at the destination are tried too, as a narrow peak can
+    fall between grid points; at each candidate the coherent share ``s =
+    beta**2`` and the trace split between the two blocks are solved exactly
+    by :func:`~relaycap._search.coherent_max`, the kernel
+    :func:`optimize_capacity` runs over ``pb1``.  The result is replayed
+    through :func:`covariance_bounds`.
+
+    Rank one loses nothing.  A relay block ``(1 - eta) beam(phi) + eta
+    I/2`` has the gains ``(1 - eta/2) k(phi) + (eta/2) k(phi + pi/2)``,
+    where ``k(phi) = (g21 cos(phi)**2, g31 cos(phi - alpha)**2)`` is affine
+    in ``(cos 2 phi, sin 2 phi)`` and so traces an ellipse: the mixture's
+    gains lie in the filled ellipse.  ``coherent_max`` never decreases in
+    either gain, so its maximum over the filled ellipse lies on the curve.
     """
     _require_single_relay(cfg, CsiMode.SYNCHRONOUS, "optimize_covariance_bound")
     g21, g31, m32, alpha, p1, p2 = _single_relay_geometry(cfg)
@@ -412,27 +416,28 @@ def optimize_covariance_bound(cfg: ChannelConfig) -> CapacityResult:
     relay_gain = m32 ** 2 * p2
     coherent_amp = 2.0 * m32 * math.sqrt(p1 * p2 * g31)
 
-    def best_over_share(phi_a: np.ndarray, eta_a: np.ndarray):
-        """Exact max over s and the trace split per relay block; returns (value, s, trace_a).
+    def best_over_share(phi_a: np.ndarray):
+        """Exact max over s and the trace split per relay-block angle; returns (value, s, trace_a).
 
         In s the split-maximized bound is concave: the MAC bound gains
         p1*s plus a sqrt(s) term, the rest is affine on the budget simplex.
         """
-        k_rd = (1.0 - eta_a) * g21 * np.cos(phi_a) ** 2 + eta_a * g21 / 2.0
-        k_rd_dest = (1.0 - eta_a) * g31 * np.cos(phi_a - alpha) ** 2 + eta_a * g31 / 2.0
+        k_rd = g21 * np.cos(phi_a) ** 2
+        k_rd_dest = g31 * np.cos(phi_a - alpha) ** 2
         return coherent_max(k_rd, k_rd_dest, g31, p1, 1.0, relay_gain, coherent_amp, p1 * g31)
 
     angles = np.linspace(-math.pi / 2.0, math.pi / 2.0, _RELAY_ANGLE_POINTS)
-    residuals = np.linspace(0.0, 1.0, _RESIDUAL_POINTS)
-    _, (phi_a, eta_a) = grid_refine(lambda point: best_over_share(*point)[0], [angles, residuals])
-    value, share, trace_a = (float(x) for x in best_over_share(np.array(phi_a), np.array(eta_a)))
+    _, phi = grid_refine(lambda phi_a: best_over_share(phi_a)[0], angles)
+    phis = np.array([phi, 0.0, alpha])
+    values, shares, traces = best_over_share(phis)
+    best = int(np.argmax(values))
+    value, share, trace_a, phi_a = (float(v[best]) for v in (values, shares, traces, phis))
     beta = math.sqrt(share)
     trace_b = p1 * (1.0 - share) - trace_a
 
-    def beam_matrix(phi: float, eta: float, trace: float) -> np.ndarray:
+    def beam_matrix(phi: float, trace: float) -> np.ndarray:
         direction = math.cos(phi) * e1 + math.sin(phi) * e2
-        shape = (1.0 - eta) * np.outer(direction, direction.conj()) + eta * np.eye(2) / 2.0
-        return trace * shape * n0
+        return trace * np.outer(direction, direction.conj()) * n0
 
     u = math.cos(alpha) * e1 + math.sin(alpha) * e2
     # the coherent phase is free; rotate u so the cross term adds
@@ -440,8 +445,8 @@ def optimize_covariance_bound(cfg: ChannelConfig) -> CapacityResult:
     if abs(twist) > 0.0:
         u = u * np.exp(-1j * np.angle(twist))
     params = MatrixBoundParams(
-        a=beam_matrix(phi_a, eta_a, trace_a),
-        b=beam_matrix(alpha, 0.0, max(trace_b, 0.0)),
+        a=beam_matrix(phi_a, trace_a),
+        b=beam_matrix(alpha, max(trace_b, 0.0)),
         beta=beta,
         u=u,
     )

@@ -132,7 +132,6 @@ def _cmd_region(args: argparse.Namespace) -> int:
             [
                 ("max_gap", _fmt(report.max_gap)),
                 ("rate_resolution", _fmt(report.rate_resolution)),
-                ("matching_slack", _fmt(report.rate_resolution)),
                 ("steps", str(report.steps)),
                 ("worst_r2", _fmt(report.worst_demand.r2)),
                 ("worst_r3", _fmt(report.worst_demand.r3)),

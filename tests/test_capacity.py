@@ -320,12 +320,14 @@ def test_covariance_optimizer_zero_source_power():
 
 def test_covariance_optimizer_never_beaten_by_free_grid():
     # optimize_covariance_bound pins the destination block and the coherent
-    # beam to c31 by a monotonicity argument; a grid over all three beam
-    # angles and the coherent fraction, with the trace split solved at its
-    # candidate points (both ends and the crossing of the two bounds), must
-    # never find more
+    # beam to c31 by a monotonicity argument and keeps the relay block rank
+    # one by an ellipse argument; a grid over all three beam angles, the
+    # relay block's isotropic weight and the coherent fraction, with the
+    # trace split solved at its candidate points (both ends and the crossing
+    # of the two bounds), must never find more
     rng = np.random.default_rng(21)
     angles = np.linspace(-math.pi / 2.0, math.pi / 2.0, 33)
+    eta = np.linspace(0.0, 1.0, 9)[None, None, None, :]
     for cfg in [random_single_relay(rng) for _ in range(6)] + [
         single_relay_config(p1=2.0, p2=0.0, alpha=0.7, scale21=2.0),
         single_relay_config(p1=2.0, p2=1.0, alpha=math.pi / 2.0, c32=0.0, scale21=1.5),
@@ -335,10 +337,11 @@ def test_covariance_optimizer_never_beaten_by_free_grid():
         alpha = angle_between(c21, c31)
         m32 = abs(cfg.scalar_gain("c32"))
         p1, p2 = cfg.powers["P1"] / cfg.noise_psd, cfg.powers["P2"] / cfg.noise_psd
-        k_rd = (g21 * np.cos(angles) ** 2)[:, None, None]
-        k_rd_dest = (g31 * np.cos(angles - alpha) ** 2)[:, None, None]
-        k_dest = (g31 * np.cos(angles - alpha) ** 2)[None, :, None]
-        coherent = (g31 * np.cos(angles - alpha) ** 2)[None, None, :]
+        relay_angles = angles[:, None, None, None]
+        k_rd = (1.0 - eta) * g21 * np.cos(relay_angles) ** 2 + eta * g21 / 2.0
+        k_rd_dest = (1.0 - eta) * g31 * np.cos(relay_angles - alpha) ** 2 + eta * g31 / 2.0
+        k_dest = (g31 * np.cos(angles - alpha) ** 2)[None, :, None, None]
+        coherent = (g31 * np.cos(angles - alpha) ** 2)[None, None, :, None]
         best = 0.0
         for beta in np.linspace(0.0, 1.0, 33):
             budget = p1 * (1.0 - beta ** 2)

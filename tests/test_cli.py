@@ -140,6 +140,7 @@ def test_region_broadcast_gap(diamond_fading_config, capsys):
                  "--steps", "8"])
     assert code == EXIT_OK
     kv = parse_kv(capsys.readouterr().out)
+    assert list(kv) == ["max_gap", "rate_resolution", "steps", "worst_r2", "worst_r3", "worst_r_sum"]
     assert float(kv["max_gap"]) <= 2.0 * float(kv["rate_resolution"])
     assert kv["steps"] == "8"
 

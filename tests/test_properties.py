@@ -92,6 +92,10 @@ def test_dual_bound_certifies_the_rate(cfg):
     assert result.upper_bound - result.rate <= 1e-9 * result.upper_bound
 
 
+# A narrow peak in the relay-block angle that the angle scan steps over; the
+# relay block's beam pointed along c31 (phi = alpha) reaches it.
+@example(gains_single_relay(1e6, 100.0, 0.01, (-5000 - 7500j, 7500), (-500 - 250j, -250 + 1000j),
+                            2.5e-6 - 2.5e-6j))
 @with_flat_dual_examples
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
 @given(st.one_of(planar_channels(), complex_channels()))
@@ -100,7 +104,7 @@ def test_dual_bound_certifies_the_covariance_rate(cfg):
     # (C3) would miss a bug in it; the power route's dual bound would not
     bound = optimize_capacity(cfg).upper_bound
     rate = optimize_covariance_bound(cfg).rate
-    assert bound * (1.0 - 1e-9) <= rate <= bound + rounding_slack(bound)
+    assert bound * (1.0 - 1e-12) <= rate <= bound + rounding_slack(bound)
 
 
 FADING_BANDWIDTHS = np.logspace(-3, 8, 12)
