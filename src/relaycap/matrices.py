@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 HERMITIAN_TOL = 1e-12
+_ORDER_TOL = 1e-9  # eigenvalue threshold of the semidefinite order, and var[Y]'s floor
 
 
 def _as_square(m) -> np.ndarray:
@@ -89,8 +90,8 @@ class LoewnerVerdict:
         return self.relation is not LoewnerRelation.INDEFINITE
 
 
-def loewner_compare(a, b, tol: float = 1e-9) -> LoewnerVerdict:
-    """Classify a - b by the sign of its minimum eigenvalue against +-tol.
+def loewner_compare(a, b) -> LoewnerVerdict:
+    """Classify a - b by the sign of its minimum eigenvalue against tol = 1e-9.
 
     min eig > tol: strictly greater; |min eig| <= tol: greater or equal
     within tolerance; min eig < -tol: not comparable in this direction
@@ -101,9 +102,9 @@ def loewner_compare(a, b, tol: float = 1e-9) -> LoewnerVerdict:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     lam = float(eigenvalues_ascending(a - b)[0])
-    if lam > tol:
+    if lam > _ORDER_TOL:
         relation = LoewnerRelation.STRICTLY_GREATER
-    elif lam >= -tol:
+    elif lam >= -_ORDER_TOL:
         relation = LoewnerRelation.GREATER_OR_EQUAL
     else:
         relation = LoewnerRelation.INDEFINITE
@@ -163,7 +164,7 @@ class CovBoundReport:
         return self.verdict.is_ordered
 
 
-def _exact_cov_bound(joint: FiniteJoint, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _exact_cov_bound(joint: FiniteJoint) -> tuple[np.ndarray, np.ndarray]:
     x, y, p = joint.x, joint.y, joint.probs
     mean_x = p @ x
     xc = x - mean_x
@@ -184,7 +185,7 @@ def _exact_cov_bound(joint: FiniteJoint, tol: float) -> tuple[np.ndarray, np.nda
     mean_y = p @ y
     yc = y - mean_y
     var_y = float(np.real(p @ (yc * yc.conj())))
-    if var_y <= tol:
+    if var_y <= _ORDER_TOL:
         raise ValueError("var[Y] is zero; the bound requires a non-degenerate Y")
     cross = np.einsum("k,ki,k->i", p, xc, yc.conj())
     rhs = cov_x - np.outer(cross, cross.conj()) / var_y
@@ -196,7 +197,6 @@ def conditional_cov_bound_check(
     num_samples: int = 200_000,
     rng_seed: int | None = None,
     num_bins: int = 32,
-    tol: float = 1e-9,
 ) -> CovBoundReport:
     """Check E_Y cov[X|Y] <= cov[X] - cov[X,Y] cov[X,Y]^H / var[Y].
 
@@ -204,7 +204,8 @@ def conditional_cov_bound_check(
     support) or a callable sampler(rng, n) -> (X, Y) for continuous test
     distributions; sampled draws are binned on Y into equal-count bins (bin
     mean as the conditioning value) and the empirical measure is then checked
-    exactly, so no statistical tolerance enters the verdict.
+    exactly, so no statistical tolerance enters the verdict. The verdict and
+    the floor on var[Y] use the fixed tolerance 1e-9 of :func:`loewner_compare`.
     """
     sampled = not isinstance(joint, FiniteJoint)
     if sampled:
@@ -223,6 +224,6 @@ def conditional_cov_bound_check(
             if idx.size:
                 y_binned[idx] = y[idx].mean()
         joint = FiniteJoint(x=x, y=y_binned, probs=np.full(y.size, 1.0 / y.size))
-    lhs, rhs = _exact_cov_bound(joint, tol)
-    verdict = loewner_compare(rhs, lhs, tol)
+    lhs, rhs = _exact_cov_bound(joint)
+    verdict = loewner_compare(rhs, lhs)
     return CovBoundReport(lhs=lhs, rhs=rhs, verdict=verdict, sampled=sampled)

@@ -206,8 +206,8 @@ def _stream_rates(g2, g3, p1c, p2c, p12, p22, p13, p23):
 
     Returns ``(common2, common3, rc, private2, private3)``: the common
     stream's rate at relays 2 and 3, the rate ``rc`` at which both decode it,
-    and each private stream's rate at its own relay.  Common and private
-    powers may be arrays of different lengths.
+    and each private stream's rate at its own relay.  The powers may be
+    arrays of any shapes that broadcast together.
     """
     common2 = g2[0] * p1c + g2[1] * p2c
     common3 = g3[0] * p1c + g3[1] * p2c
@@ -323,35 +323,34 @@ def _masked_stream_rates(g2, g3, b1: float, b2: float, steps: int, common1, comm
     """Stream rates over a power grid, one common-power pair at a time.
 
     Each private stream's powers run over ``steps`` points per antenna on
-    ``[0, P]``; the common powers over ``common1`` x ``common2``.  For each
-    common pair this yields :func:`_stream_rates` with the private rates
-    restricted to the grid points that keep both antenna budgets and on which
-    a negative common power cancels only private power on its own antenna.
+    ``[0, P]``; the common powers over ``common1`` x ``common2``.  Whether an
+    antenna keeps its budget, with a negative common power cancelling only its
+    own private power, is tabulated once per antenna over (common, private,
+    private); a common pair's mask is the product of one row of each table.
+    For each pair with a kept point this yields :func:`_stream_rates` with the
+    private rates at the kept points, flattened in (p12, p22, p13, p23) order.
     """
-    private1 = np.linspace(0.0, b1, steps)
-    private2 = np.linspace(0.0, b2, steps)
-    p12, p22, p13, p23 = (
-        arr.ravel() for arr in np.meshgrid(private1, private2, private1, private2, indexing="ij")
+
+    def feasible(common, budget):
+        private = np.linspace(0.0, budget, steps)
+        slack = rounding_slack(budget)
+        common = common[:, None, None]
+        # rounding is monotone, so c + min(p, q) >= -slack holds exactly
+        # when both c + p and c + q do
+        fits = common + np.add.outer(private, private) <= budget + slack
+        return private, fits & (common + np.minimum.outer(private, private) >= -slack)
+
+    private1, table1 = feasible(common1, b1)
+    private2, table2 = feasible(common2, b2)
+    c2, c3, rc, q2, q3 = _stream_rates(
+        g2, g3, *np.ix_(common1, common2), *np.ix_(private1, private2, private1, private2)
     )
-    p1c, p2c = (arr.ravel() for arr in np.meshgrid(common1, common2, indexing="ij"))
-    c2, c3, rc, q2, q3 = _stream_rates(g2, g3, p1c, p2c, p12, p22, p13, p23)
-    spent1 = p12 + p13
-    spent2 = p22 + p23
-    # rounding is monotone, so p1c + min(p12, p13) >= -slack1 holds exactly
-    # when both p1c + p12 and p1c + p13 do
-    least1 = np.minimum(p12, p13)
-    least2 = np.minimum(p22, p23)
-    slack1 = rounding_slack(b1)
-    slack2 = rounding_slack(b2)
-    for k in range(p1c.size):
-        keep = (
-            (p1c[k] + spent1 <= b1 + slack1)
-            & (p2c[k] + spent2 <= b2 + slack2)
-            & (p1c[k] + least1 >= -slack1)
-            & (p2c[k] + least2 >= -slack2)
-        )
+    q2 = np.broadcast_to(q2, (steps,) * 4).copy()
+    q3 = np.broadcast_to(q3, (steps,) * 4).copy()
+    for i, j in np.ndindex(c2.shape):
+        keep = table1[i][:, None, :, None] & table2[j][:, None, :]
         if keep.any():
-            yield c2[k], c3[k], rc[k], q2[keep], q3[keep]
+            yield c2[i, j], c3[i, j], rc[i, j], q2[keep], q3[keep]
 
 
 def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapReport:

@@ -54,6 +54,8 @@ __all__ = [
 DEFAULT_BANDWIDTHS = (1e1, 1e2, 1e3, 1e4, 1e5)
 
 _PHASE_CHUNK = 1_000_000
+_REL_TOL = 1e-3  # convergence threshold, relative to the target
+_QUAD_ORDER = 40  # Gauss-Hermite nodes per axis on the quadrature path
 
 
 def gaussian_scaled_mi(signal_var: float, noise_psd: float, bandwidth: float) -> float:
@@ -75,8 +77,8 @@ class LimitCheckReport:
     """One bandwidth sweep of B * I values against a variance-ratio target.
 
     tolerance is the absolute threshold the convergence flag was judged
-    against (relative tolerance times the target, or the raw tolerance for a
-    zero target). standard_errors is populated by the checkers that can
+    against: the fixed relative tolerance 1e-3 times the target, or 1e-3 for
+    a zero target. standard_errors is populated by the checkers that can
     sample (all 0 where the phase-fading checker was exact).
     """
 
@@ -115,8 +117,8 @@ def _validate_noise_psd(noise_psd) -> None:
         raise ValueError(f"noise_psd must be finite and positive, got {noise_psd}")
 
 
-def _finish_report(bandwidths, values, target, rel_tol, ses=None) -> LimitCheckReport:
-    abs_tol = rel_tol * abs(target) if target != 0.0 else rel_tol
+def _finish_report(bandwidths, values, target, ses=None) -> LimitCheckReport:
+    abs_tol = _REL_TOL * abs(target) if target != 0.0 else _REL_TOL
     err = float(abs(values[-1] - target))
     return LimitCheckReport(
         bandwidths=bandwidths,
@@ -135,7 +137,6 @@ def check_limit_constant_phase(
     noise_psd: float,
     bandwidths=DEFAULT_BANDWIDTHS,
     covariance=None,
-    rel_tol: float = 1e-3,
 ) -> LimitCheckReport:
     """Sweep B * I for a Gaussian input on a constant-phase vector channel.
 
@@ -143,6 +144,7 @@ def check_limit_constant_phase(
     rank-one matrix aligned with the gain vector carrying the full budget
     sum(input_var), the maximizer of var[c^H X] under a trace constraint;
     pass an explicit Hermitian PSD covariance to check any other input.
+    Convergence is judged at the fixed relative tolerance 1e-3.
     """
     c = np.asarray(gains, dtype=complex).reshape(-1)
     var = np.asarray(input_var, dtype=float).reshape(-1)
@@ -171,7 +173,7 @@ def check_limit_constant_phase(
     signal_var = max(signal_var, 0.0)
     target = signal_var / noise_psd
     values = [gaussian_scaled_mi(signal_var, noise_psd, bk) for bk in b]
-    return _finish_report(b, values, target, rel_tol)
+    return _finish_report(b, values, target)
 
 
 def check_limit_phase_fading(
@@ -182,7 +184,6 @@ def check_limit_phase_fading(
     num_phase_samples: int = 100_000,
     *,
     rng_seed: int,
-    rel_tol: float = 1e-3,
 ) -> LimitCheckReport:
     """Sweep the phase-averaged B * I against sum |c_i|^2 var_i / N0.
 
@@ -205,7 +206,8 @@ def check_limit_phase_fading(
     exactly known mean sum |c_i|^2 var_i (uniform phases kill every cross
     term), so removing its linear contribution leaves only the curvature of
     log1p as noise. The estimate stays unbiased; the reported standard
-    errors are those of the corrected samples.
+    errors are those of the corrected samples. Convergence is judged at the
+    fixed relative tolerance 1e-3.
     """
     gains = np.asarray(gain_mags, dtype=complex).reshape(-1)
     # hypot, unlike abs of a complex array, rounds alike whatever the memory
@@ -231,7 +233,7 @@ def check_limit_phase_fading(
 
     if amps.size <= 2:
         values = b * _last_phase_average(first, last, noise_psd * b)
-        return _finish_report(b, values, target, rel_tol, ses=np.zeros(b.size))
+        return _finish_report(b, values, target, ses=np.zeros(b.size))
 
     middle = amps[1:-1]
     streams = np.random.SeedSequence(rng_seed).spawn(b.size)
@@ -262,7 +264,7 @@ def check_limit_phase_fading(
         var_est = max(total_sq / num_phase_samples - (mean - centre) ** 2, 0.0)
         values[idx] = mean
         ses[idx] = math.sqrt(var_est / num_phase_samples)
-    return _finish_report(b, values, target, rel_tol, ses=ses)
+    return _finish_report(b, values, target, ses=ses)
 
 
 def _last_phase_average(w_abs, a, s):
@@ -373,14 +375,14 @@ def _mi_components(s, probs, inverse, group_p, sigma_sq, noise, work, full=True)
     return means, None if weights is not None else np.sqrt(variances)
 
 
-@functools.lru_cache(maxsize=4)
-def _unit_gauss_hermite(order: int):
-    """Product Gauss-Hermite rule of the given order per axis for E f(z),
+@functools.cache
+def _unit_gauss_hermite():
+    """Product Gauss-Hermite rule of order _QUAD_ORDER per axis for E f(z),
     z circularly symmetric complex Gaussian of unit variance: the nodes as a
     (2, order^2) array of real and imaginary parts, and their weights, both
-    read-only. Cached because the nodes cost about 1 ms at the default
-    order 40, a third of a whole four-atom quadrature check."""
-    nodes, node_weights = np.polynomial.hermite.hermgauss(order)
+    read-only. Cached because the nodes cost about 1 ms, a third of a whole
+    four-atom quadrature check."""
+    nodes, node_weights = np.polynomial.hermite.hermgauss(_QUAD_ORDER)
     points = np.stack((np.repeat(nodes, nodes.size), np.tile(nodes, nodes.size)))
     weights = np.outer(node_weights, node_weights).ravel() / np.pi
     points.setflags(write=False)
@@ -401,18 +403,17 @@ def check_conditional_limits(
     noise_psd: float,
     bandwidths=DEFAULT_BANDWIDTHS,
     *,
-    quad_order: int = 40,
     max_quadrature_support: int = 16,
     mc_samples: int = 100_000,
     rng_seed: int = 0,
-    rel_tol: float = 1e-3,
 ) -> ConditionalLimitReports:
     """Verify the conditional wideband limits for a finite joint (U, X).
 
     X are the vector atoms of the joint, U its labels. Mutual informations
-    are computed exactly (2-D Gauss-Hermite products of order quad_order)
-    when the support has at most max_quadrature_support atoms, by seeded
-    Monte Carlo with mc_samples draws per atom otherwise.
+    are computed exactly (2-D Gauss-Hermite products of order 40) when the
+    support has at most max_quadrature_support atoms, by seeded Monte Carlo
+    with mc_samples draws per atom otherwise. Convergence is judged at the
+    fixed relative tolerance 1e-3.
 
     Each bandwidth runs one full pass over s1 = X c1^* for total and
     marginal, and a pass over s2 = X c2^* for conditional that evaluates
@@ -432,8 +433,6 @@ def check_conditional_limits(
         )
     if not (np.all(np.isfinite(c1)) and np.all(np.isfinite(c2))):
         raise ValueError("gain vectors c1 and c2 must be finite")
-    if quad_order < 1:
-        raise ValueError(f"quad_order must be >= 1, got {quad_order}")
     if mc_samples < 2:
         raise ValueError(f"mc_samples must be >= 2, got {mc_samples}")
     _validate_noise_psd(noise_psd)
@@ -466,7 +465,7 @@ def check_conditional_limits(
 
     use_mc = probs.size > max_quadrature_support
     streams = np.random.SeedSequence(rng_seed).spawn(b.size)
-    unit_nodes, unit_weights = _unit_gauss_hermite(quad_order)
+    unit_nodes, unit_weights = _unit_gauss_hermite()
     points = np.empty((2, mc_samples)) if use_mc else None
     work = np.empty((mc_samples if use_mc else unit_weights.size) * probs.size)
 
@@ -505,7 +504,7 @@ def check_conditional_limits(
             ses[:, idx] = bk * errs
 
     def report(row, target):
-        return _finish_report(b, vals[row], target, rel_tol, ses=None if ses is None else ses[row])
+        return _finish_report(b, vals[row], target, ses=None if ses is None else ses[row])
 
     return ConditionalLimitReports(
         marginal=report(1, target_marginal),

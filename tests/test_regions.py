@@ -2,6 +2,7 @@
 the minimum-power formula."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from relaycap import (
     max_min_beam_gain,
     min_power,
 )
-from relaycap.regions import _suffix_max
+from relaycap.channel import rounding_slack
+from relaycap.regions import _broadcast_gains, _masked_stream_rates, _stream_rates, _suffix_max
 
 from helpers import diamond_config, single_relay_config
 
@@ -269,6 +271,9 @@ _GAP_PINNED = [
     ("crossed", 8, 0.0, 0.44571428571428573, (1.5, 1.62, 3.12)),
     ("noisy", 4, 0.0, 0.8666159873333333, (1.3060712500000002, 1.293776712, 2.599847962)),
     ("noisy", 8, 0.0, 0.3714068517142858, (1.3060712500000005, 1.293776712, 2.599847962)),
+    ("dominated", 12, 0.0, 0.23454545454545456, (0.0, 2.58, 2.58)),
+    ("crossed", 12, 0.0, 0.28363636363636363, (1.5, 1.62, 3.12)),
+    ("noisy", 12, 0.0, 0.23634981472727273, (1.3060712500000002, 1.293776712, 2.599847962)),
 ]
 
 
@@ -279,6 +284,60 @@ def test_broadcast_gap_pinned_values(name, steps, max_gap, resolution, worst):
     assert report.rate_resolution == resolution
     demand = report.worst_demand
     assert (demand.r2, demand.r3, demand.r_sum) == worst
+
+
+def _pointwise_masked_rates(g2, g3, b1, b2, steps, common1, common2):
+    """The sweep's admission rule checked point by point over the flattened
+    (p12, p22, p13, p23) grid, one common pair at a time."""
+    private1 = np.linspace(0.0, b1, steps)
+    private2 = np.linspace(0.0, b2, steps)
+    p12, p22, p13, p23 = (
+        arr.ravel() for arr in np.meshgrid(private1, private2, private1, private2, indexing="ij")
+    )
+    slack1 = rounding_slack(b1)
+    slack2 = rounding_slack(b2)
+    for p1c in common1:
+        for p2c in common2:
+            keep = (
+                (p1c + (p12 + p13) <= b1 + slack1)
+                & (p2c + (p22 + p23) <= b2 + slack2)
+                & (p1c + np.minimum(p12, p13) >= -slack1)
+                & (p2c + np.minimum(p22, p23) >= -slack2)
+            )
+            if keep.any():
+                yield _stream_rates(g2, g3, p1c, p2c, p12[keep], p22[keep], p13[keep], p23[keep])
+
+
+@pytest.mark.parametrize("steps", [3, 4, 5])
+@pytest.mark.parametrize("outer", [False, True])
+def test_masked_stream_rates_match_pointwise_rule(steps, outer):
+    # the first-argmax worst_demand depends on the order of the kept points
+    b1, b2 = 1.5, 0.7
+    g2, g3 = _broadcast_gains(diamond_config(p1=b1, p2=b2, c21=(1.0, 0.2), c31=(0.3, 0.9)))
+    if outer:
+        commons = np.linspace(-b1, b1, 2 * steps - 1), np.linspace(-b2, b2, 2 * steps - 1)
+    else:
+        commons = np.linspace(0.0, b1, steps), np.linspace(0.0, b2, steps)
+    got = list(_masked_stream_rates(g2, g3, b1, b2, steps, *commons))
+    want = list(_pointwise_masked_rates(g2, g3, b1, b2, steps, *commons))
+    assert len(got) == len(want)
+    for got_rates, want_rates in zip(got, want):
+        for got_part, want_part in zip(got_rates, want_rates):
+            np.testing.assert_array_equal(got_part, want_part)
+
+
+def test_broadcast_gap_memory_stays_small():
+    # only the two private rates span the steps^4 grid (0.5 MB each at
+    # steps 16); a per-point mask over that grid would need about 8 MB
+    cfg = diamond_config()
+    broadcast_region_gap(cfg, steps=16)  # warm-up
+    tracemalloc.start()
+    try:
+        broadcast_region_gap(cfg, steps=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 def test_broadcast_gap_validation():

@@ -373,8 +373,6 @@ def test_conditional_limits_rejects_bad_settings():
             check_conditional_limits(joint, np.array([bad, 0.6]), c, 1.0)
         with pytest.raises(ValueError, match="finite"):
             check_conditional_limits(joint, c, np.array([1.0, complex(0.0, bad)]), 1.0)
-    with pytest.raises(ValueError, match="quad_order"):
-        check_conditional_limits(joint, c, c, 1.0, quad_order=0)
 
 
 def test_conditional_limits_equal_atoms_carry_no_information():
