@@ -390,12 +390,12 @@ def optimize_covariance_bound(cfg: ChannelConfig) -> CapacityResult:
     The destination block and the coherent beam are pinned to ``c31``: the
     destination block's trace enters both bounds with the same gain, and
     the coherent gain only adds to the MAC bound, so aligning either with
-    ``c31`` is optimal.  The relay block's angle is scanned on a grid and
-    refined (:func:`~relaycap._search.grid_refine`), then the beams pointed
-    at the relay and at the destination are tried too, as a narrow peak can
-    fall between grid points; at each candidate the coherent share ``s =
-    beta**2`` and the trace split between the two blocks are solved exactly
-    by :func:`~relaycap._search.coherent_max`, the kernel
+    ``c31`` is optimal.  The relay block's angle is scanned on a grid over
+    ``[0, alpha]`` and refined (:func:`~relaycap._search.grid_refine`); the
+    scan's ends are the beams pointed at the relay and at the destination,
+    so a narrow peak there is not missed.  At each angle the coherent share
+    ``s = beta**2`` and the trace split between the two blocks are solved
+    exactly by :func:`~relaycap._search.coherent_max`, the kernel
     :func:`optimize_capacity` runs over ``pb1``.  The result is replayed
     through :func:`covariance_bounds`.
 
@@ -405,6 +405,13 @@ def optimize_covariance_bound(cfg: ChannelConfig) -> CapacityResult:
     in ``(cos 2 phi, sin 2 phi)`` and so traces an ellipse: the mixture's
     gains lie in the filled ellipse.  ``coherent_max`` never decreases in
     either gain, so its maximum over the filled ellipse lies on the curve.
+
+    Nor does a beam at an angle outside ``[0, alpha]`` (every beam has one
+    in ``[-pi/2, pi/2]``, and ``alpha`` lies in ``[0, pi/2]``).  Moving
+    ``phi < 0`` to ``|phi|`` keeps the relay gain and cannot lower the
+    destination gain, as ``cos(a - b)**2 - cos(a + b)**2 = sin(2 a) sin(2
+    b) >= 0`` for ``a, b`` in ``[0, pi/2]``; moving ``phi > alpha`` to
+    ``alpha`` raises both gains.
     """
     _require_single_relay(cfg, CsiMode.SYNCHRONOUS, "optimize_covariance_bound")
     g21, g31, m32, alpha, p1, p2 = _single_relay_geometry(cfg)
@@ -426,12 +433,9 @@ def optimize_covariance_bound(cfg: ChannelConfig) -> CapacityResult:
         k_rd_dest = g31 * np.cos(phi_a - alpha) ** 2
         return coherent_max(k_rd, k_rd_dest, g31, p1, 1.0, relay_gain, coherent_amp, p1 * g31)
 
-    angles = np.linspace(-math.pi / 2.0, math.pi / 2.0, _RELAY_ANGLE_POINTS)
-    _, phi = grid_refine(lambda phi_a: best_over_share(phi_a)[0], angles)
-    phis = np.array([phi, 0.0, alpha])
-    values, shares, traces = best_over_share(phis)
-    best = int(np.argmax(values))
-    value, share, trace_a, phi_a = (float(v[best]) for v in (values, shares, traces, phis))
+    angles = np.linspace(0.0, alpha, _RELAY_ANGLE_POINTS)
+    _, phi_a = grid_refine(lambda phi_a: best_over_share(phi_a)[0], angles)
+    value, share, trace_a = (float(v[0]) for v in best_over_share(np.array([phi_a])))
     beta = math.sqrt(share)
     trace_b = p1 * (1.0 - share) - trace_a
 

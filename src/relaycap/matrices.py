@@ -2,7 +2,8 @@
 
 Everything here operates on plain numpy arrays. 1x1 and 2x2 eigenvalues use
 the closed trace/determinant form so the core comparisons stay dependency
-free; larger matrices fall back to numpy's Hermitian solver.
+free; larger matrices fall back to numpy's Hermitian solver. Each public
+function validates its input once and then calls the unchecked kernel.
 """
 
 from __future__ import annotations
@@ -37,17 +38,12 @@ def _as_square(m) -> np.ndarray:
     return arr
 
 
-def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
-    """True if every entry of m - m^H has magnitude at most tol."""
-    arr = _as_square(m)
-    return bool(np.max(np.abs(arr - arr.conj().T)) <= tol)
+def _hermitian_gap(arr: np.ndarray) -> float:
+    return float(np.max(np.abs(arr - arr.conj().T)))
 
 
-def eigenvalues_ascending(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted ascending."""
-    arr = _as_square(m)
-    if not is_hermitian(arr, tol):
-        raise ValueError("matrix is not Hermitian within tolerance")
+def _eigvalsh(arr: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a square array taken as Hermitian; no checks."""
     n = arr.shape[0]
     if n == 1:
         return np.array([arr[0, 0].real])
@@ -61,13 +57,26 @@ def eigenvalues_ascending(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return np.linalg.eigvalsh(arr)
 
 
+def is_hermitian(m) -> bool:
+    """True if every entry of m - m^H has magnitude at most HERMITIAN_TOL."""
+    return _hermitian_gap(_as_square(m)) <= HERMITIAN_TOL
+
+
+def eigenvalues_ascending(m) -> np.ndarray:
+    """Real eigenvalues of a Hermitian matrix (within HERMITIAN_TOL), sorted ascending."""
+    arr = _as_square(m)
+    if _hermitian_gap(arr) > HERMITIAN_TOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return _eigvalsh(arr)
+
+
 def require_psd(m, tol: float, name: str = "matrix") -> None:
     """Raise ValueError unless m is Hermitian and positive semidefinite within tol."""
     arr = _as_square(m)
-    gap = float(np.max(np.abs(arr - arr.conj().T)))
+    gap = _hermitian_gap(arr)
     if gap > tol:
         raise ValueError(f"{name} is not Hermitian (gap {gap:.3e})")
-    lam = float(eigenvalues_ascending(arr, tol)[0])
+    lam = float(_eigvalsh(arr)[0])
     if lam < -tol:
         raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {lam:.3e})")
 
@@ -101,6 +110,7 @@ def loewner_compare(a, b) -> LoewnerVerdict:
     b = _as_square(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    # the difference is checked again: it can overflow, and it must be Hermitian
     lam = float(eigenvalues_ascending(a - b)[0])
     if lam > _ORDER_TOL:
         relation = LoewnerRelation.STRICTLY_GREATER
@@ -157,14 +167,21 @@ class CovBoundReport:
     lhs: np.ndarray  # averaged conditional covariance E_Y cov[X|Y]
     rhs: np.ndarray  # cov[X] - cov[X,Y] cov[X,Y]^H / var[Y]
     verdict: LoewnerVerdict
-    sampled: bool
 
     @property
     def holds(self) -> bool:
         return self.verdict.is_ordered
 
 
-def _exact_cov_bound(joint: FiniteJoint) -> tuple[np.ndarray, np.ndarray]:
+def conditional_cov_bound_check(joint: FiniteJoint) -> CovBoundReport:
+    """Check E_Y cov[X|Y] <= cov[X] - cov[X,Y] cov[X,Y]^H / var[Y] exactly.
+
+    Both sides are computed by enumerating the joint's support, atoms with
+    equal y forming one conditioning group. The verdict and the floor on
+    var[Y] use the fixed tolerance 1e-9 of :func:`loewner_compare`.
+    """
+    if not isinstance(joint, FiniteJoint):
+        raise ValueError("joint must be a FiniteJoint")
     x, y, p = joint.x, joint.y, joint.probs
     mean_x = p @ x
     xc = x - mean_x
@@ -189,41 +206,4 @@ def _exact_cov_bound(joint: FiniteJoint) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("var[Y] is zero; the bound requires a non-degenerate Y")
     cross = np.einsum("k,ki,k->i", p, xc, yc.conj())
     rhs = cov_x - np.outer(cross, cross.conj()) / var_y
-    return lhs, rhs
-
-
-def conditional_cov_bound_check(
-    joint,
-    num_samples: int = 200_000,
-    rng_seed: int | None = None,
-    num_bins: int = 32,
-) -> CovBoundReport:
-    """Check E_Y cov[X|Y] <= cov[X] - cov[X,Y] cov[X,Y]^H / var[Y].
-
-    joint is either a FiniteJoint (checked exactly by enumerating the
-    support) or a callable sampler(rng, n) -> (X, Y) for continuous test
-    distributions; sampled draws are binned on Y into equal-count bins (bin
-    mean as the conditioning value) and the empirical measure is then checked
-    exactly, so no statistical tolerance enters the verdict. The verdict and
-    the floor on var[Y] use the fixed tolerance 1e-9 of :func:`loewner_compare`.
-    """
-    sampled = not isinstance(joint, FiniteJoint)
-    if sampled:
-        if rng_seed is None:
-            raise ValueError("a sampler requires rng_seed")
-        rng = np.random.default_rng(rng_seed)
-        x, y = joint(rng, num_samples)
-        x = np.atleast_2d(np.asarray(x, dtype=complex))
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if x.shape[0] != y.size:
-            raise ValueError("sampler returned mismatched X and Y counts")
-        order = np.argsort(y, kind="stable")
-        bins = np.array_split(order, num_bins)
-        y_binned = np.empty_like(y)
-        for idx in bins:
-            if idx.size:
-                y_binned[idx] = y[idx].mean()
-        joint = FiniteJoint(x=x, y=y_binned, probs=np.full(y.size, 1.0 / y.size))
-    lhs, rhs = _exact_cov_bound(joint)
-    verdict = loewner_compare(rhs, lhs)
-    return CovBoundReport(lhs=lhs, rhs=rhs, verdict=verdict, sampled=sampled)
+    return CovBoundReport(lhs=lhs, rhs=rhs, verdict=loewner_compare(rhs, lhs))

@@ -380,7 +380,7 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
 
     def bins(rates: np.ndarray) -> np.ndarray:
         # truncation floors every rate that does not clip to bin 0
-        return np.clip((rates / delta).astype(int), 0, _RATE_BINS - 1)
+        return np.minimum(np.maximum((rates / delta).astype(int), 0), _RATE_BINS - 1)
 
     achievable = np.full((_RATE_BINS, _RATE_BINS), -np.inf)
     commons = np.linspace(0.0, b1, steps), np.linspace(0.0, b2, steps)
@@ -396,8 +396,8 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
         r2, r3 = _relay_rates(c2, c3, q2, q3)
         # clip each corner into the valid cone of rate triples
         r_sum = np.maximum(_sum_cap(rc, q2, q3), 0.0)
-        r2 = np.clip(r2, 0.0, r_sum)
-        r3 = np.clip(r3, 0.0, r_sum)
+        r2 = np.minimum(np.maximum(r2, 0.0), r_sum)
+        r3 = np.minimum(np.maximum(r3, 0.0), r_sum)
         r_sum = np.minimum(r_sum, r2 + r3)
         # floor, not ceil: the bin holding a point with r >= demand - slack
         # must stay inside the lookup, so matching is lenient by < one bin

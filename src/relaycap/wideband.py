@@ -7,7 +7,7 @@ bandwidths, compute the scaled mutual information B * I at each one, and
 compare against the variance-ratio target:
 
 * constant phase, Gaussian input: B * log(1 + var[c^H X] / (N0 B)), evaluated
-  in closed form for a caller-chosen input covariance;
+  in closed form for the input beamformed along the gain vector;
 * phase fading: the closed form averaged over uniform i.i.d. link phases for
   a fully correlated Gaussian input, converging to sum |c_i|^2 var_i / N0
   because phase averaging kills every cross term. One phase is averaged in
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import FiniteJoint, require_psd
+from .matrices import FiniteJoint
 
 __all__ = [
     "DEFAULT_BANDWIDTHS",
@@ -136,18 +136,19 @@ def check_limit_constant_phase(
     input_var,
     noise_psd: float,
     bandwidths=DEFAULT_BANDWIDTHS,
-    covariance=None,
 ) -> LimitCheckReport:
-    """Sweep B * I for a Gaussian input on a constant-phase vector channel.
+    """Sweep B * I for a beamformed Gaussian input on a constant-phase vector channel.
 
-    The target is var[c^H X] / N0. By default the input covariance is the
-    rank-one matrix aligned with the gain vector carrying the full budget
-    sum(input_var), the maximizer of var[c^H X] under a trace constraint;
-    pass an explicit Hermitian PSD covariance to check any other input.
-    Convergence is judged at the fixed relative tolerance 1e-3.
+    The input is the rank-one covariance aligned with the gain vector that
+    carries the full budget sum(input_var), the maximizer of var[c^H X]
+    under a trace constraint, so the target var[c^H X] / N0 is
+    sum(input_var) * |c|^2 / N0. Convergence is judged at the fixed
+    relative tolerance 1e-3.
     """
     c = np.asarray(gains, dtype=complex).reshape(-1)
     var = np.asarray(input_var, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("gains entries must be finite")
     if var.size != c.size:
         raise ValueError(f"input_var must have {c.size} entries, got {var.size}")
     if np.any(var < 0) or np.any(~np.isfinite(var)):
@@ -155,22 +156,7 @@ def check_limit_constant_phase(
     _validate_noise_psd(noise_psd)
     b = _validate_bandwidths(bandwidths)
 
-    if covariance is None:
-        budget = float(var.sum())
-        norm = np.linalg.norm(c)
-        if norm > 0.0 and budget > 0.0:
-            unit = c / norm
-            cov = budget * np.outer(unit, unit.conj())
-        else:
-            cov = np.zeros((c.size, c.size), dtype=complex)
-    else:
-        cov = np.asarray(covariance, dtype=complex)
-        if cov.shape != (c.size, c.size):
-            raise ValueError(f"covariance must have shape {(c.size, c.size)}, got {cov.shape}")
-        require_psd(cov, 1e-9, "covariance")
-
-    signal_var = float(np.real(c.conj() @ cov @ c))
-    signal_var = max(signal_var, 0.0)
+    signal_var = float(var.sum()) * float(np.vdot(c, c).real)
     target = signal_var / noise_psd
     values = [gaussian_scaled_mi(signal_var, noise_psd, bk) for bk in b]
     return _finish_report(b, values, target)

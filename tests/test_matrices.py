@@ -116,7 +116,6 @@ def test_cov_bound_x_function_of_y():
     y = np.array([0.0, 1.0, 2.0])
     x = np.stack([y, -2.0 * y], axis=1)
     report = conditional_cov_bound_check(FiniteJoint(x=x, y=y, probs=[0.2, 0.5, 0.3]))
-    assert not report.sampled
     np.testing.assert_allclose(report.lhs, 0.0, atol=1e-12)
     assert report.holds
     # X is linear in Y here, so the rhs correction removes everything too.
@@ -154,22 +153,6 @@ def test_cov_bound_degenerate_y_rejected():
         conditional_cov_bound_check(FiniteJoint(x=x, y=[3.0, 3.0], probs=[0.5, 0.5]))
 
 
-def test_cov_bound_gaussian_sampler():
-    # Jointly Gaussian (X, Y): conditioning on Y is exactly the linear
-    # regression, so the two sides agree up to binning; the bound must hold.
-    def sampler(rng, n):
-        y = rng.normal(size=n)
-        x = np.stack([0.8 * y + 0.6 * rng.normal(size=n), rng.normal(size=n)], axis=1)
-        return x, y
-
-    report = conditional_cov_bound_check(sampler, num_samples=50_000, rng_seed=7)
-    assert report.sampled
-    assert report.holds
-    # population values: cov[X] = [[1, 0], [0, 1]], regression removes 0.64
-    assert report.rhs[0, 0].real == pytest.approx(1.0 - 0.64, abs=0.05)
-    assert report.lhs[0, 0].real == pytest.approx(0.36, abs=0.05)
-
-
-def test_cov_bound_sampler_requires_seed():
-    with pytest.raises(ValueError, match="rng_seed"):
+def test_cov_bound_requires_finite_joint():
+    with pytest.raises(ValueError, match="joint must be a FiniteJoint"):
         conditional_cov_bound_check(lambda rng, n: (np.zeros((n, 1)), np.zeros(n)))
