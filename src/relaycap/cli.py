@@ -113,6 +113,8 @@ def _cmd_region(args: argparse.Namespace) -> int:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
     if args.gap and args.cut != "broadcast":
         raise ValueError("--gap applies to --cut broadcast only")
+    if args.gap and args.steps < 2:
+        raise ValueError(f"--gap needs --steps of at least 2, got {args.steps}")
     cfg = _load(args.config)
     if args.cut == "mac":
         if cfg.csi is CsiMode.PHASE_FADING:

@@ -12,7 +12,10 @@ cuts are:
   the cut-set outer bound (:func:`broadcast_outer_rates`) by a sweep over
   stream powers (:func:`broadcast_region_gap`).  Every rate here is linear
   in the six stream powers; the rate functions and the sweep share one set
-  of formulas;
+  of formulas.  The sweep visits only the largest admitted relay-3 private
+  powers of each (common, relay-2 private) cell, which dominate the rest of
+  their slab, so it costs O(steps**4) for the answer of the full O(steps**6)
+  grid;
 * the synchronous broadcast cut, where rank-one beamforming attains a
   simple triangular region when one relay's channel is degraded with
   respect to the other (:func:`beamforming_rates`), and the minimum total
@@ -291,10 +294,10 @@ class RatePoint:
 
 def _suffix_max(grid: np.ndarray) -> np.ndarray:
     """grid[i, j] -> max over cells (>= i, >= j)."""
-    out = grid[::-1, ::-1]
-    out = np.maximum.accumulate(out, axis=0)
-    out = np.maximum.accumulate(out, axis=1)
-    return out[::-1, ::-1].copy()
+    out = grid[::-1, ::-1].copy()
+    np.maximum.accumulate(out, axis=0, out=out)
+    np.maximum.accumulate(out, axis=1, out=out)
+    return out[::-1, ::-1]
 
 
 # Bins per rate axis of the achievable-region lookup in broadcast_region_gap.
@@ -319,38 +322,26 @@ class BroadcastGapReport:
     worst_demand: RatePoint
 
 
-def _masked_stream_rates(g2, g3, b1: float, b2: float, steps: int, common1, common2):
-    """Stream rates over a power grid, one common-power pair at a time.
+def _top_partners(commons, budget: float, steps: int):
+    """One antenna's admission rule over the sweep's power grid.
 
-    Each private stream's powers run over ``steps`` points per antenna on
-    ``[0, P]``; the common powers over ``common1`` x ``common2``.  Whether an
-    antenna keeps its budget, with a negative common power cancelling only its
-    own private power, is tabulated once per antenna over (common, private,
-    private); a common pair's mask is the product of one row of each table.
-    For each pair with a kept point this yields :func:`_stream_rates` with the
-    private rates at the kept points, flattened in (p12, p22, p13, p23) order.
+    The private powers run over ``steps`` points on ``[0, budget]``.  With
+    common power ``c`` the antenna admits a private pair ``(p, q)`` when it
+    keeps its budget and a negative ``c`` cancels only its own private
+    power: ``c + (p + q) <= budget`` and ``c + min(p, q) >= 0``, both up to
+    rounding slack.  Returns the private powers, the admission table over
+    (common, p, q), and for each (common, p) the largest admitted index q,
+    or -1 when none is admitted.
     """
-
-    def feasible(common, budget):
-        private = np.linspace(0.0, budget, steps)
-        slack = rounding_slack(budget)
-        common = common[:, None, None]
-        # rounding is monotone, so c + min(p, q) >= -slack holds exactly
-        # when both c + p and c + q do
-        fits = common + np.add.outer(private, private) <= budget + slack
-        return private, fits & (common + np.minimum.outer(private, private) >= -slack)
-
-    private1, table1 = feasible(common1, b1)
-    private2, table2 = feasible(common2, b2)
-    c2, c3, rc, q2, q3 = _stream_rates(
-        g2, g3, *np.ix_(common1, common2), *np.ix_(private1, private2, private1, private2)
-    )
-    q2 = np.broadcast_to(q2, (steps,) * 4).copy()
-    q3 = np.broadcast_to(q3, (steps,) * 4).copy()
-    for i, j in np.ndindex(c2.shape):
-        keep = table1[i][:, None, :, None] & table2[j][:, None, :]
-        if keep.any():
-            yield c2[i, j], c3[i, j], rc[i, j], q2[keep], q3[keep]
+    private = np.linspace(0.0, budget, steps)
+    slack = rounding_slack(budget)
+    common = commons[:, None, None]
+    fits = common + np.add.outer(private, private) <= budget + slack
+    # rounding is monotone, so c + min(p, q) >= -slack holds exactly
+    # when both c + p and c + q do
+    fits &= common + np.minimum.outer(private, private) >= -slack
+    top = np.where(fits.any(axis=2), steps - 1 - np.argmax(fits[:, :, ::-1], axis=2), -1)
+    return private, fits, top
 
 
 def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapReport:
@@ -364,6 +355,17 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
     a demand triple (clipped into the valid cone) and matches it against the
     best achievable sum rate among points whose per-relay rates cover the
     demand up to the rate resolution.
+
+    Each pass visits, for every common pair and relay-2 private pair
+    (p12, p22), only the largest admitted relay-3 private powers (p13, p23),
+    so the sweep costs O(steps**4) instead of O(steps**6) for the same
+    floats.  With the rest fixed, every rounding step from (p13, p23) to a
+    rate, a bin and a gap is monotone: r3 and the sum cap never fall, r2's
+    bin stays put, and the lookup into the suffix maximum never rises.  So
+    the top point dominates its (p13, p23) slab: the dropped points change
+    neither the suffix maximum nor the largest gap.  ``worst_demand`` is the
+    first maximizer in (common pair, p12, p22, p13, p23) order, found by
+    re-evaluating the one winning slab in full.
     """
     _require_diamond(cfg, "broadcast_region_gap", CsiMode.PHASE_FADING)
     if steps < 2:
@@ -382,17 +384,26 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
         # truncation floors every rate that does not clip to bin 0
         return np.minimum(np.maximum((rates / delta).astype(int), 0), _RATE_BINS - 1)
 
+    def top_rows(common1, common2):
+        # one common1 row at a time: stream rates over (common2, p12, p22)
+        # at the top (p13, p23), and which cells admit any point at all
+        private1, _, top1 = _top_partners(common1, b1, steps)
+        private2, _, top2 = _top_partners(common2, b2, steps)
+        p23 = private2[top2][:, None, :]
+        admits2 = (top2 >= 0)[:, None, :]
+        for p1c, top in zip(common1, top1):
+            rates = _stream_rates(
+                g2, g3, p1c, common2[:, None, None], private1[:, None], private2, private1[top][:, None], p23
+            )
+            yield rates, (top >= 0)[:, None] & admits2
+
     achievable = np.full((_RATE_BINS, _RATE_BINS), -np.inf)
-    commons = np.linspace(0.0, b1, steps), np.linspace(0.0, b2, steps)
-    for _, _, rc, q2, q3 in _masked_stream_rates(g2, g3, b1, b2, steps, *commons):
+    for (_, _, rc, q2, q3), kept in top_rows(np.linspace(0.0, b1, steps), np.linspace(0.0, b2, steps)):
         r2, r3 = _relay_rates(rc, rc, q2, q3)
-        np.maximum.at(achievable, (bins(r2), bins(r3)), _sum_cap(rc, q2, q3))
+        np.maximum.at(achievable, (bins(r2[kept]), bins(r3[kept])), _sum_cap(rc, q2, q3)[kept])
     cover = _suffix_max(achievable)
 
-    max_gap = -math.inf
-    worst = (0.0, 0.0, 0.0)
-    commons = np.linspace(-b1, b1, 2 * steps - 1), np.linspace(-b2, b2, 2 * steps - 1)
-    for c2, c3, rc, q2, q3 in _masked_stream_rates(g2, g3, b1, b2, steps, *commons):
+    def demands(c2, c3, rc, q2, q3):
         r2, r3 = _relay_rates(c2, c3, q2, q3)
         # clip each corner into the valid cone of rate triples
         r_sum = np.maximum(_sum_cap(rc, q2, q3), 0.0)
@@ -401,11 +412,30 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
         r_sum = np.minimum(r_sum, r2 + r3)
         # floor, not ceil: the bin holding a point with r >= demand - slack
         # must stay inside the lookup, so matching is lenient by < one bin
-        gaps = r_sum - cover[bins(r2 - resolution), bins(r3 - resolution)]
+        return r2, r3, r_sum, r_sum - cover[bins(r2 - resolution), bins(r3 - resolution)]
+
+    max_gap = -math.inf
+    winner = None
+    common1, common2 = np.linspace(-b1, b1, 2 * steps - 1), np.linspace(-b2, b2, 2 * steps - 1)
+    for i, (rates, kept) in enumerate(top_rows(common1, common2)):
+        gaps = np.where(kept, demands(*rates)[3], -np.inf)
         k = int(np.argmax(gaps))
-        if gaps[k] > max_gap:
-            max_gap = float(gaps[k])
-            worst = (float(r2[k]), float(r3[k]), float(r_sum[k]))
+        if gaps.flat[k] > max_gap:
+            max_gap = float(gaps.flat[k])
+            winner = (i, *np.unravel_index(k, gaps.shape))
+
+    worst = (0.0, 0.0, 0.0)
+    if winner is not None:
+        i, j, k12, k22 = winner
+        private1, fits1, _ = _top_partners(common1[i : i + 1], b1, steps)
+        private2, fits2, _ = _top_partners(common2[j : j + 1], b2, steps)
+        rates = _stream_rates(
+            g2, g3, common1[i], common2[j], private1[k12], private2[k22], private1[:, None], private2
+        )
+        r2, r3, r_sum, gaps = demands(*rates)
+        gaps = np.where(fits1[0, k12][:, None] & fits2[0, k22], gaps, -np.inf)
+        k = np.unravel_index(np.argmax(gaps), gaps.shape)
+        worst = (float(r2[k]), float(r3[k]), float(r_sum[k]))
 
     return BroadcastGapReport(
         max_gap=max_gap,

@@ -161,6 +161,14 @@ def test_region_broadcast_table_rejects_zero_steps(diamond_fading_config, capsys
     assert "error:" in captured.err and "--steps" in captured.err
 
 
+def test_region_broadcast_gap_rejects_one_step(diamond_fading_config, capsys):
+    code = main(["region", "--config", diamond_fading_config, "--cut", "broadcast", "--gap", "--steps", "1"])
+    assert code == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "--steps" in captured.err
+
+
 def test_region_wrong_topology(sync_config, capsys):
     assert main(["region", "--config", sync_config, "--cut", "mac"]) == EXIT_BAD_INPUT
     assert "diamond" in capsys.readouterr().err

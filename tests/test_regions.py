@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relaycap import (
     BeamformingWeights,
@@ -22,7 +24,15 @@ from relaycap import (
     min_power,
 )
 from relaycap.channel import rounding_slack
-from relaycap.regions import _broadcast_gains, _masked_stream_rates, _stream_rates, _suffix_max
+from relaycap.regions import (
+    _RATE_BINS,
+    _broadcast_gains,
+    _relay_rates,
+    _stream_rates,
+    _sum_cap,
+    _suffix_max,
+    _top_partners,
+)
 
 from helpers import diamond_config, single_relay_config
 
@@ -310,20 +320,103 @@ def _pointwise_masked_rates(g2, g3, b1, b2, steps, common1, common2):
 
 @pytest.mark.parametrize("steps", [3, 4, 5])
 @pytest.mark.parametrize("outer", [False, True])
-def test_masked_stream_rates_match_pointwise_rule(steps, outer):
-    # the first-argmax worst_demand depends on the order of the kept points
-    b1, b2 = 1.5, 0.7
-    g2, g3 = _broadcast_gains(diamond_config(p1=b1, p2=b2, c21=(1.0, 0.2), c31=(0.3, 0.9)))
-    if outer:
-        commons = np.linspace(-b1, b1, 2 * steps - 1), np.linspace(-b2, b2, 2 * steps - 1)
-    else:
-        commons = np.linspace(0.0, b1, steps), np.linspace(0.0, b2, steps)
-    got = list(_masked_stream_rates(g2, g3, b1, b2, steps, *commons))
-    want = list(_pointwise_masked_rates(g2, g3, b1, b2, steps, *commons))
-    assert len(got) == len(want)
-    for got_rates, want_rates in zip(got, want):
-        for got_part, want_part in zip(got_rates, want_rates):
-            np.testing.assert_array_equal(got_part, want_part)
+def test_top_partners_match_pointwise_rule(steps, outer):
+    for budget in (1.5, 0.7):
+        if outer:
+            commons = np.linspace(-budget, budget, 2 * steps - 1)
+        else:
+            commons = np.linspace(0.0, budget, steps)
+        private, fits, top = _top_partners(commons, budget, steps)
+        slack = rounding_slack(budget)
+        for c_idx, c in enumerate(commons):
+            for p_idx, p in enumerate(private):
+                admitted = [
+                    q_idx
+                    for q_idx, q in enumerate(private)
+                    if c + (p + q) <= budget + slack and c + min(p, q) >= -slack
+                ]
+                assert np.flatnonzero(fits[c_idx, p_idx]).tolist() == admitted
+                assert top[c_idx, p_idx] == (admitted[-1] if admitted else -1)
+
+
+def _reference_gap(cfg, steps):
+    """The sweep over every admitted point of the power grid, O(steps**6):
+    (max_gap, rate_resolution, worst r2, r3, r_sum)."""
+    g2, g3 = _broadcast_gains(cfg)
+    gmax = np.maximum(g2, g3)
+    b1 = cfg.powers["P1"]
+    b2 = cfg.powers["P2"]
+    resolution = (b1 / (steps - 1)) * gmax[0] + (b2 / (steps - 1)) * gmax[1]
+    axis_max = gmax[0] * b1 + gmax[1] * b2
+    if axis_max <= 0.0:
+        return 0.0, 0.0, 0.0, 0.0, 0.0
+    delta = axis_max / (_RATE_BINS - 1)
+
+    def bins(rates):
+        return np.minimum(np.maximum((rates / delta).astype(int), 0), _RATE_BINS - 1)
+
+    achievable = np.full((_RATE_BINS, _RATE_BINS), -np.inf)
+    commons = np.linspace(0.0, b1, steps), np.linspace(0.0, b2, steps)
+    for _, _, rc, q2, q3 in _pointwise_masked_rates(g2, g3, b1, b2, steps, *commons):
+        r2, r3 = _relay_rates(rc, rc, q2, q3)
+        np.maximum.at(achievable, (bins(r2), bins(r3)), _sum_cap(rc, q2, q3))
+    cover = np.maximum.accumulate(np.maximum.accumulate(achievable[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
+
+    max_gap = -math.inf
+    worst = (0.0, 0.0, 0.0)
+    commons = np.linspace(-b1, b1, 2 * steps - 1), np.linspace(-b2, b2, 2 * steps - 1)
+    for c2, c3, rc, q2, q3 in _pointwise_masked_rates(g2, g3, b1, b2, steps, *commons):
+        r2, r3 = _relay_rates(c2, c3, q2, q3)
+        r_sum = np.maximum(_sum_cap(rc, q2, q3), 0.0)
+        r2 = np.minimum(np.maximum(r2, 0.0), r_sum)
+        r3 = np.minimum(np.maximum(r3, 0.0), r_sum)
+        r_sum = np.minimum(r_sum, r2 + r3)
+        gaps = r_sum - cover[bins(r2 - resolution), bins(r3 - resolution)]
+        k = int(np.argmax(gaps))
+        if gaps[k] > max_gap:
+            max_gap = float(gaps[k])
+            worst = (float(r2[k]), float(r3[k]), float(r_sum[k]))
+    return (max_gap, resolution, *worst)
+
+
+# gain entries on a grid of quarters, so exact zeros (a rate flat in one
+# power) come up often, each entry at its own scale, so one power's share of
+# a rate can vanish in rounding and tie the gaps of a slab
+_QUARTERS = st.integers(-4, 4).map(lambda k: k / 4.0)
+_SCALES = st.sampled_from([1e-6, 1.0, 1e6])
+
+
+@st.composite
+def _fading_diamonds(draw):
+    def gains():
+        return tuple(complex(draw(_QUARTERS), draw(_QUARTERS)) * draw(_SCALES) for _ in range(2))
+
+    budget = st.one_of(st.just(0.0), st.integers(1, 12).map(lambda k: k / 4.0))
+    power_scale = draw(_SCALES)
+    return diamond_config(
+        p1=draw(budget) * power_scale,
+        p2=draw(budget) * power_scale,
+        noise_psd=draw(_SCALES),
+        c21=gains(),
+        c31=gains(),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(cfg=_fading_diamonds(), steps=st.integers(2, 7))
+# the first maximizer of the winning slab is not its top point
+@example(cfg=diamond_config(p1=1.75, p2=0.75, c21=(5e-3, 7.5e5), c31=(-2.5e-9, -0.1)), steps=5)
+@example(cfg=diamond_config(p1=0.5, p2=0.75, c21=(-7.5e6, -7.5e-9), c31=(-1e3, -7.5e-2)), steps=5)
+@example(cfg=diamond_config(p1=2.0, p2=0.25, c21=(1e7, 0.75), c31=(0.25, 5e-5)), steps=7)
+# a later common row ties the largest gap
+@example(
+    cfg=diamond_config(p1=1.5, p2=2.0, c21=(5e5 - 1e6j, -7.5e5), c31=(-1e6 + 5e5j, 5e5 + 7.5e5j)), steps=7
+)
+def test_broadcast_gap_matches_full_sweep(cfg, steps):
+    report = broadcast_region_gap(cfg, steps=steps)
+    demand = report.worst_demand
+    got = (report.max_gap, report.rate_resolution, demand.r2, demand.r3, demand.r_sum)
+    assert [float(x).hex() for x in got] == [float(x).hex() for x in _reference_gap(cfg, steps)]
 
 
 def test_broadcast_gap_memory_stays_small():
@@ -338,6 +431,21 @@ def test_broadcast_gap_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 5_000_000
+
+
+def test_broadcast_gap_memory_stays_small_at_steps_33():
+    # the outer pass runs one common row at a time: (2*33 - 1) x 33 x 33
+    # cells, about 0.57 MB per array and a traced peak of 7.2 MB; all rows at
+    # once would take 37 MB per array
+    cfg = diamond_config()
+    broadcast_region_gap(cfg, steps=33)  # warm-up
+    tracemalloc.start()
+    try:
+        broadcast_region_gap(cfg, steps=33)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 14_500_000
 
 
 def test_broadcast_gap_validation():
