@@ -15,7 +15,9 @@ nests the same three steps:
 * :func:`grid_refine` handles the one outer coordinate of each optimizer
   (the relay-block angle of the covariance search, which is not concave,
   and the dual multiplier of the power-form search): a grid scan, then
-  rounds of finer grids around the best point.
+  rounds of finer grids around the best point.  It carries what the
+  objective computed alongside each value (the share and split, or the beam
+  angle) out to the winner, so no optimizer evaluates its winner twice.
 
 All three are vectorised: the kernels take and return arrays, one entry per
 candidate, and :func:`grid_refine` passes each stage's whole grid to one call.
@@ -23,14 +25,14 @@ candidate, and :func:`grid_refine` passes each stage's whole grid to one call.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # each refine round lays this many points over two grid steps, so the step
-# shrinks 8-fold per round, by about 7e10 over all rounds
-REFINE_POINTS = 17
-REFINE_ROUNDS = 12
+# shrinks 64-fold per round and by 2**36 (about 7e10) over all rounds; each
+# stage is one numpy-bound call whose cost hardly depends on its width, so
+# few wide rounds beat many narrow ones to the same final step
+REFINE_POINTS = 129
+REFINE_ROUNDS = 6
 
 
 def split_max(k_a, k_b, k_rest, constant, budget):
@@ -87,8 +89,22 @@ def coherent_max(k_a, k_b, k_rest, b2, s_hi, k0, k1, k2):
     s[2], s[3], s[4] = _kink_shares(np.subtract(k_a, k_b), b2, s_hi, k0, k1, k2)
     s[5] = s_hi
     value, t = split_max(k_a, k_b, k_rest, k0 + k1 * np.sqrt(s) + k2 * s, b2 * (s_hi - s))
-    pick = np.argmax(value, axis=0)[None]
-    return tuple(np.take_along_axis(v, pick, 0)[0] for v in (value, s, t))
+    return _first_max(value, s, t)
+
+
+def _first_max(value, *payload):
+    """Each column's first maximizer over the leading axis of ``value``.
+
+    All arrays have the shape ``(n,) + shape``; returns ``value`` and each
+    payload at the maximizer, of ``shape`` (a numpy scalar when ``shape`` is
+    ``()``).  Indexing an ``(n, -1)`` view costs less than
+    ``np.take_along_axis`` at the sizes the optimizers use.
+    """
+    shape = value.shape[1:]
+    rows = value.reshape(len(value), -1)
+    pick = np.argmax(rows, axis=0)
+    cols = np.arange(rows.shape[1])
+    return tuple(v.reshape(rows.shape)[pick, cols].reshape(shape)[()] for v in (value, *payload))
 
 
 def _stationary_share(num, den, s_hi):
@@ -123,23 +139,35 @@ def grid_refine(f, axis):
     """Maximize ``f`` over an interval by a grid scan refined around the best point.
 
     ``axis`` is an ascending, evenly spaced grid of at least two points; the
-    interval is its span.  ``f`` maps an array of points to the values there
-    and is called once per stage with the whole grid of that stage.  After
+    interval is its span.  ``f`` maps an array of points to a tuple
+    ``(values, *payload)`` of arrays of that length: the values there, and
+    anything computed alongside them that the caller wants at the winner.
+    It is called once per stage with the whole grid of that stage.  After
     the scan, each of ``REFINE_ROUNDS`` rounds lays ``REFINE_POINTS`` points
     over one grid step either side of the best point so far, clipped to the
-    interval.  The result is never worse than the best scanned point.
-    Returns ``(value, point)`` as floats.
+    interval; a round's best replaces it only when strictly better.  The
+    result is never worse than the best scanned point.  Returns ``(value,
+    point, *payload)`` as floats, the payload being ``f``'s at that point.
+    A bare array from ``f`` raises ``TypeError``: unpacked, it would pass
+    its entries for values and payload.
     """
     axis = np.asarray(axis, dtype=float)
     lo, hi = float(axis[0]), float(axis[-1])
     step = (hi - lo) / (len(axis) - 1)
-    best_value, best = -math.inf, lo
-    for round_ in range(REFINE_ROUNDS + 1):
-        if round_:
-            axis = np.linspace(max(lo, best - step), min(hi, best + step), REFINE_POINTS)
-            step = 2.0 * step / (REFINE_POINTS - 1)
-        values = f(axis)
+
+    def stage(points):
+        out = f(points)
+        if not isinstance(out, tuple):
+            raise TypeError(f"f must return a tuple (values, *payload), got {type(out).__name__}")
+        values, *payload = out
         pick = int(np.argmax(values))
-        if values[pick] > best_value:
-            best_value, best = float(values[pick]), float(axis[pick])
-    return best_value, best
+        return (float(values[pick]), float(points[pick]), *(float(p[pick]) for p in payload))
+
+    best = stage(axis)
+    for _ in range(REFINE_ROUNDS):
+        axis = np.linspace(max(lo, best[1] - step), min(hi, best[1] + step), REFINE_POINTS)
+        step = 2.0 * step / (REFINE_POINTS - 1)
+        candidate = stage(axis)
+        if candidate[0] > best[0]:
+            best = candidate
+    return best

@@ -238,8 +238,9 @@ def optimize_capacity(cfg: ChannelConfig) -> CapacityResult:
     earns the top eigenvalue of ``M``, or ``g31`` on the beam that also
     carries the direct link; the coherent power ``pb1`` then maximizes a
     concave quadratic in ``sqrt(pb1)``.  :func:`~relaycap._search.grid_refine`
-    finds the minimum, returned as ``upper_bound``, and the top-eigenvector
-    angle at the minimizer is the optimal beam angle.  Where ``g`` is flat
+    finds the minimum, returned as ``upper_bound``, and hands back the
+    top-eigenvector angle that its stage computed at the minimizer: the
+    optimal beam angle, with no second evaluation of ``g``.  Where ``g`` is flat
     at its minimum that angle can miss, so the beam pointed at the relay
     (``theta = alpha``) is tried as well and the better of the two kept.
 
@@ -256,8 +257,8 @@ def optimize_capacity(cfg: ChannelConfig) -> CapacityResult:
     n0 = cfg.noise_psd
     partner = m32 * math.sqrt(p2)
 
-    def dual(lam):
-        """g(lam) and the top-eigenvector angle, clipped to [0, alpha], elementwise."""
+    def neg_dual(lam):
+        """-g(lam) and the top-eigenvector angle, clipped to [0, alpha], elementwise."""
         mac_weight = 1.0 - lam
         a = lam * g21 * math.cos(alpha) ** 2 + mac_weight * g31
         b = lam * g21 * math.cos(alpha) * math.sin(alpha)
@@ -272,11 +273,11 @@ def optimize_capacity(cfg: ChannelConfig) -> CapacityResult:
         capped = num >= cap * den
         root = np.where(capped & (num > 0.0), cap, num / np.where(capped, 1.0, den))
         value = k * (p1 - root ** 2) + mac_weight * (root * math.sqrt(g31) + partner) ** 2
-        return value, theta
+        return -value, theta
 
     lams = np.linspace(0.0, 1.0, _MULTIPLIER_POINTS)
-    neg_bound, lam = grid_refine(lambda lam: -dual(lam)[0], lams)
-    thetas = np.array([float(dual(lam)[1]), alpha])
+    neg_bound, _, theta_dual = grid_refine(neg_dual, lams)
+    thetas = np.array([theta_dual, alpha])
     values, pb1s, p21s = coherent_max(
         g21 * np.cos(alpha - thetas) ** 2, g31 * np.cos(thetas) ** 2, g31, 1.0, p1,
         partner ** 2, 2.0 * partner * math.sqrt(g31), g31)
@@ -396,8 +397,10 @@ def optimize_covariance_bound(cfg: ChannelConfig) -> CapacityResult:
     so a narrow peak there is not missed.  At each angle the coherent share
     ``s = beta**2`` and the trace split between the two blocks are solved
     exactly by :func:`~relaycap._search.coherent_max`, the kernel
-    :func:`optimize_capacity` runs over ``pb1``.  The result is replayed
-    through :func:`covariance_bounds`.
+    :func:`optimize_capacity` runs over ``pb1``; the refine hands back the
+    share and split of the winning angle with its value, so the returned
+    blocks attain that value without a second evaluation.  The result is
+    replayed through :func:`covariance_bounds`.
 
     Rank one loses nothing.  A relay block ``(1 - eta) beam(phi) + eta
     I/2`` has the gains ``(1 - eta/2) k(phi) + (eta/2) k(phi + pi/2)``,
@@ -434,8 +437,7 @@ def optimize_covariance_bound(cfg: ChannelConfig) -> CapacityResult:
         return coherent_max(k_rd, k_rd_dest, g31, p1, 1.0, relay_gain, coherent_amp, p1 * g31)
 
     angles = np.linspace(0.0, alpha, _RELAY_ANGLE_POINTS)
-    _, phi_a = grid_refine(lambda phi_a: best_over_share(phi_a)[0], angles)
-    value, share, trace_a = (float(v[0]) for v in best_over_share(np.array([phi_a])))
+    value, phi_a, share, trace_a = grid_refine(best_over_share, angles)
     beta = math.sqrt(share)
     trace_b = p1 * (1.0 - share) - trace_a
 

@@ -20,6 +20,8 @@ from relaycap import (
     optimize_covariance_bound,
     phase_fading_capacity,
 )
+from relaycap import capacity
+from relaycap._search import REFINE_ROUNDS
 
 from helpers import diamond_config, random_single_relay, single_relay_config
 
@@ -165,6 +167,12 @@ PINNED_RATES = [
      106.316058319098),
 ]
 PINNED_RANDOM_RATES = [20.928719660099965, 2.354440463860232, 2.776401282562711]
+# optimize_covariance_bound on the same channels, in the same order
+PINNED_COV_RATES = [
+    3.541600488991644, 2.0, 3.3068351987068, 5.98101452362257, 3.3304563451241194, 2.2484, 5.0,
+    2.20776716365729, 106.31605831910271,
+]
+PINNED_RANDOM_COV_RATES = [20.928719660099965, 2.3544404638602945, 2.776401282562711]
 
 
 def test_optimize_pinned_rates():
@@ -173,6 +181,37 @@ def test_optimize_pinned_rates():
     rng = np.random.default_rng(606)
     for rate in PINNED_RANDOM_RATES:
         assert optimize_capacity(random_single_relay(rng)).rate == pytest.approx(rate, rel=1e-11)
+
+
+def test_optimize_covariance_pinned_rates():
+    for (kwargs, _), rate in zip(PINNED_RATES, PINNED_COV_RATES, strict=True):
+        cfg = single_relay_config(**kwargs)
+        assert optimize_covariance_bound(cfg).rate == pytest.approx(rate, rel=1e-11)
+    rng = np.random.default_rng(606)
+    for rate in PINNED_RANDOM_COV_RATES:
+        cfg = random_single_relay(rng)
+        assert optimize_covariance_bound(cfg).rate == pytest.approx(rate, rel=1e-11)
+
+
+def test_optimizers_call_the_coherent_kernel_once_per_stage(monkeypatch):
+    # one call per refine stage of the covariance route (a scan and six
+    # rounds) and one, at the chosen beam angles, for the power route; a
+    # count is deterministic where a timing is not
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    kernel = capacity.coherent_max
+    monkeypatch.setattr(capacity, "coherent_max", counted)
+    cfg = random_single_relay(np.random.default_rng(607))
+    optimize_covariance_bound(cfg)
+    assert len(calls) <= REFINE_ROUNDS + 1
+    assert REFINE_ROUNDS + 1 <= 7
+    calls.clear()
+    optimize_capacity(cfg)
+    assert len(calls) == 1
 
 
 def test_phase_fading_capacity_hand_case():

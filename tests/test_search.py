@@ -9,8 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from relaycap import optimize_capacity, optimize_covariance_bound
-from relaycap._search import coherent_max, grid_refine, split_max
+from relaycap import _search, optimize_capacity, optimize_covariance_bound
+from relaycap._search import (REFINE_POINTS, REFINE_ROUNDS, _first_max, coherent_max, grid_refine,
+                              split_max)
 from relaycap.channel import rounding_slack
 
 from helpers import gains_single_relay
@@ -138,9 +139,31 @@ def test_grid_refine_finds_the_global_maximum_of_a_wavy_profile():
     def wavy(x):
         return np.cos(3.0 * x) + 0.4 * np.sin(7.0 * x + 0.3)
 
-    value, x = grid_refine(wavy, np.linspace(0.0, 3.0, 65))
+    value, x = grid_refine(lambda x: (wavy(x),), np.linspace(0.0, 3.0, 65))
     assert value == wavy(np.array(x))
     assert value >= wavy(np.linspace(0.0, 3.0, 200_001)).max() - 1e-9
+
+
+def test_grid_refine_stages_final_step_and_payload():
+    grids = []
+
+    def f(x):
+        grids.append(x)
+        return np.cos(3.0 * x) + 0.4 * np.sin(7.0 * x + 0.3), x * x, 1.0 - x
+
+    scan = np.linspace(0.0, 3.0, 65)
+    value, x, square, rest = grid_refine(f, scan)
+    assert len(grids) == REFINE_ROUNDS + 1
+    assert all(len(grid) == REFINE_POINTS for grid in grids[1:])
+    # the final step is the scan's shrunk 2**36-fold, up to the rounding of
+    # the round's ends
+    assert np.diff(grids[-1]).max() <= 3.0 / (len(scan) - 1) * 2.0 ** -36 + np.spacing(3.0)
+    # the payload is f's at the returned point, not at another stage's best
+    assert (square, rest) == (x * x, 1.0 - x)
+    assert value == float(f(np.array([x]))[0][0])
+    # a bare array would unpack into a value and payloads row by row
+    with pytest.raises(TypeError, match="tuple"):
+        grid_refine(np.cos, scan)
 
 
 def _share_profile(k_a, k_b, k_rest, b2, s_hi, k0, k1, k2, s):
@@ -181,6 +204,44 @@ def test_coherent_max_matches_dense_sampling_and_golden_search():
     golden, _ = concave_max(lambda s: _share_profile(*args, s)[0], np.zeros(n), s_hi)
     reference = np.maximum(dense, golden)
     assert np.all(value >= reference * (1.0 - 1e-13))
+
+
+def _first_max_reference(value, *payload):
+    """The pick by ``np.take_along_axis`` that :func:`_first_max` replaced."""
+    pick = np.argmax(value, axis=0)[None]
+    return tuple(np.take_along_axis(v, pick, 0)[0] for v in (value, *payload))
+
+
+def _assert_bit_identical(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w) and np.shape(g) == np.shape(w)
+        np.testing.assert_array_equal(g, w)
+
+
+def test_first_max_matches_take_along_axis():
+    rng = np.random.default_rng(34)
+    for shape in ((), (7,), (3, 5)):
+        # values from {0, 1, 2}: most columns tie, and the first maximizer wins
+        value = rng.integers(0, 3, size=(6,) + shape).astype(float)
+        payload = rng.normal(size=(6,) + shape), rng.normal(size=(6,) + shape)
+        _assert_bit_identical(_first_max(value, *payload), _first_max_reference(value, *payload))
+
+
+def test_coherent_max_pick_matches_take_along_axis(monkeypatch):
+    rng = np.random.default_rng(35)
+    column = list(rng.uniform(0.0, 3.0, size=(8, 40)))
+    column[3][:10] = 0.0  # no budget: all six candidates tie at 0
+    column[4][10:20] = 0.0  # no share range: all six candidates are s = 0
+    grid = rng.uniform(0.0, 3.0, size=(8, 4, 5))
+    broadcast = [grid[0], grid[1, :1], grid[2, :, :1], 1.5, grid[4, :1], 1.0, grid[6], 0.5]
+    cases = [(2.0, 1.0, 0.5, 0.0, 1.5, 1.0, 1.0, 1.0), (2.0, 1.0, 0.5, 3.0, 1.5, 1.0, 1.0, 1.0),
+             column, broadcast]
+    got = [coherent_max(*args) for args in cases]
+    monkeypatch.setattr(_search, "_first_max", _first_max_reference)
+    for args, result in zip(cases, got):
+        _assert_bit_identical(result, coherent_max(*args))
+    assert float(got[0][1]) == 0.0 and not np.any(got[2][1][:20])
 
 
 def test_coherent_max_scalar_degenerate_cases():
