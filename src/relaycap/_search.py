@@ -77,7 +77,7 @@ def coherent_max(k_a, k_b, k_rest, b2, s_hi, k0, k1, k2):
     broadcast together; returns ``(value, share, t)`` arrays with ``t`` the
     split at that share, ties going to ``s = 0``.
     """
-    shape = np.broadcast_shapes(*(np.shape(v) for v in (k_a, k_b, k_rest, b2, s_hi, k0, k1, k2)))
+    shape = np.broadcast(k_a, k_b, k_rest, b2, s_hi, k0, k1, k2).shape
     u = np.subtract(k_a, k_rest)
     w = np.subtract(k_b, k_rest)
     rest_piece = (w < 0.0) & (u > 0.0)

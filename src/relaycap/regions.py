@@ -15,7 +15,10 @@ cuts are:
   of formulas.  The sweep visits only the largest admitted relay-3 private
   powers of each (common, relay-2 private) cell, which dominate the rest of
   their slab, so it costs O(steps**4) for the answer of the full O(steps**6)
-  grid;
+  grid.  Each antenna tabulates its share of every rate once over the cells
+  it admits, and the sweep adds the two tables a chunk of whole common-1 rows
+  at a time, so no rejected cell is evaluated; the achievable lookup spans
+  only the box of rate bins that some point occupies;
 * the synchronous broadcast cut, where rank-one beamforming attains a
   simple triangular region when one relay's channel is degraded with
   respect to the other (:func:`beamforming_rates`), and the minimum total
@@ -344,6 +347,45 @@ def _top_partners(commons, budget: float, steps: int):
     return private, fits, top
 
 
+def _antenna_cells(commons, budget: float, steps: int, gain2, gain3):
+    """One antenna's admitted (common, p) cells, in (common, p) order.
+
+    Returns their common (row) and private (column) indices and a
+    ``(4, cells)`` table of the antenna's share of each stream rate:
+    ``gain2 * common``, ``gain3 * common``, ``gain2 * p`` and ``gain3 * q``
+    at the top partner ``q``.
+    """
+    private, _, top = _top_partners(commons, budget, steps)
+    rows, cols = np.nonzero(top >= 0)
+    common, partner = commons[rows], private[top[rows, cols]]
+    return rows, cols, np.stack((gain2 * common, gain3 * common, gain2 * private[cols], gain3 * partner))
+
+
+def _cell_rates(shares1, shares2):
+    """``(common2, common3, private2, private3)`` over every pair of an
+    antenna-1 cell and an antenna-2 cell, in one outer add: the sums that
+    :func:`_stream_rates` forms, antenna 1's share first."""
+    return shares1[:, :, None] + shares2[:, None, :]
+
+
+# Cells per call of _cell_rates in broadcast_region_gap, unless one common-1
+# row alone is larger.
+_CHUNK_CELLS = 4096
+
+
+def _row_chunks(rows, width: int):
+    """Split a table sorted by ``rows`` into runs ``(start, stop)`` of whole
+    rows, each as long as fits in ``_CHUNK_CELLS`` cells when every entry
+    pairs with ``width`` others, and at least one row long."""
+    start = stop = 0
+    for end in [*(np.flatnonzero(np.diff(rows)) + 1).tolist(), len(rows)]:
+        if stop > start and (end - start) * width > _CHUNK_CELLS:
+            yield start, stop
+            start = stop
+        stop = end
+    yield start, stop
+
+
 def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapReport:
     """Sweep both bounds on power grids and measure the worst mismatch.
 
@@ -363,9 +405,19 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
     rate, a bin and a gap is monotone: r3 and the sum cap never fall, r2's
     bin stays put, and the lookup into the suffix maximum never rises.  So
     the top point dominates its (p13, p23) slab: the dropped points change
-    neither the suffix maximum nor the largest gap.  ``worst_demand`` is the
-    first maximizer in (common pair, p12, p22, p13, p23) order, found by
-    re-evaluating the one winning slab in full.
+    neither the suffix maximum nor the largest gap.
+
+    Every rate term is one antenna's share plus the other's, so each antenna
+    tabulates its shares once over its admitted (common, p) cells, and a
+    cell's terms are one outer add of the two tables: no cell that either
+    antenna rejects is evaluated.  The antenna-1 table is taken in chunks of
+    whole common-1 rows.  The achievable grid's suffix maximum covers only
+    the box of occupied bins plus one empty row and column, into which every
+    lookup is clipped.  ``worst_demand`` is the first maximizer in (common
+    pair, p12, p22, p13, p23) order: inside a chunk, the smallest (common
+    pair, p12, p22) among the cells tied at its maximum; across chunks, the
+    first chunk to reach the maximum; inside the winning slab, found by
+    re-evaluating it in full.
     """
     _require_diamond(cfg, "broadcast_region_gap", CsiMode.PHASE_FADING)
     if steps < 2:
@@ -380,59 +432,70 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
         return BroadcastGapReport(0.0, 0.0, steps, RatePoint(0.0, 0.0, 0.0))
     delta = axis_max / (_RATE_BINS - 1)
 
-    def bins(rates: np.ndarray) -> np.ndarray:
+    def bins(rates: np.ndarray, edge: int = _RATE_BINS - 1) -> np.ndarray:
         # truncation floors every rate that does not clip to bin 0
-        return np.minimum(np.maximum((rates / delta).astype(int), 0), _RATE_BINS - 1)
+        return np.minimum(np.maximum((rates / delta).astype(int), 0), edge)
 
-    def top_rows(common1, common2):
-        # one common1 row at a time: stream rates over (common2, p12, p22)
-        # at the top (p13, p23), and which cells admit any point at all
-        private1, _, top1 = _top_partners(common1, b1, steps)
-        private2, _, top2 = _top_partners(common2, b2, steps)
-        p23 = private2[top2][:, None, :]
-        admits2 = (top2 >= 0)[:, None, :]
-        for p1c, top in zip(common1, top1):
-            rates = _stream_rates(
-                g2, g3, p1c, common2[:, None, None], private1[:, None], private2, private1[top][:, None], p23
-            )
-            yield rates, (top >= 0)[:, None] & admits2
+    def tables(common1, common2):
+        return (
+            _antenna_cells(common1, b1, steps, g2[0], g3[0]),
+            _antenna_cells(common2, b2, steps, g2[1], g3[1]),
+        )
 
-    achievable = np.full((_RATE_BINS, _RATE_BINS), -np.inf)
-    for (_, _, rc, q2, q3), kept in top_rows(np.linspace(0.0, b1, steps), np.linspace(0.0, b2, steps)):
+    (rows1, _, shares1), (rows2, _, shares2) = tables(np.linspace(0, b1, steps), np.linspace(0, b2, steps))
+    achievable = np.full(_RATE_BINS * _RATE_BINS, -np.inf)
+    edge2 = edge3 = 0
+    for start, stop in _row_chunks(rows1, len(rows2)):
+        c2, c3, q2, q3 = _cell_rates(shares1[:, start:stop], shares2)
+        rc = np.minimum(c2, c3)
         r2, r3 = _relay_rates(rc, rc, q2, q3)
-        np.maximum.at(achievable, (bins(r2[kept]), bins(r3[kept])), _sum_cap(rc, q2, q3)[kept])
-    cover = _suffix_max(achievable)
+        bins2, bins3 = bins(r2), bins(r3)
+        # r2 + q3 is _sum_cap(rc, q2, q3) bit for bit; ufunc.at is far
+        # quicker on one flat index than on an index pair
+        np.maximum.at(achievable, (bins2 * _RATE_BINS + bins3).ravel(), (r2 + q3).ravel())
+        edge2, edge3 = max(edge2, bins2.max()), max(edge3, bins3.max())
+    # the occupied box plus one empty row and column, which every lookup
+    # beyond the box is clipped onto
+    box2, box3 = min(edge2 + 2, _RATE_BINS), min(edge3 + 2, _RATE_BINS)
+    cover = _suffix_max(achievable.reshape(_RATE_BINS, _RATE_BINS)[:box2, :box3]).ravel()
 
-    def demands(c2, c3, rc, q2, q3):
+    def demands(c2, c3, q2, q3):
         r2, r3 = _relay_rates(c2, c3, q2, q3)
         # clip each corner into the valid cone of rate triples
-        r_sum = np.maximum(_sum_cap(rc, q2, q3), 0.0)
+        r_sum = np.maximum(_sum_cap(np.minimum(c2, c3), q2, q3), 0.0)
         r2 = np.minimum(np.maximum(r2, 0.0), r_sum)
         r3 = np.minimum(np.maximum(r3, 0.0), r_sum)
         r_sum = np.minimum(r_sum, r2 + r3)
         # floor, not ceil: the bin holding a point with r >= demand - slack
         # must stay inside the lookup, so matching is lenient by < one bin
-        return r2, r3, r_sum, r_sum - cover[bins(r2 - resolution), bins(r3 - resolution)]
+        lookup = bins(r2 - resolution, box2 - 1) * box3 + bins(r3 - resolution, box3 - 1)
+        return r2, r3, r_sum, r_sum - cover.take(lookup)
 
     max_gap = -math.inf
     winner = None
     common1, common2 = np.linspace(-b1, b1, 2 * steps - 1), np.linspace(-b2, b2, 2 * steps - 1)
-    for i, (rates, kept) in enumerate(top_rows(common1, common2)):
-        gaps = np.where(kept, demands(*rates)[3], -np.inf)
-        k = int(np.argmax(gaps))
-        if gaps.flat[k] > max_gap:
-            max_gap = float(gaps.flat[k])
-            winner = (i, *np.unravel_index(k, gaps.shape))
+    (rows1, cols1, shares1), (rows2, cols2, shares2) = tables(common1, common2)
+    for start, stop in _row_chunks(rows1, len(rows2)):
+        gaps = demands(*_cell_rates(shares1[:, start:stop], shares2))[3]
+        top = gaps.max()
+        if top > max_gap:
+            max_gap = float(top)
+            cell1, cell2 = np.divmod(np.flatnonzero(gaps == top), len(rows2))
+            cell1 += start
+            # the first tied cell in (common1, common2, p12, p22) order
+            order = (rows1[cell1], rows2[cell2], cols1[cell1], cols2[cell2])
+            k = np.argmin(np.ravel_multi_index(order, (len(common1), len(common2), steps, steps)))
+            winner = tuple(index[k] for index in order)
 
     worst = (0.0, 0.0, 0.0)
     if winner is not None:
         i, j, k12, k22 = winner
         private1, fits1, _ = _top_partners(common1[i : i + 1], b1, steps)
         private2, fits2, _ = _top_partners(common2[j : j + 1], b2, steps)
-        rates = _stream_rates(
+        c2, c3, _, q2, q3 = _stream_rates(
             g2, g3, common1[i], common2[j], private1[k12], private2[k22], private1[:, None], private2
         )
-        r2, r3, r_sum, gaps = demands(*rates)
+        r2, r3, r_sum, gaps = demands(c2, c3, q2, q3)
         gaps = np.where(fits1[0, k12][:, None] & fits2[0, k22], gaps, -np.inf)
         k = np.unravel_index(np.argmax(gaps), gaps.shape)
         worst = (float(r2[k]), float(r3[k]), float(r_sum[k]))

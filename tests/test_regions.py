@@ -3,6 +3,7 @@ the minimum-power formula."""
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,10 +24,13 @@ from relaycap import (
     max_min_beam_gain,
     min_power,
 )
+from relaycap import regions
 from relaycap.channel import rounding_slack
 from relaycap.regions import (
+    _CHUNK_CELLS,
     _RATE_BINS,
     _broadcast_gains,
+    _cell_rates,
     _relay_rates,
     _stream_rates,
     _sum_cap,
@@ -273,6 +277,8 @@ _GAP_CASES = {
     "dominated": dict(p1=1.5, p2=2.0, c21=(0.4, 0.3), c31=(0.8, 0.9)),
     "crossed": dict(p1=1.5, p2=2.0, c21=(1.0, 0.2), c31=(0.3, 0.9)),
     "noisy": dict(p1=0.324, p2=0.473, noise_psd=0.5, c21=(0.343, 1.175j), c31=(1.413, -0.854)),
+    # g2 >= g3 on both antennas, so r2 reaches the last rate bin
+    "swapped": dict(p1=1.5, p2=2.0, c21=(0.8, 0.9), c31=(0.4, 0.3)),
 }
 _GAP_PINNED = [
     ("dominated", 4, 0.0, 0.8600000000000001, (0.0, 2.58, 2.58)),
@@ -294,6 +300,31 @@ def test_broadcast_gap_pinned_values(name, steps, max_gap, resolution, worst):
     assert report.rate_resolution == resolution
     demand = report.worst_demand
     assert (demand.r2, demand.r3, demand.r_sum) == worst
+
+
+# (max_gap, rate_resolution, worst r2, r3, r_sum) as float.hex, computed
+# before the sweep was chunked, where the full sweep is too slow to compare
+# with: many chunks per pass, and occupied boxes that reach the last rate bin
+# and so get no empty row or column ("dominated" fills the last r3 bin,
+# "swapped" the last r2 bin)
+_GAP_PINNED_HEX = [
+    ("dominated", 16, ("0x0.0p+0", "0x1.604189374bc6bp-3", "0x0.0p+0", "0x1.4a3d70a3d70a4p+1", "0x1.4a3d70a3d70a4p+1")),
+    ("dominated", 33, ("0x0.0p+0", "0x1.4a3d70a3d70a4p-4", "0x0.0p+0", "0x1.4a3d70a3d70a4p+1", "0x1.4a3d70a3d70a4p+1")),
+    ("crossed", 16, ("0x0.0p+0", "0x1.a9fbe76c8b43ap-3", "0x1.8000000000000p+0", "0x1.9eb851eb851ecp+0", "0x1.8f5c28f5c28f6p+1")),
+    ("crossed", 33, ("0x0.0p+0", "0x1.8f5c28f5c28f6p-4", "0x1.8000000000000p+0", "0x1.9eb851eb851ecp+0", "0x1.8f5c28f5c28f6p+1")),
+    ("noisy", 16, ("0x0.0p+0", "0x1.62f745c60f538p-3", "0x1.4e5aaf78feef7p+0", "0x1.4b34f35a5dcd2p+0", "0x1.4cc7d169ae5e4p+1")),
+    ("noisy", 33, ("0x0.0p+0", "0x1.4cc7d169ae5e4p-4", "0x1.4e5aaf78feef7p+0", "0x1.4b34f35a5dcd2p+0", "0x1.4cc7d169ae5e4p+1")),
+    ("swapped", 16, ("0x0.0p+0", "0x1.604189374bc6bp-3", "0x1.4a3d70a3d70a4p+1", "0x0.0p+0", "0x1.4a3d70a3d70a4p+1")),
+    ("swapped", 33, ("0x0.0p+0", "0x1.4a3d70a3d70a4p-4", "0x1.4a3d70a3d70a4p+1", "0x0.0p+0", "0x1.4a3d70a3d70a4p+1")),
+]
+
+
+@pytest.mark.parametrize("name, steps, fields", _GAP_PINNED_HEX)
+def test_broadcast_gap_pinned_at_large_steps(name, steps, fields):
+    report = broadcast_region_gap(diamond_config(**_GAP_CASES[name]), steps=steps)
+    demand = report.worst_demand
+    got = (report.max_gap, report.rate_resolution, demand.r2, demand.r3, demand.r_sum)
+    assert tuple(float(x).hex() for x in got) == fields
 
 
 def _pointwise_masked_rates(g2, g3, b1, b2, steps, common1, common2):
@@ -412,16 +443,39 @@ def _fading_diamonds(draw):
 @example(
     cfg=diamond_config(p1=1.5, p2=2.0, c21=(5e5 - 1e6j, -7.5e5), c31=(-1e6 + 5e5j, 5e5 + 7.5e5j)), steps=7
 )
+# the first tied cell of the winning common-1 row is not the one with the
+# smallest p12, so a chunk that ends inside the row picks the wrong one
+@example(cfg=diamond_config(p1=1.0, p2=2.0, c21=(1 - 1j, -0.5 + 1j), c31=(1 + 1j, -0.5 + 1j)), steps=5)
 def test_broadcast_gap_matches_full_sweep(cfg, steps):
-    report = broadcast_region_gap(cfg, steps=steps)
-    demand = report.worst_demand
-    got = (report.max_gap, report.rate_resolution, demand.r2, demand.r3, demand.r_sum)
-    assert [float(x).hex() for x in got] == [float(x).hex() for x in _reference_gap(cfg, steps)]
+    expected = [float(x).hex() for x in _reference_gap(cfg, steps)]
+    # one common-1 row per chunk, the default, and every row in one chunk
+    for chunk_cells in (1, _CHUNK_CELLS, 2 ** 30):
+        with mock.patch.object(regions, "_CHUNK_CELLS", chunk_cells):
+            report = broadcast_region_gap(cfg, steps=steps)
+        demand = report.worst_demand
+        got = (report.max_gap, report.rate_resolution, demand.r2, demand.r3, demand.r_sum)
+        assert [float(x).hex() for x in got] == expected, chunk_cells
+
+
+def test_broadcast_gap_evaluates_few_chunks():
+    # at steps 16 the achievable pass takes 6 chunks and the outer pass 21;
+    # one common-1 row per call would take 16 + 31
+    calls = []
+
+    def counted(shares1, shares2):
+        calls.append(shares1.shape[1] * shares2.shape[1])
+        return _cell_rates(shares1, shares2)
+
+    with mock.patch.object(regions, "_cell_rates", counted):
+        broadcast_region_gap(diamond_config(), steps=16)
+    assert len(calls) <= 27
+    assert max(calls) <= _CHUNK_CELLS
 
 
 def test_broadcast_gap_memory_stays_small():
-    # only the two private rates span the steps^4 grid (0.5 MB each at
-    # steps 16); a per-point mask over that grid would need about 8 MB
+    # the sweep holds a chunk of at most _CHUNK_CELLS cells at a time, not
+    # the steps^4 grid (0.5 MB per array at steps 16), for a traced peak of
+    # 1.2 MB; a per-point mask over that grid would need about 8 MB
     cfg = diamond_config()
     broadcast_region_gap(cfg, steps=16)  # warm-up
     tracemalloc.start()
@@ -434,9 +488,10 @@ def test_broadcast_gap_memory_stays_small():
 
 
 def test_broadcast_gap_memory_stays_small_at_steps_33():
-    # the outer pass runs one common row at a time: (2*33 - 1) x 33 x 33
-    # cells, about 0.57 MB per array and a traced peak of 7.2 MB; all rows at
-    # once would take 37 MB per array
+    # at steps 33 nearly every chunk is one common-1 row of admitted cells
+    # (94 chunks for 33 + 65 rows), at most 33 x 1089 cells: about 0.29 MB
+    # per array and a traced peak of 4.4 MB; all 65 outer rows of
+    # (2*33 - 1) x 33 x 33 cells at once would take 37 MB per array
     cfg = diamond_config()
     broadcast_region_gap(cfg, steps=33)  # warm-up
     tracemalloc.start()
