@@ -41,7 +41,7 @@ from enum import Enum
 import numpy as np
 
 from ._search import coherent_max, grid_refine
-from .channel import ChannelConfig, CsiMode, Topology, angle_between, rounding_slack
+from .channel import ChannelConfig, CsiMode, Topology, angle_between, require_network, rounding_slack
 from .matrices import require_psd
 
 __all__ = [
@@ -157,13 +157,6 @@ _MULTIPLIER_POINTS = 257
 _RELAY_ANGLE_POINTS = 133
 
 
-def _require_single_relay(cfg: ChannelConfig, mode: CsiMode, what: str) -> None:
-    if cfg.topology is not Topology.SINGLE_RELAY:
-        raise ValueError(f"{what} requires the single-relay topology, got {cfg.topology.value!r}")
-    if cfg.csi is not mode:
-        raise ValueError(f"{what} requires csi mode {mode.value!r}, got {cfg.csi.value!r}")
-
-
 def _check_source_budget(cfg: ChannelConfig, spent: float) -> None:
     p1 = cfg.powers["P1"]
     if spent > p1 + rounding_slack(p1):
@@ -202,7 +195,7 @@ def cutset_bounds(cfg: ChannelConfig, alloc: PowerAllocation) -> tuple[float, fl
     bound at this split is their minimum.  ``alloc.theta`` may lie outside
     [0, alpha]; such angles are valid inputs, they just never help.
     """
-    _require_single_relay(cfg, CsiMode.SYNCHRONOUS, "cutset_bounds")
+    require_network(cfg, "cutset_bounds", Topology.SINGLE_RELAY, CsiMode.SYNCHRONOUS)
     _check_source_budget(cfg, alloc.total)
     g21, g31, m32, alpha, _, p2 = _single_relay_geometry(cfg)
     n0 = cfg.noise_psd
@@ -252,7 +245,7 @@ def optimize_capacity(cfg: ChannelConfig) -> CapacityResult:
     closed form by :func:`~relaycap._search.coherent_max`.  The allocation
     is replayed through :func:`cutset_bounds` to pick the binding cut.
     """
-    _require_single_relay(cfg, CsiMode.SYNCHRONOUS, "optimize_capacity")
+    require_network(cfg, "optimize_capacity", Topology.SINGLE_RELAY, CsiMode.SYNCHRONOUS)
     g21, g31, m32, alpha, p1, p2 = _single_relay_geometry(cfg)
     n0 = cfg.noise_psd
     partner = m32 * math.sqrt(p2)
@@ -303,7 +296,7 @@ def phase_fading_capacity(cfg: ChannelConfig) -> float:
     cut saturates at the better of the two source links and the MAC cut adds
     the relay link power incoherently.
     """
-    _require_single_relay(cfg, CsiMode.PHASE_FADING, "phase_fading_capacity")
+    require_network(cfg, "phase_fading_capacity", Topology.SINGLE_RELAY, CsiMode.PHASE_FADING)
     g21, g31, m32, _, p1, p2 = _single_relay_geometry(cfg)
     return min(max(g21, g31) * p1, g31 * p1 + m32 ** 2 * p2)
 
@@ -316,7 +309,7 @@ def covariance_bounds(cfg: ChannelConfig, params: MatrixBoundParams) -> tuple[fl
     source budget.  Returns ``(relay_decode, mac_combine)`` like
     :func:`cutset_bounds`.
     """
-    _require_single_relay(cfg, CsiMode.SYNCHRONOUS, "covariance_bounds")
+    require_network(cfg, "covariance_bounds", Topology.SINGLE_RELAY, CsiMode.SYNCHRONOUS)
     p1_watts = cfg.powers["P1"]
     tol = rounding_slack(p1_watts)
     require_psd(params.a, tol, "covariance block 'a'")
@@ -416,7 +409,7 @@ def optimize_covariance_bound(cfg: ChannelConfig) -> CapacityResult:
     b) >= 0`` for ``a, b`` in ``[0, pi/2]``; moving ``phi > alpha`` to
     ``alpha`` raises both gains.
     """
-    _require_single_relay(cfg, CsiMode.SYNCHRONOUS, "optimize_covariance_bound")
+    require_network(cfg, "optimize_covariance_bound", Topology.SINGLE_RELAY, CsiMode.SYNCHRONOUS)
     g21, g31, m32, alpha, p1, p2 = _single_relay_geometry(cfg)
     n0 = cfg.noise_psd
     c21 = cfg.gain("c21")

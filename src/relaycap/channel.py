@@ -253,6 +253,19 @@ def angle_between(c2: np.ndarray, c3: np.ndarray) -> float:
     return float(math.acos(min(cos_alpha, 1.0)))
 
 
+_TOPOLOGY_NAMES = {Topology.SINGLE_RELAY: "single-relay", Topology.TWO_RELAY_DIAMOND: "two-relay diamond"}
+
+
+def require_network(cfg: ChannelConfig, what: str, topology: Topology, csi: CsiMode | None = None) -> None:
+    """Raise ValueError, naming the caller ``what``, unless ``cfg`` has this
+    topology and, when ``csi`` is given, this csi mode."""
+    if cfg.topology is not topology:
+        name = _TOPOLOGY_NAMES[topology]
+        raise ValueError(f"{what} requires the {name} topology, got {cfg.topology.value!r}")
+    if csi is not None and cfg.csi is not csi:
+        raise ValueError(f"{what} requires csi mode {csi.value!r}, got {cfg.csi.value!r}")
+
+
 def rounding_slack(*quantities: float) -> float:
     """Allowance for rounding when comparing quantities of these sizes.
 

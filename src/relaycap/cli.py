@@ -349,11 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--config", required=True, help="channel config JSON file")
     p_ver.add_argument("--bandwidths", type=float, nargs="+", help="bandwidths in Hz (ascending)")
     p_ver.add_argument("--samples", type=int, default=200_000,
-                       help="phase samples per bandwidth; used only for links with three or more "
-                            "antennas, since one or two are averaged exactly (default 200000)")
+                       help="grid phases per bandwidth; used only for links of three antennas, "
+                            "since one or two are averaged exactly (default 200000)")
     p_ver.add_argument("--seed", type=int, default=0,
-                       help="rng seed for phase sampling; used only for links with three or more "
-                            "antennas (default 0)")
+                       help="unused: phase fading is averaged on a grid, not sampled (default 0)")
     p_ver.set_defaults(func=_cmd_verify_limits)
 
     p_mat = sub.add_parser("matrix-check", help="eigenvalues and PSD verdict for a JSON matrix")

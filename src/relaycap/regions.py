@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import REL_TOL, ChannelConfig, CsiMode, Topology, angle_between, rounding_slack
+from .channel import REL_TOL, ChannelConfig, CsiMode, Topology, angle_between, require_network, rounding_slack
 
 __all__ = [
     "MacRegionPoint",
@@ -56,13 +56,6 @@ __all__ = [
     "min_power",
     "max_min_beam_gain",
 ]
-
-
-def _require_diamond(cfg: ChannelConfig, what: str, csi: CsiMode | None = None) -> None:
-    if cfg.topology is not Topology.TWO_RELAY_DIAMOND:
-        raise ValueError(f"{what} requires the two-relay diamond topology, got {cfg.topology.value!r}")
-    if csi is not None and cfg.csi is not csi:
-        raise ValueError(f"{what} requires csi mode {csi.value!r}, got {cfg.csi.value!r}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +80,7 @@ def mac_region_point(cfg: ChannelConfig, rho: float = 0.0) -> MacRegionPoint:
     while the sum bound gains a coherent term; under phase fading the
     correlation cannot be exploited and ``rho`` is ignored.
     """
-    _require_diamond(cfg, "mac_region_point")
+    require_network(cfg, "mac_region_point", Topology.TWO_RELAY_DIAMOND)
     if not math.isfinite(rho):
         raise ValueError(f"rho must be finite, got {rho!r}")
     n0 = cfg.noise_psd
@@ -235,7 +228,7 @@ def _sum_cap(common, private2, private3):
 
 
 def _alloc_stream_rates(cfg: ChannelConfig, alloc: CommonPrivateAllocation, what: str):
-    _require_diamond(cfg, what, CsiMode.PHASE_FADING)
+    require_network(cfg, what, Topology.TWO_RELAY_DIAMOND, CsiMode.PHASE_FADING)
     _check_antenna_budgets(cfg, alloc)
     g2, g3 = _broadcast_gains(cfg)
     return _stream_rates(g2, g3, alloc.p1c, alloc.p2c, alloc.p12, alloc.p22, alloc.p13, alloc.p23)
@@ -419,7 +412,7 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
     first chunk to reach the maximum; inside the winning slab, found by
     re-evaluating it in full.
     """
-    _require_diamond(cfg, "broadcast_region_gap", CsiMode.PHASE_FADING)
+    require_network(cfg, "broadcast_region_gap", Topology.TWO_RELAY_DIAMOND, CsiMode.PHASE_FADING)
     if steps < 2:
         raise ValueError("steps must be >= 2")
     g2, g3 = _broadcast_gains(cfg)
@@ -556,7 +549,7 @@ def beamforming_rates(cfg: ChannelConfig, weights: BeamformingWeights) -> Beamfo
     decodes both beams, the weaker only the common one; the rates are the
     corresponding quadratic forms.
     """
-    _require_diamond(cfg, "beamforming_rates", CsiMode.SYNCHRONOUS)
+    require_network(cfg, "beamforming_rates", Topology.TWO_RELAY_DIAMOND, CsiMode.SYNCHRONOUS)
     c21 = cfg.gain("c21")
     c31 = cfg.gain("c31")
     if not beamforming_condition(c21, c31):

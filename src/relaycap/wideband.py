@@ -12,8 +12,9 @@ compare against the variance-ratio target:
   a fully correlated Gaussian input, converging to sum |c_i|^2 var_i / N0
   because phase averaging kills every cross term. One phase is averaged in
   closed form, so with at most two antennas (every link a config can hold)
-  the value is exact and its standard error 0; only the phases beyond two
-  are sampled;
+  the value is exact; a third antenna's phase is averaged on an equispaced
+  grid, whose error is geometric in the node count. Links of four or more
+  antennas are rejected;
 * discrete joints (U, X): exact Gauss-Hermite integration of the discrete-
   input mutual information (Monte Carlo beyond 16 support points), used to
   verify the conditional-variance decomposition
@@ -27,8 +28,9 @@ compare against the variance-ratio target:
   of c2 gives I(X;Y2|U); on quadrature with c1 == c2 that pass is the first
   one's and is skipped, while Monte Carlo redraws for it.
 
-Stochastic checkers take an explicit seed and derive one substream per
-bandwidth index, so results do not depend on evaluation order.
+The Monte Carlo path of the discrete-joint checker takes an explicit seed
+and derives one substream per bandwidth index, so results do not depend on
+evaluation order.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ __all__ = [
 
 DEFAULT_BANDWIDTHS = (1e1, 1e2, 1e3, 1e4, 1e5)
 
-_PHASE_CHUNK = 1_000_000
 _REL_TOL = 1e-3  # convergence threshold, relative to the target
 _QUAD_ORDER = 40  # Gauss-Hermite nodes per axis on the quadrature path
 
@@ -78,8 +79,10 @@ class LimitCheckReport:
 
     tolerance is the absolute threshold the convergence flag was judged
     against: the fixed relative tolerance 1e-3 times the target, or 1e-3 for
-    a zero target. standard_errors is populated by the checkers that can
-    sample (all 0 where the phase-fading checker was exact).
+    a zero target. standard_errors holds the Monte Carlo standard errors of
+    the discrete-joint checker; it is None on its quadrature path and for the
+    constant-phase checker, and all 0 for the phase-fading checker, which
+    samples nothing.
     """
 
     bandwidths: np.ndarray
@@ -110,6 +113,15 @@ def _validate_bandwidths(bandwidths) -> np.ndarray:
     if np.any(np.diff(b) <= 0):
         raise ValueError("bandwidths must be strictly ascending")
     return b
+
+
+def _validate_input_var(input_var, size: int) -> np.ndarray:
+    var = np.asarray(input_var, dtype=float).reshape(-1)
+    if var.size != size:
+        raise ValueError(f"input_var must have {size} entries, got {var.size}")
+    if np.any(var < 0) or np.any(~np.isfinite(var)):
+        raise ValueError("input_var entries must be finite and >= 0")
+    return var
 
 
 def _validate_noise_psd(noise_psd) -> None:
@@ -146,13 +158,9 @@ def check_limit_constant_phase(
     relative tolerance 1e-3.
     """
     c = np.asarray(gains, dtype=complex).reshape(-1)
-    var = np.asarray(input_var, dtype=float).reshape(-1)
     if not np.all(np.isfinite(c)):
         raise ValueError("gains entries must be finite")
-    if var.size != c.size:
-        raise ValueError(f"input_var must have {c.size} entries, got {var.size}")
-    if np.any(var < 0) or np.any(~np.isfinite(var)):
-        raise ValueError("input_var entries must be finite and >= 0")
+    var = _validate_input_var(input_var, c.size)
     _validate_noise_psd(noise_psd)
     b = _validate_bandwidths(bandwidths)
 
@@ -175,25 +183,26 @@ def check_limit_phase_fading(
 
     The input is the fully correlated Gaussian X_i = sqrt(var_i) * S, the
     hardest case for the limit: conditioned on the link phases its received
-    variance |sum |c_i| e^{-j phi_i} sqrt(var_i)|^2 swings with every draw,
+    variance |sum |c_i| e^{-j phi_i} sqrt(var_i)|^2 swings with the phases,
     and only the uniform phase average removes the cross terms. Complex
-    gains are accepted as given: only their moduli enter.
+    gains are accepted as given: only their moduli enter. Links of up to
+    three antennas are supported; a link of four or more raises ValueError.
 
-    Only relative phases matter, so the first is fixed at 0, and the last
-    is averaged in closed form (:func:`_last_phase_average`). With at most
-    two antennas nothing random is left: the values are exact, their
-    standard errors are 0, and ``num_phase_samples`` and ``rng_seed`` are
-    not used. With three or more, the n - 2 phases in between are sampled,
-    ``num_phase_samples`` draws per bandwidth from that bandwidth's own
-    seeded substream.
-
-    The sampled estimator subtracts a first-order control variate: the
-    variance A = |w|^2 + |a_n|^2 that the closed form is conditioned on has
-    exactly known mean sum |c_i|^2 var_i (uniform phases kill every cross
-    term), so removing its linear contribution leaves only the curvature of
-    log1p as noise. The estimate stays unbiased; the reported standard
-    errors are those of the corrected samples. Convergence is judged at the
-    fixed relative tolerance 1e-3.
+    Only relative phases matter, so one phase is fixed at 0 and the last is
+    averaged in closed form (:func:`_last_phase_average`). With three
+    antennas the one phase left is averaged by the periodic trapezoid rule
+    on ``num_phase_samples`` equispaced phases. The integrand is analytic
+    and periodic in it, so the error is geometric in the node count, at a
+    rate set by the narrowest dip of the received variance: two equal
+    amplitudes a far above the third cancel over a phase width of about
+    sqrt(N0 B) / a, which the grid must resolve. In the cases measured at
+    the default 100000 nodes the error stayed within 5e-16 relative up to
+    SNR 2e7; with amplitudes (1e3, 1e3, 1e-3) it was 4e-8 at SNR 2e9 and
+    about 1e-6 at SNRs of 2e11 and more. With one or two antennas that
+    phase carries no amplitude, a single node is exact, and
+    ``num_phase_samples`` is not used. Nothing is random: ``rng_seed`` is
+    accepted but not read, and the standard errors are all 0. Convergence
+    is judged at the fixed relative tolerance 1e-3.
     """
     gains = np.asarray(gain_mags, dtype=complex).reshape(-1)
     # hypot, unlike abs of a complex array, rounds alike whatever the memory
@@ -201,56 +210,27 @@ def check_limit_phase_fading(
     mags = np.hypot(gains.real, gains.imag)
     if not np.all(np.isfinite(mags)):
         raise ValueError("gain_mags entries must be finite")
-    var = np.asarray(input_var, dtype=float).reshape(-1)
-    if var.size != mags.size:
-        raise ValueError(f"input_var must have {mags.size} entries, got {var.size}")
-    if np.any(var < 0) or np.any(~np.isfinite(var)):
-        raise ValueError("input_var entries must be finite and >= 0")
+    if mags.size > 3:
+        raise ValueError(f"phase fading is averaged for at most 3 antennas, got {mags.size}")
+    var = _validate_input_var(input_var, mags.size)
     if num_phase_samples < 1:
         raise ValueError("num_phase_samples must be >= 1")
     _validate_noise_psd(noise_psd)
     b = _validate_bandwidths(bandwidths)
 
     amps = mags * np.sqrt(var)
-    mean_v = math.fsum(amps * amps)  # correctly rounded, so order-free
-    target = mean_v / noise_psd
-    last = float(amps[-1]) if amps.size else 0.0
-    first = float(amps[0]) if amps.size > 1 else 0.0
-
-    if amps.size <= 2:
-        values = b * _last_phase_average(first, last, noise_psd * b)
-        return _finish_report(b, values, target, ses=np.zeros(b.size))
-
-    middle = amps[1:-1]
-    streams = np.random.SeedSequence(rng_seed).spawn(b.size)
-    values = np.empty(b.size)
-    ses = np.empty(b.size)
-    for idx, bk in enumerate(b):
-        rng = np.random.default_rng(streams[idx])
-        s = noise_psd * bk
-        slope = bk / (s + mean_v)  # d/dA of the closed form at mean_v
-        # the samples cluster around the closed form at mean_v; squaring them
-        # about it, not about 0, keeps their spread from cancelling away
-        centre = bk * math.log1p(mean_v / s)
-        total = 0.0
-        total_sq = 0.0
-        remaining = num_phase_samples
-        while remaining > 0:
-            n = min(remaining, _PHASE_CHUNK)
-            phases = rng.uniform(0.0, 2.0 * np.pi, size=(n, middle.size))
-            w = first + np.exp(1j * phases) @ middle
-            w_abs = np.abs(w)
-            sample = bk * _last_phase_average(w_abs, last, s)
-            sample -= slope * ((w_abs * w_abs + last * last) - mean_v)
-            total += float(sample.sum())
-            sample -= centre
-            total_sq += float(sample @ sample)
-            remaining -= n
-        mean = total / num_phase_samples
-        var_est = max(total_sq / num_phase_samples - (mean - centre) ** 2, 0.0)
-        values[idx] = mean
-        ses[idx] = math.sqrt(var_est / num_phase_samples)
-    return _finish_report(b, values, target, ses=ses)
+    target = math.fsum(amps * amps) / noise_psd  # correctly rounded, so order-free
+    # zeros pad a short link in front, so its gridded amplitude is 0 and the
+    # single node 1.0 is exact. That node leaves w_abs a Python float, whose
+    # squares go through libm pow, not numpy's x * x: the two differ in the
+    # last bit for about 1 input in 1000, and the tests pin those bits.
+    gridded, fixed, last = np.concatenate((np.zeros(3 - amps.size), amps)).tolist()
+    n = num_phase_samples
+    phasors = np.exp(2j * np.pi * np.arange(n) / n) if gridded else 1.0
+    w_abs = abs(fixed + gridded * phasors)
+    s = (noise_psd * b)[:, None]
+    values = b * _last_phase_average(w_abs, last, s).mean(axis=1)
+    return _finish_report(b, values, target, ses=np.zeros(b.size))
 
 
 def _last_phase_average(w_abs, a, s):

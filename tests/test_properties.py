@@ -124,6 +124,65 @@ def _fading(gains, input_var, noise_psd):
     return check_limit_phase_fading(gains, input_var, noise_psd, FADING_BANDWIDTHS, rng_seed=0)
 
 
+# The values of links of one or two antennas, bit for bit. The last two links
+# are ones where squaring with numpy's x * x instead of libm pow would move a
+# bit.
+PINNED_FADING = [
+    (
+        ([1e6], [1e-6], 1e-6),
+        (
+            "0x1.1af11061eb815p-5", "0x1.4a193dc792c1ap-2", "0x1.7f2670d9eeeb3p+1",
+            "0x1.ba18a999000bap+4", "0x1.fa9197a9fb7fbp+7", "0x1.1fd2b914f6afdp+11",
+            "0x1.43cd1037d2978p+14", "0x1.67c7675d74822p+17", "0x1.8982193397afcp+20",
+            "0x1.a59daf1dad6d8p+23", "0x1.b72f02a98c87cp+26", "0x1.b730222594ca7p+29",
+        ),
+    ),
+    (
+        ([1.0, 1.0], [1.0, 1.0], 1.0),
+        (
+            "0x1.c6c76c2513c3cp-8", "0x1.8171b2a4cbf9ap-5", "0x1.0c087340646ffp-2",
+            "0x1.ecc2caec5160ap-1", "0x1.c0c6fde27e83dp+0", "0x1.f87c7eef486d4p+0",
+            "0x1.ff3bd3e847fbdp+0", "0x1.ffec57f41134ep+0", "0x1.fffe08b1d827cp+0",
+            "0x1.ffffcdab20726p+0", "0x1.fffffaf78295dp+0", "0x1.ffffff7f26a6ep+0",
+        ),
+    ),
+    (
+        ([0.3 - 0.4j, 2e3], [1e-3, 5e2], 1e2),
+        (
+            "0x1.849cb04b6fd13p-6", "0x1.b69baef8cc1a5p-3", "0x1.e95061f9dcd87p+0",
+            "0x1.0cfad9d0d3bd7p+4", "0x1.222c5486c20a0p+7", "0x1.3126e59d4a609p+10",
+            "0x1.357c4ce7b0503p+13", "0x1.28ee05f9fe27ep+16", "0x1.02f34fb4ae974p+19",
+            "0x1.73a5538075242p+21", "0x1.4f4515c5fb19fp+23", "0x1.16335badecf99p+24",
+        ),
+    ),
+    (
+        ([-26.652260698322877 + 10.902265339468928j], [1.365947176774473], 40.864994659581065),
+        (
+            "0x1.4f3608694cf2dp-7", "0x1.44b6973109abap-4", "0x1.202a457c02687p-1",
+            "0x1.adc1f973570f4p+1", "0x1.a8ce78402813ap+3", "0x1.876ea068ecb5fp+4",
+            "0x1.b56f27acc5a88p+4", "0x1.badaf2ff04121p+4", "0x1.bb6842ac11e59p+4",
+            "0x1.bb766adb07228p+4", "0x1.bb77d55718698p+4", "0x1.bb77f996df324p+4",
+        ),
+    ),
+    (
+        ([-19.761221446835336 + 17.3807853101654j, -51.5592461641519 - 1034.5380880126252j],
+         [7.247907725607469e-06, 1.1878985318899578e-05], 0.02189790404841792),
+        (
+            "0x1.b2f8c1cfd35a5p-7", "0x1.c166c0feb1a18p-4", "0x1.bbde06c2a717cp-1",
+            "0x1.97914caf651a1p+2", "0x1.467a86e533536p+5", "0x1.7ffdc240fc28cp+7",
+            "0x1.cacd4ad6a5655p+8", "0x1.1af6e383c2f32p+9", "0x1.22492d6f4d136p+9",
+            "0x1.230bc78eca6eep+9", "0x1.231f5088a6fa0p+9", "0x1.232144d2e977ep+9",
+        ),
+    ),
+]
+
+
+def test_phase_fading_pinned_bits():
+    for (gains, input_var, noise_psd), expected in PINNED_FADING:
+        report = _fading(gains, input_var, noise_psd)
+        assert tuple(v.hex() for v in report.scaled_mi) == expected
+
+
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
 @given(fading_links(), SCALES)
 def test_phase_fading_joint_scaling(link, t):
