@@ -289,10 +289,11 @@ class RatePoint:
 
 
 def _suffix_max(grid: np.ndarray) -> np.ndarray:
-    """grid[i, j] -> max over cells (>= i, >= j)."""
+    """grid[i, j] -> max over cells (>= i, >= j). The grid holds no NaN, so
+    fmax, which skips numpy's NaN propagation, gives the same bits."""
     out = grid[::-1, ::-1].copy()
-    np.maximum.accumulate(out, axis=0, out=out)
-    np.maximum.accumulate(out, axis=1, out=out)
+    np.fmax.accumulate(out, axis=0, out=out)
+    np.fmax.accumulate(out, axis=1, out=out)
     return out[::-1, ::-1]
 
 

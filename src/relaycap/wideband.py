@@ -21,12 +21,16 @@ compare against the variance-ratio target:
   B*I(U;Y1) -> (var[c1^H X] - E var[c1^H X | U]) / N0 and
   B*I(X;Y2|U) -> E var[c2^H X | U] / N0.
   At a noise point z, |z + d|^2 = |z|^2 + |d|^2 + 2 Re(conj(z) d) for every
-  atom offset d, and the |z|^2 part cancels from every information term, so
-  each atom costs one real (atoms x 2) @ (2 x points) product and log-sum-
-  exps over its rows. One pass over c1 gives I(X;Y1) and I(U;Y1) (the group
-  log-sum-exp read from the same rows), and a pass over only the group rows
-  of c2 gives I(X;Y2|U); on quadrature with c1 == c2 that pass is the first
-  one's and is skipped, while Monte Carlo redraws for it.
+  atom offset d, and the |z|^2 part cancels from every information term.
+  Shifted by one constant per atom, its own log-probability floored 550
+  below the largest, the exponents of an atom are one real
+  (atoms x 3) @ (3 x points) product against the points and a row of ones,
+  which cannot overflow, and one exp in place; its group's column sum and
+  the all-row sum then give the information terms through two logs. One
+  pass over c1 gives I(X;Y1) and I(U;Y1) (the group sum read from the same
+  rows), and a pass over only the group rows of c2 gives I(X;Y2|U); on
+  quadrature with c1 == c2 that pass is the first one's and is skipped,
+  while Monte Carlo redraws for it.
 
 The Monte Carlo path of the discrete-joint checker takes an explicit seed
 and derives one substream per bandwidth index, so results do not depend on
@@ -270,86 +274,99 @@ class ConditionalLimitReports:
     total: LimitCheckReport
 
 
-def _lse_columns(block):
-    """Log-sum-exp down each column of the 2-D ``block``, which it overwrites."""
-    peak = block.max(axis=0)
-    block -= peak
-    np.exp(block, out=block)
-    return peak + np.log(block.sum(axis=0))
+# Each atom's exponents are shifted by its log-probability, floored this far
+# below the largest one: no exponent then exceeds _SHIFT_FLOOR + |z|^2 /
+# sigma_sq, which stays below exp's overflow at 709.78 for every quadrature
+# node (|z|^2 / sigma_sq <= 131.2) and every Monte Carlo draw short of an
+# Exp(1) variate above 159, while the atom's own term stays >= exp(-195).
+_SHIFT_FLOOR = 550.0
 
 
-def _mi_components(s, probs, inverse, group_p, sigma_sq, noise, work, full=True):
+def _mi_components(s, probs, inverse, group_p, sigma_sq, scale, noise, work, full=True):
     """Mutual-information parts of the discrete input s in complex Gaussian
     noise of variance sigma_sq, in nats per channel use.
 
     Returns the means of I(X;Y), I(U;Y) and I(X;Y|U), with atoms grouped by
     label U, each averaged atom by atom over the points and weights that
-    ``noise()`` returns: a (2, m) array of real and imaginary parts, with
-    fixed Gauss-Hermite weights or, for fresh Monte Carlo draws, weights None
-    (equal weights). Only Monte Carlo averages come with standard errors (the
-    second value; None for quadrature). With ``full`` False only I(X;Y|U) is
-    computed, and the other two means are NaN.
+    ``noise()`` returns: a (3, m) array of ones and of the real and
+    imaginary parts of the noise points divided by ``scale``, with fixed
+    Gauss-Hermite weights or, for fresh Monte Carlo draws, weights None
+    (equal weights). Only Monte Carlo averages come with standard errors
+    (the second value; None for quadrature). With ``full`` False only
+    I(X;Y|U) is computed, and the other two means are NaN. ``work`` holds
+    at least (atoms + 3) * m floats.
 
     At atom k, with offsets d_j = s_k - s_j and a noise point z = x + iy,
     |z + d_j|^2 = |z|^2 + |d_j|^2 + 2 (x Re d_j + y Im d_j). The common
     -|z|^2 / sigma_sq cancels from all three terms, which leaves the real
     exponents e_j = log p_j - |d_j|^2 / sigma_sq - (2 / sigma_sq)(x Re d_j +
-    y Im d_j): one (K x 2) @ (2 x m) product per atom, written into ``work``
-    and reduced there in place. The rows of atom k's group come first; with
-    G the log-sum-exp over them and R over the rest, L_grp = G - log P(U=u_k)
-    and L_all = logaddexp(G, R), and the terms are I(X;Y) <- -L_all,
-    I(U;Y) <- L_grp - L_all and I(X;Y|U) <- -L_grp. Each part keeps its own
-    peak shift, so a group far below the overall peak does not underflow.
+    y Im d_j). All of atom k's exponents are shifted by the one constant
+    c_k = max(log p_k, max log p - _SHIFT_FLOOR), so each atom costs one
+    (K x 3) @ (3 x m) product against the ones row and the points, one
+    exp in place, and the column sums S_grp over the rows of its group,
+    which come first, and S_all over every row. With these,
+    L_grp = c_k + log S_grp - log P(U=u_k) and L_all = c_k + log S_all,
+    and the terms are I(X;Y) <- -L_all, I(U;Y) <- L_grp - L_all and
+    I(X;Y|U) <- -L_grp. The own row is exp(log p_k - c_k), which is 1
+    unless the floor binds and never below exp(-195), so log S_grp is
+    finite.
     """
+    atoms = s.size
     log_p = np.log(probs)
-    sizes = np.bincount(inverse)
-    rows_of = [
-        np.concatenate((np.flatnonzero(inverse == u), np.flatnonzero(inverse != u)))
-        for u in range(group_p.size)
-    ]
-    means = np.zeros(3)
-    variances = np.zeros(3)
-    for k in range(s.size):
-        pts, weights = noise()
-        u = inverse[k]
-        size = sizes[u]
-        rows = rows_of[u] if full else rows_of[u][:size]
-        d_re = s.real[k] - s.real[rows]
-        d_im = s.imag[k] - s.imag[rows]
-        coef = np.stack((d_re, d_im), axis=1) * (2.0 / sigma_sq)
-        base = log_p[rows] - (d_re * d_re + d_im * d_im) / sigma_sq
-        expo = work[: rows.size * pts.shape[1]].reshape(rows.size, pts.shape[1])
-        np.matmul(coef, pts, out=expo)
-        np.subtract(base[:, None], expo, out=expo)
-        lse_grp = _lse_columns(expo[:size])
-        cond = math.log(group_p[u]) - lse_grp
+    shifts = np.maximum(log_p, log_p.max() - _SHIFT_FLOOR)
+    log_gp = np.log(group_p)[inverse]
+    sizes = np.bincount(inverse)[inverse]
+    # row order per atom: its own group first
+    order = np.argsort(inverse[None, :] != inverse[:, None], axis=1, kind="stable")
+    d = s[:, None] - s[order]
+    coef = np.empty((atoms, atoms, 3))
+    coef[..., 0] = log_p[order] - shifts[:, None] - (d.real * d.real + d.imag * d.imag) / sigma_sq
+    coef[..., 1] = d.real
+    coef[..., 2] = d.imag
+    coef[..., 1:] *= -2.0 * scale / sigma_sq
+    # per atom, the rows summed into S_all and into S_grp
+    sums_of = np.ones((atoms, 2, atoms))
+    sums_of[:, 1] = np.arange(atoms) < sizes[:, None]
+    # per atom, the averages of log S_all, log S_grp - log S_all and log S_grp
+    avg = np.zeros((atoms, 3))
+    var = np.zeros((atoms, 3))
+    first = 0 if full else 2
+    for k in range(atoms):
+        nodes, weights = noise()
+        m = nodes.shape[1]
+        rows = atoms if full else sizes[k]
+        expo = work[: rows * m].reshape(rows, m)
+        logs = work[work.size - 3 * m :].reshape(3, m)
+        np.matmul(coef[k, :rows], nodes, out=expo)
+        np.exp(expo, out=expo)
+        sums = logs[first::2]  # S_all and S_grp, or S_grp alone
+        np.matmul(sums_of[k, first // 2 :, :rows], expo, out=sums)
+        np.log(sums, out=sums)
         if full:
-            lse_all = lse_grp
-            if size < rows.size:
-                lse_all = np.logaddexp(lse_grp, _lse_columns(expo[size:]))
-            terms = ((0, -lse_all), (1, -(cond + lse_all)), (2, cond))
+            np.subtract(logs[2], logs[0], out=logs[1])
+        if weights is None:
+            avg[k, first:] = logs[first:].mean(axis=1)
+            var[k, first:] = logs[first:].var(axis=1) / m
         else:
-            terms = ((2, cond),)
-        for i, f in terms:
-            if weights is None:
-                means[i] += probs[k] * float(f.mean())
-                variances[i] += probs[k] ** 2 * float(f.var()) / f.size
-            else:
-                means[i] += probs[k] * float(weights @ f)
+            avg[k, first:] = logs[first:] @ weights
+    terms = avg * (-1.0, 1.0, -1.0) + np.stack((-shifts, -log_gp, log_gp - shifts), axis=1)
+    means = probs @ terms
     if not full:
         means[:2] = np.nan
-    return means, None if weights is not None else np.sqrt(variances)
+    return means, None if weights is not None else np.sqrt(probs**2 @ var)
 
 
 @functools.cache
 def _unit_gauss_hermite():
     """Product Gauss-Hermite rule of order _QUAD_ORDER per axis for E f(z),
     z circularly symmetric complex Gaussian of unit variance: the nodes as a
-    (2, order^2) array of real and imaginary parts, and their weights, both
-    read-only. Cached because the nodes cost about 1 ms, a third of a whole
-    four-atom quadrature check."""
+    (3, order^2) array of ones and of real and imaginary parts, the ones
+    carrying the constant column of _mi_components' product, and their
+    weights, both read-only. Cached because the nodes cost about 0.4 ms, half
+    of a whole four-atom quadrature check with c1 == c2 on a 2-vCPU machine."""
     nodes, node_weights = np.polynomial.hermite.hermgauss(_QUAD_ORDER)
-    points = np.stack((np.repeat(nodes, nodes.size), np.tile(nodes, nodes.size)))
+    points = np.stack((np.ones(nodes.size ** 2), np.repeat(nodes, nodes.size),
+                       np.tile(nodes, nodes.size)))
     weights = np.outer(node_weights, node_weights).ravel() / np.pi
     points.setflags(write=False)
     weights.setflags(write=False)
@@ -432,35 +449,35 @@ def check_conditional_limits(
     use_mc = probs.size > max_quadrature_support
     streams = np.random.SeedSequence(rng_seed).spawn(b.size)
     unit_nodes, unit_weights = _unit_gauss_hermite()
-    points = np.empty((2, mc_samples)) if use_mc else None
-    work = np.empty((mc_samples if use_mc else unit_weights.size) * probs.size)
+    if use_mc:
+        points = np.empty((3, mc_samples))
+        points[0] = 1.0
+    work = np.empty((mc_samples if use_mc else unit_weights.size) * (probs.size + 3))
 
     def noise_at(idx: int, sigma_sq: float):
-        """Noise points and weights for every atom at bandwidth index idx."""
+        """The scale of the noise points at bandwidth index idx, and a callable
+        returning every atom's unit points and weights."""
         if use_mc:
             rng = np.random.default_rng(streams[idx])
-            scale = math.sqrt(sigma_sq / 2.0)
 
             def draw():
-                rng.standard_normal(out=points[0])  # real parts first, then imaginary
-                rng.standard_normal(out=points[1])
-                np.multiply(points, scale, out=points)
+                # real parts first, then imaginary, as one call
+                rng.standard_normal(out=points[1:])
                 return points, None
 
-            return draw
-        z = math.sqrt(sigma_sq) * unit_nodes
-        return lambda: (z, unit_weights)
+            return math.sqrt(sigma_sq / 2.0), draw
+        return math.sqrt(sigma_sq), lambda: (unit_nodes, unit_weights)
 
     skip_second = not use_mc and np.array_equal(s1, s2)
     vals = np.empty((3, b.size))
     ses = np.empty((3, b.size)) if use_mc else None
     for idx, bk in enumerate(b):
         sigma_sq = noise_psd * bk
-        noise = noise_at(idx, sigma_sq)
-        means, errs = _mi_components(s1, probs, inverse, group_p, sigma_sq, noise, work)
+        scale, noise = noise_at(idx, sigma_sq)
+        means, errs = _mi_components(s1, probs, inverse, group_p, sigma_sq, scale, noise, work)
         if not skip_second:
             cond_means, cond_errs = _mi_components(
-                s2, probs, inverse, group_p, sigma_sq, noise, work, full=False
+                s2, probs, inverse, group_p, sigma_sq, scale, noise, work, full=False
             )
             means[2] = cond_means[2]
             if use_mc:

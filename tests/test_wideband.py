@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from relaycap import (
@@ -551,6 +553,188 @@ def test_conditional_limits_monte_carlo_passes_draw_independently():
     spread = np.sqrt(reports.total.standard_errors ** 2 + reports.marginal.standard_errors ** 2
                      + reports.conditional.standard_errors ** 2)
     assert np.all(np.abs(resid) > 1e-3 * spread)
+
+
+def _reference_components(s, probs, inverse, group_p, sigma_sq, noise, work, full=True):
+    """The earlier discrete-joint kernel, in which the group rows and the
+    other rows of each atom keep their own peak shift and meet in a
+    logaddexp. ``noise()`` returns the noise points as a (2, m) array of
+    real and imaginary parts, and their weights (None for Monte Carlo)."""
+
+    def lse_columns(block):
+        peak = block.max(axis=0)
+        block -= peak
+        np.exp(block, out=block)
+        return peak + np.log(block.sum(axis=0))
+
+    log_p = np.log(probs)
+    sizes = np.bincount(inverse)
+    rows_of = [
+        np.concatenate((np.flatnonzero(inverse == u), np.flatnonzero(inverse != u)))
+        for u in range(group_p.size)
+    ]
+    means = np.zeros(3)
+    variances = np.zeros(3)
+    for k in range(s.size):
+        pts, weights = noise()
+        u = inverse[k]
+        size = sizes[u]
+        rows = rows_of[u] if full else rows_of[u][:size]
+        d_re = s.real[k] - s.real[rows]
+        d_im = s.imag[k] - s.imag[rows]
+        coef = np.stack((d_re, d_im), axis=1) * (2.0 / sigma_sq)
+        base = log_p[rows] - (d_re * d_re + d_im * d_im) / sigma_sq
+        expo = work[: rows.size * pts.shape[1]].reshape(rows.size, pts.shape[1])
+        np.matmul(coef, pts, out=expo)
+        np.subtract(base[:, None], expo, out=expo)
+        lse_grp = lse_columns(expo[:size])
+        cond = math.log(group_p[u]) - lse_grp
+        if full:
+            lse_all = lse_grp
+            if size < rows.size:
+                lse_all = np.logaddexp(lse_grp, lse_columns(expo[size:]))
+            terms = ((0, -lse_all), (1, -(cond + lse_all)), (2, cond))
+        else:
+            terms = ((2, cond),)
+        for i, f in terms:
+            if weights is None:
+                means[i] += probs[k] * float(f.mean())
+                variances[i] += probs[k] ** 2 * float(f.var()) / f.size
+            else:
+                means[i] += probs[k] * float(weights @ f)
+    if not full:
+        means[:2] = np.nan
+    return means, None if weights is not None else np.sqrt(variances)
+
+
+def _reference_sweeps(joint, c1, c2, noise_psd, bandwidths, use_mc, mc_samples=0, rng_seed=0):
+    """(total, marginal, conditional) sweeps from _reference_components and,
+    on Monte Carlo, their standard errors (else None), with the noise made as
+    the earlier checker made it: order-40 Gauss-Hermite nodes scaled by
+    sqrt(sigma_sq), or one substream per bandwidth, from which each atom
+    draws its real parts, then its imaginary parts, and scales them."""
+    keep = joint.probs > 0.0
+    probs = joint.probs[keep] / joint.probs[keep].sum()
+    _, inverse = np.unique(joint.y[keep], return_inverse=True)
+    group_p = np.bincount(inverse, weights=probs)
+    s1 = joint.x[keep] @ np.conj(c1)
+    s2 = joint.x[keep] @ np.conj(c2)
+    nodes, node_weights = np.polynomial.hermite.hermgauss(40)
+    unit = np.stack((np.repeat(nodes, nodes.size), np.tile(nodes, nodes.size)))
+    weights = np.outer(node_weights, node_weights).ravel() / np.pi
+    streams = np.random.SeedSequence(rng_seed).spawn(len(bandwidths))
+    m = mc_samples if use_mc else weights.size
+    work = np.empty(m * probs.size)
+    vals = np.empty((3, len(bandwidths)))
+    ses = np.empty((3, len(bandwidths)))
+    for idx, bk in enumerate(bandwidths):
+        sigma_sq = noise_psd * bk
+        if use_mc:
+            rng = np.random.default_rng(streams[idx])
+            points = np.empty((2, m))
+
+            def noise():
+                rng.standard_normal(out=points[0])
+                rng.standard_normal(out=points[1])
+                np.multiply(points, math.sqrt(sigma_sq / 2.0), out=points)
+                return points, None
+        else:
+            z = math.sqrt(sigma_sq) * unit
+
+            def noise():
+                return z, weights
+
+        means, errs = _reference_components(s1, probs, inverse, group_p, sigma_sq, noise, work)
+        if use_mc or not np.array_equal(s1, s2):
+            cond_means, cond_errs = _reference_components(
+                s2, probs, inverse, group_p, sigma_sq, noise, work, full=False)
+            means[2] = cond_means[2]
+            if use_mc:
+                errs[2] = cond_errs[2]
+        vals[:, idx] = bk * means
+        if use_mc:
+            ses[:, idx] = bk * errs
+    return vals, ses if use_mc else None
+
+
+def _assert_matches_reference(joint, c1, c2, noise_psd, bandwidths, use_mc,
+                              mc_samples=200, rng_seed=0):
+    """The checker against _reference_sweeps: values within 1e-9 of the
+    largest |total| plus 1e-14 * B, the rounding floor of a sum whose
+    result is about SNR / B, and standard errors within 1e-12 relative on
+    the same floor. Fresh draws would move a standard error by about
+    1 / sqrt(2 mc_samples) relative, so the errors show the draws are the
+    earlier ones."""
+    reports = check_conditional_limits(
+        joint, c1, c2, noise_psd, bandwidths,
+        max_quadrature_support=0 if use_mc else 20, mc_samples=mc_samples, rng_seed=rng_seed)
+    expected, expected_ses = _reference_sweeps(
+        joint, c1, c2, noise_psd, bandwidths, use_mc, mc_samples, rng_seed)
+    floor = 1e-14 * np.asarray(bandwidths)
+    atol = 1e-9 * np.max(np.abs(expected[0])) + floor
+    for row, report in enumerate((reports.total, reports.marginal, reports.conditional)):
+        assert np.all(np.isfinite(report.scaled_mi))
+        assert np.all(np.abs(report.scaled_mi - expected[row]) <= atol), (row, report.scaled_mi)
+        if use_mc:
+            ses, expected_row = report.standard_errors, expected_ses[row]
+            assert np.all(np.isfinite(ses))
+            assert np.all(np.abs(ses - expected_row) <= 1e-12 * expected_row + floor), (row, ses)
+        else:
+            assert report.standard_errors is None
+
+
+_COORDS = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
+@st.composite
+def _discrete_joints(draw):
+    """A joint of 1 to 20 complex atoms in 1 or 2 dimensions, with labels
+    from 1 to as many groups as atoms, and two gain vectors, equal or not."""
+    atoms = draw(st.integers(1, 20))
+    dim = draw(st.integers(1, 2))
+
+    def vector(size):
+        return np.array([complex(draw(_COORDS), draw(_COORDS)) for _ in range(size)])
+
+    x = vector(atoms * dim).reshape(atoms, dim)
+    labels = draw(st.lists(st.integers(0, atoms - 1), min_size=atoms, max_size=atoms))
+    mass = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=atoms, max_size=atoms)))
+    c1 = vector(dim)
+    c2 = c1 if draw(st.booleans()) else vector(dim)
+    return FiniteJoint(x=x, y=np.array(labels, dtype=float), probs=mass / mass.sum()), c1, c2
+
+
+@settings(derandomize=True, deadline=None, max_examples=120, database=None)
+@given(
+    case=_discrete_joints(),
+    noise_psd=st.sampled_from([0.5, 1.0, 3.0]),
+    # sigma^2 = N0 B from 1e-3 to 1e5
+    exponents=st.lists(st.integers(-3, 5), min_size=1, max_size=3, unique=True),
+    use_mc=st.booleans(),
+    rng_seed=st.integers(0, 2**32 - 1),
+)
+def test_conditional_kernel_matches_reference(case, noise_psd, exponents, use_mc, rng_seed):
+    joint, c1, c2 = case
+    bandwidths = [10.0 ** e / noise_psd for e in sorted(exponents)]
+    _assert_matches_reference(joint, c1, c2, noise_psd, bandwidths, use_mc, rng_seed=rng_seed)
+
+
+@pytest.mark.parametrize("use_mc", [False, True])
+def test_conditional_kernel_extreme_probabilities(use_mc):
+    # probabilities from 1e-300 to 1 span more log range than the shift
+    # floor, so the floor binds for the unlikely atoms; some atoms sit far
+    # apart at sigma^2 <= 1e-2, others on top of each other
+    x = np.array([[0.0, 0.0], [0.0, 0.0], [40.0, 0.0], [0.0, -25.0], [0.05, 0.02],
+                  [-30.0, 30.0], [0.1, 0.0], [0.0, 0.0]])
+    probs = np.array([1e-300, 0.3, 1e-200, 1e-100, 1e-20, 0.2, 1e-8, 0.5])
+    joint = FiniteJoint(x=x, y=[0.0, 1.0, 0.0, 2.0, 1.0, 3.0, 0.0, 2.0],
+                        probs=probs / probs.sum())
+    c1 = np.array([1.0, 0.5j])
+    for c2 in (c1, np.array([0.3, -1.0])):
+        for noise_psd in (1e-2, 1e-5):
+            with np.errstate(over="raise", invalid="raise"):
+                _assert_matches_reference(joint, c1, c2, noise_psd, [1e-3, 0.1, 1.0], use_mc,
+                                          mc_samples=2000, rng_seed=17)
 
 
 def test_default_bandwidths_ascend():
