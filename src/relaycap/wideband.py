@@ -28,13 +28,15 @@ compare against the variance-ratio target:
   which cannot overflow, and one exp in place; its group's column sum and
   the all-row sum then give the information terms through two logs. One
   pass over c1 gives I(X;Y1) and I(U;Y1) (the group sum read from the same
-  rows), and a pass over only the group rows of c2 gives I(X;Y2|U); on
-  quadrature with c1 == c2 that pass is the first one's and is skipped,
-  while Monte Carlo redraws for it.
+  rows), and a pass over only the group rows of c2 gives I(X;Y2|U); with
+  c1 == c2 that pass is the first one's and is skipped.
 
 The Monte Carlo path of the discrete-joint checker takes an explicit seed
 and derives one substream per bandwidth index, so results do not depend on
-evaluation order.
+evaluation order. Each bandwidth draws one set of noise points, shared by
+every atom and both passes as the quadrature nodes are (common random
+numbers), and the standard errors come from the atom-weighted sum at each
+point, so they carry the correlation the shared points create.
 """
 
 from __future__ import annotations
@@ -225,9 +227,7 @@ def check_limit_phase_fading(
     amps = mags * np.sqrt(var)
     target = math.fsum(amps * amps) / noise_psd  # correctly rounded, so order-free
     # zeros pad a short link in front, so its gridded amplitude is 0 and the
-    # single node 1.0 is exact. That node leaves w_abs a Python float, whose
-    # squares go through libm pow, not numpy's x * x: the two differ in the
-    # last bit for about 1 input in 1000, and the tests pin those bits.
+    # single node 1.0 is exact. That node leaves w_abs a Python float.
     gridded, fixed, last = np.concatenate((np.zeros(3 - amps.size), amps)).tolist()
     n = num_phase_samples
     phasors = np.exp(2j * np.pi * np.arange(n) / n) if gridded else 1.0
@@ -246,9 +246,12 @@ def _last_phase_average(w_abs, a, s):
     log1p((A + (root - s)) / (2 s)) with root - s = (2 s A + lo hi) / (root + s),
     lo = (|w| - a)^2 and hi = (|w| + a)^2, every term is nonnegative: the
     form with (s + A)^2 - C^2 cancels, by about 1e-11 absolute at B = 1e5.
+    The squares are products, not ``**``, which on a Python float w_abs
+    would go through the platform's libm pow and differ from x * x in the
+    last bit for about 1 input in 1000.
     """
-    lo = (w_abs - a) ** 2
-    hi = (w_abs + a) ** 2
+    lo = (w_abs - a) * (w_abs - a)
+    hi = (w_abs + a) * (w_abs + a)
     big_a = w_abs * w_abs + a * a
     root = np.sqrt((s + lo) * (s + hi))
     return np.log1p((big_a + (2.0 * s * big_a + lo * hi) / (root + s)) / (2.0 * s))
@@ -264,9 +267,9 @@ class ConditionalLimitReports:
 
     With c1 == c2 the chain rule makes total = marginal + conditional at
     every bandwidth, which is the cross-check the three reports exist for.
-    On quadrature it holds exactly, to rounding, since all three come from
-    the same sums. On Monte Carlo conditional is estimated from its own
-    draws, so it holds only statistically, within the standard errors.
+    It holds to rounding on both paths, since all three come from the same
+    sums over the same points: Monte Carlo draws one set per bandwidth and
+    shares it between the three terms.
     """
 
     marginal: LimitCheckReport
@@ -282,19 +285,21 @@ class ConditionalLimitReports:
 _SHIFT_FLOOR = 550.0
 
 
-def _mi_components(s, probs, inverse, group_p, sigma_sq, scale, noise, work, full=True):
+def _mi_components(s, probs, inverse, group_p, sigma_sq, scale, nodes, weights, work, full=True):
     """Mutual-information parts of the discrete input s in complex Gaussian
     noise of variance sigma_sq, in nats per channel use.
 
     Returns the means of I(X;Y), I(U;Y) and I(X;Y|U), with atoms grouped by
-    label U, each averaged atom by atom over the points and weights that
-    ``noise()`` returns: a (3, m) array of ones and of the real and
-    imaginary parts of the noise points divided by ``scale``, with fixed
-    Gauss-Hermite weights or, for fresh Monte Carlo draws, weights None
-    (equal weights). Only Monte Carlo averages come with standard errors
-    (the second value; None for quadrature). With ``full`` False only
-    I(X;Y|U) is computed, and the other two means are NaN. ``work`` holds
-    at least (atoms + 3) * m floats.
+    label U, each averaged atom by atom over the same points: ``nodes`` is a
+    (3, m) array of ones and of the real and imaginary parts of the noise
+    points divided by ``scale``, and ``weights`` their Gauss-Hermite weights
+    or, for Monte Carlo draws, None (equal weights). Only Monte Carlo
+    averages come with standard errors (the second value; None for
+    quadrature). Every atom sees the same draws, so the atoms' errors are
+    correlated: each term's standard error is that of the mean over the
+    points of its atom-weighted sum, sum_k p_k f_k(z). With ``full`` False
+    only I(X;Y|U) is computed, and the other two means are NaN. ``work``
+    holds at least (atoms + 3) * m floats.
 
     At atom k, with offsets d_j = s_k - s_j and a noise point z = x + iy,
     |z + d_j|^2 = |z|^2 + |d_j|^2 + 2 (x Re d_j + y Im d_j). The common
@@ -329,14 +334,14 @@ def _mi_components(s, probs, inverse, group_p, sigma_sq, scale, noise, work, ful
     sums_of[:, 1] = np.arange(atoms) < sizes[:, None]
     # per atom, the averages of log S_all, log S_grp - log S_all and log S_grp
     avg = np.zeros((atoms, 3))
-    var = np.zeros((atoms, 3))
+    m = nodes.shape[1]
+    # on Monte Carlo, the atom-weighted sum of those logs at each point
+    acc = np.zeros((3, m)) if weights is None else None
+    logs = work[work.size - 3 * m :].reshape(3, m)
     first = 0 if full else 2
     for k in range(atoms):
-        nodes, weights = noise()
-        m = nodes.shape[1]
         rows = atoms if full else sizes[k]
         expo = work[: rows * m].reshape(rows, m)
-        logs = work[work.size - 3 * m :].reshape(3, m)
         np.matmul(coef[k, :rows], nodes, out=expo)
         np.exp(expo, out=expo)
         sums = logs[first::2]  # S_all and S_grp, or S_grp alone
@@ -346,14 +351,14 @@ def _mi_components(s, probs, inverse, group_p, sigma_sq, scale, noise, work, ful
             np.subtract(logs[2], logs[0], out=logs[1])
         if weights is None:
             avg[k, first:] = logs[first:].mean(axis=1)
-            var[k, first:] = logs[first:].var(axis=1) / m
+            acc[first:] += probs[k] * logs[first:]
         else:
             avg[k, first:] = logs[first:] @ weights
     terms = avg * (-1.0, 1.0, -1.0) + np.stack((-shifts, -log_gp, log_gp - shifts), axis=1)
     means = probs @ terms
     if not full:
         means[:2] = np.nan
-    return means, None if weights is not None else np.sqrt(probs**2 @ var)
+    return means, None if acc is None else np.sqrt(acc.var(axis=1) / m)
 
 
 @functools.cache
@@ -395,15 +400,16 @@ def check_conditional_limits(
     X are the vector atoms of the joint, U its labels. Mutual informations
     are computed exactly (2-D Gauss-Hermite products of order 40) when the
     support has at most max_quadrature_support atoms, by seeded Monte Carlo
-    with mc_samples draws per atom otherwise. Convergence is judged at the
-    fixed relative tolerance 1e-3.
+    with mc_samples noise points per bandwidth otherwise. Convergence is
+    judged at the fixed relative tolerance 1e-3.
 
     Each bandwidth runs one full pass over s1 = X c1^* for total and
     marginal, and a pass over s2 = X c2^* for conditional that evaluates
-    only each atom's own group. On quadrature, when s2 equals s1 (c1 == c2),
-    the second pass is skipped and conditional is the first pass's third
-    term. On Monte Carlo the second pass always runs, on fresh draws from
-    the same per-bandwidth substream.
+    only each atom's own group. When s2 equals s1 (c1 == c2), the second
+    pass is skipped and conditional is the first pass's third term. On
+    Monte Carlo each bandwidth draws one set of mc_samples points from its
+    own substream of rng_seed, and every atom of both passes averages over
+    it.
     """
     if not isinstance(joint, FiniteJoint):
         raise ValueError("joint must be a FiniteJoint")
@@ -448,37 +454,24 @@ def check_conditional_limits(
 
     use_mc = probs.size > max_quadrature_support
     streams = np.random.SeedSequence(rng_seed).spawn(b.size)
-    unit_nodes, unit_weights = _unit_gauss_hermite()
+    nodes, weights = _unit_gauss_hermite()
     if use_mc:
-        points = np.empty((3, mc_samples))
-        points[0] = 1.0
-    work = np.empty((mc_samples if use_mc else unit_weights.size) * (probs.size + 3))
+        nodes, weights = np.ones((3, mc_samples)), None
+    work = np.empty(nodes.shape[1] * (probs.size + 3))
 
-    def noise_at(idx: int, sigma_sq: float):
-        """The scale of the noise points at bandwidth index idx, and a callable
-        returning every atom's unit points and weights."""
-        if use_mc:
-            rng = np.random.default_rng(streams[idx])
-
-            def draw():
-                # real parts first, then imaginary, as one call
-                rng.standard_normal(out=points[1:])
-                return points, None
-
-            return math.sqrt(sigma_sq / 2.0), draw
-        return math.sqrt(sigma_sq), lambda: (unit_nodes, unit_weights)
-
-    skip_second = not use_mc and np.array_equal(s1, s2)
+    skip_second = np.array_equal(s1, s2)
     vals = np.empty((3, b.size))
     ses = np.empty((3, b.size)) if use_mc else None
     for idx, bk in enumerate(b):
         sigma_sq = noise_psd * bk
-        scale, noise = noise_at(idx, sigma_sq)
-        means, errs = _mi_components(s1, probs, inverse, group_p, sigma_sq, scale, noise, work)
+        scale = math.sqrt(sigma_sq / 2.0 if use_mc else sigma_sq)
+        if use_mc:
+            # real parts first, then imaginary, as one call
+            np.random.default_rng(streams[idx]).standard_normal(out=nodes[1:])
+        args = (probs, inverse, group_p, sigma_sq, scale, nodes, weights, work)
+        means, errs = _mi_components(s1, *args)
         if not skip_second:
-            cond_means, cond_errs = _mi_components(
-                s2, probs, inverse, group_p, sigma_sq, scale, noise, work, full=False
-            )
+            cond_means, cond_errs = _mi_components(s2, *args, full=False)
             means[2] = cond_means[2]
             if use_mc:
                 errs[2] = cond_errs[2]

@@ -304,9 +304,10 @@ def test_conditional_limits_chain_rule_quadrature():
 
 
 def test_conditional_limits_monte_carlo_path():
-    # more atoms than the quadrature cap: the Monte Carlo estimator runs with
-    # independent draws per component, so the chain identity holds only
-    # statistically; standard errors must be reported and bound the residual
+    # more atoms than the quadrature cap: the Monte Carlo estimator runs, with
+    # one set of draws per bandwidth shared by every component, so the chain
+    # identity holds to rounding; standard errors must be reported and bound
+    # the residual
     rng = np.random.default_rng(0)
     n = 24
     x = rng.normal(size=(n, 2))
@@ -475,9 +476,8 @@ def test_conditional_limits_match_longdouble_sums(case):
         np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-9 * scale)
 
 
-# Sweeps pinned from the earlier kernel, which kept the |z|^2 term and ran the
-# second pass in full: (total, marginal, conditional) and, on Monte Carlo, their
-# standard errors. The same draws in the same order must give the same values.
+# Quadrature sweeps pinned from the earlier kernel, which kept the |z|^2 term
+# and ran the second pass in full: (total, marginal, conditional).
 PINNED_QUADRATURE = {
     2: ([0.6644288910452383, 0.7058284996923868, 0.7103294783865366, 0.7107837619639259, 0.71082923291227],
         [0.6616182906627361, 0.7030171539678087, 0.7075180581000148, 0.7079723342208022, 0.7080178044169263],
@@ -508,26 +508,29 @@ def _eighteen_atom_joint():
     return FiniteJoint(x=x, y=np.arange(18.0) % 3, probs=np.full(18, 1.0 / 18))
 
 
+# Monte Carlo sweeps pinned from the checker that draws one set of points per
+# bandwidth for every atom and both passes, with standard errors from the
+# atom-weighted sum at each point.
 PINNED_MONTE_CARLO = [
     # 18 atoms, c1 == c2
     (lambda: (_eighteen_atom_joint(), np.array([1.0, 0.5]), np.array([1.0, 0.5]), 1.0,
               dict(bandwidths=[10.0, 1000.0], mc_samples=3000, rng_seed=5)),
-     ([1.0891922313604196, 1.0346771488818658],
-      [0.11340229648699277, 0.120958535176916],
-      [0.9328595131420087, 0.8697816477115737]),
-     ([0.01743038785076302, 0.2060386305366089],
-      [0.005645341030398721, 0.06738212420778224],
-      [0.01675523231006909, 0.19345808847213267])),
+     ([1.0626080090587724, 1.204017479590252],
+      [0.10841786396673214, 0.12957735776470475],
+      [0.9541901450920405, 1.0744401218256086]),
+     ([0.023895878806455863, 0.028142889663437583],
+      [0.002353382860377623, 0.0030270964440404706],
+      [0.021549829159999877, 0.025115798921355705])),
     # the complex three-group joint forced onto Monte Carlo, c1 != c2
     (lambda: (*_oracle_joints()[4],
               dict(bandwidths=[10.0, 1e3, 1e5], max_quadrature_support=4, mc_samples=4000,
                    rng_seed=9)),
-     ([0.4451464493846562, 0.7385237760558159, 4.763575852010884],
-      [0.1435968014853278, 0.3296192423342487, 0.04619113488266278],
-      [0.4068704116138999, 0.26356288104530967, -0.8543182936635213]),
-     ([0.019945923800956854, 0.20523979015400456, 2.073404553965828],
-      [0.012211355318509745, 0.12282294293808386, 1.231686652296939],
-      [0.014926881737030852, 0.16188313446314462, 1.5947310823791505])),
+     ([0.4525515737378946, 0.4767236832109001, 0.4754836171438898],
+      [0.14639192923164912, 0.15088720421670976, 0.1520094504364743],
+      [0.3749620529541374, 0.3987690111545858, 0.40605978529173475]),
+     ([0.008071924504832925, 0.008187877065949695, 0.008308120208521565],
+      [0.0026868802468544345, 0.0024493595123869596, 0.0024100340916064418],
+      [0.006933074855927568, 0.007462562304295238, 0.007354000843930281])),
 ]
 
 
@@ -543,23 +546,55 @@ def test_conditional_limits_pinned_monte_carlo(case):
         np.testing.assert_allclose(report.standard_errors, expected_ses, rtol=1e-12, atol=0.0)
 
 
-def test_conditional_limits_monte_carlo_passes_draw_independently():
-    # the conditional sweep comes from its own draws, so the chain rule
-    # total = marginal + conditional holds only statistically, never to rounding
+def test_conditional_limits_monte_carlo_chain_rule_to_rounding():
+    # the three sweeps average over the same draws, so with c1 == c2 the
+    # chain rule total = marginal + conditional holds to rounding, as on
+    # quadrature, and far inside the standard errors
     build, _, _ = PINNED_MONTE_CARLO[0]
     joint, c1, c2, noise_psd, options = build()
     reports = check_conditional_limits(joint, c1, c2, noise_psd, **options)
-    resid = reports.total.scaled_mi - reports.marginal.scaled_mi - reports.conditional.scaled_mi
-    spread = np.sqrt(reports.total.standard_errors ** 2 + reports.marginal.standard_errors ** 2
-                     + reports.conditional.standard_errors ** 2)
-    assert np.all(np.abs(resid) > 1e-3 * spread)
+    chained = reports.marginal.scaled_mi + reports.conditional.scaled_mi
+    np.testing.assert_allclose(reports.total.scaled_mi, chained, rtol=1e-11, atol=1e-12)
+    assert np.all(reports.total.standard_errors > 1e-3)
 
 
-def _reference_components(s, probs, inverse, group_p, sigma_sq, noise, work, full=True):
+def test_conditional_limits_monte_carlo_standard_errors_are_honest():
+    # joints small enough for quadrature, forced onto Monte Carlo: measured
+    # in standard errors, the deviations from the exact sums must look like
+    # unit normals at a high and at a low SNR. Shared draws correlate the
+    # atoms' terms; counted as independent, the errors come out about 1.8
+    # times too small at B = 0.5 and 2.8 times too large at B = 50 (mean z^2
+    # 3.4 and 0.13 on these draws)
+    rng = np.random.default_rng(23)
+    bandwidths = [0.5, 50.0]
+    z = []
+    for atoms in (6, 10, 16):
+        x = rng.normal(size=(atoms, 2)) + 1j * rng.normal(size=(atoms, 2))
+        joint = FiniteJoint(x=x, y=np.arange(atoms) % 3,
+                            probs=rng.dirichlet(np.full(atoms, 2.0)))
+        c1 = np.array([1.0, 0.5j])
+        for c2 in (c1, np.array([0.3, -1.0])):
+            exact = check_conditional_limits(joint, c1, c2, 1.0, bandwidths)
+            for seed in range(12):
+                sampled = check_conditional_limits(
+                    joint, c1, c2, 1.0, bandwidths, max_quadrature_support=0,
+                    mc_samples=2000, rng_seed=seed)
+                for got, want in zip((sampled.total, sampled.marginal, sampled.conditional),
+                                     (exact.total, exact.marginal, exact.conditional)):
+                    z.append((got.scaled_mi - want.scaled_mi) / got.standard_errors)
+    z = np.array(z)
+    mean_sq = (z * z).mean(axis=0)
+    assert np.all((mean_sq >= 0.5) & (mean_sq <= 2.0)), mean_sq
+    assert np.abs(z).max() < 4.5
+
+
+def _reference_components(s, probs, inverse, group_p, sigma_sq, pts, weights, work, full=True):
     """The earlier discrete-joint kernel, in which the group rows and the
     other rows of each atom keep their own peak shift and meet in a
-    logaddexp. ``noise()`` returns the noise points as a (2, m) array of
-    real and imaginary parts, and their weights (None for Monte Carlo)."""
+    logaddexp. ``pts`` are the noise points as a (2, m) array of real and
+    imaginary parts, shared by every atom, and ``weights`` their weights
+    (None for Monte Carlo). A Monte Carlo standard error is that of the
+    mean over the points of the atom-weighted sum sum_k p_k f_k."""
 
     def lse_columns(block):
         peak = block.max(axis=0)
@@ -574,9 +609,8 @@ def _reference_components(s, probs, inverse, group_p, sigma_sq, noise, work, ful
         for u in range(group_p.size)
     ]
     means = np.zeros(3)
-    variances = np.zeros(3)
+    per_point = np.zeros((3, pts.shape[1]))
     for k in range(s.size):
-        pts, weights = noise()
         u = inverse[k]
         size = sizes[u]
         rows = rows_of[u] if full else rows_of[u][:size]
@@ -599,20 +633,22 @@ def _reference_components(s, probs, inverse, group_p, sigma_sq, noise, work, ful
         for i, f in terms:
             if weights is None:
                 means[i] += probs[k] * float(f.mean())
-                variances[i] += probs[k] ** 2 * float(f.var()) / f.size
+                per_point[i] += probs[k] * f
             else:
                 means[i] += probs[k] * float(weights @ f)
     if not full:
         means[:2] = np.nan
-    return means, None if weights is not None else np.sqrt(variances)
+    return means, None if weights is not None else np.sqrt(per_point.var(axis=1) / pts.shape[1])
 
 
 def _reference_sweeps(joint, c1, c2, noise_psd, bandwidths, use_mc, mc_samples=0, rng_seed=0):
     """(total, marginal, conditional) sweeps from _reference_components and,
-    on Monte Carlo, their standard errors (else None), with the noise made as
-    the earlier checker made it: order-40 Gauss-Hermite nodes scaled by
-    sqrt(sigma_sq), or one substream per bandwidth, from which each atom
-    draws its real parts, then its imaginary parts, and scales them."""
+    on Monte Carlo, their standard errors (else None), with the noise made
+    as the checker makes it: order-40 Gauss-Hermite nodes scaled by
+    sqrt(sigma_sq), or one substream per bandwidth, from which the real
+    parts, then the imaginary parts, are drawn once and scaled. Both passes
+    use the same points; on Monte Carlo the second pass runs even with
+    c1 == c2, where the checker skips it."""
     keep = joint.probs > 0.0
     probs = joint.probs[keep] / joint.probs[keep].sum()
     _, inverse = np.unique(joint.y[keep], return_inverse=True)
@@ -631,23 +667,18 @@ def _reference_sweeps(joint, c1, c2, noise_psd, bandwidths, use_mc, mc_samples=0
         sigma_sq = noise_psd * bk
         if use_mc:
             rng = np.random.default_rng(streams[idx])
-            points = np.empty((2, m))
-
-            def noise():
-                rng.standard_normal(out=points[0])
-                rng.standard_normal(out=points[1])
-                np.multiply(points, math.sqrt(sigma_sq / 2.0), out=points)
-                return points, None
+            z = np.empty((2, m))
+            rng.standard_normal(out=z[0])
+            rng.standard_normal(out=z[1])
+            np.multiply(z, math.sqrt(sigma_sq / 2.0), out=z)
+            w = None
         else:
-            z = math.sqrt(sigma_sq) * unit
+            z, w = math.sqrt(sigma_sq) * unit, weights
 
-            def noise():
-                return z, weights
-
-        means, errs = _reference_components(s1, probs, inverse, group_p, sigma_sq, noise, work)
+        means, errs = _reference_components(s1, probs, inverse, group_p, sigma_sq, z, w, work)
         if use_mc or not np.array_equal(s1, s2):
             cond_means, cond_errs = _reference_components(
-                s2, probs, inverse, group_p, sigma_sq, noise, work, full=False)
+                s2, probs, inverse, group_p, sigma_sq, z, w, work, full=False)
             means[2] = cond_means[2]
             if use_mc:
                 errs[2] = cond_errs[2]
@@ -662,9 +693,9 @@ def _assert_matches_reference(joint, c1, c2, noise_psd, bandwidths, use_mc,
     """The checker against _reference_sweeps: values within 1e-9 of the
     largest |total| plus 1e-14 * B, the rounding floor of a sum whose
     result is about SNR / B, and standard errors within 1e-12 relative on
-    the same floor. Fresh draws would move a standard error by about
+    the same floor. Other draws would move a standard error by about
     1 / sqrt(2 mc_samples) relative, so the errors show the draws are the
-    earlier ones."""
+    reference's."""
     reports = check_conditional_limits(
         joint, c1, c2, noise_psd, bandwidths,
         max_quadrature_support=0 if use_mc else 20, mc_samples=mc_samples, rng_seed=rng_seed)
