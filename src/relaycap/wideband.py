@@ -15,28 +15,26 @@ compare against the variance-ratio target:
   the value is exact; a third antenna's phase is averaged on an equispaced
   grid, whose error is geometric in the node count. Links of four or more
   antennas are rejected;
-* discrete joints (U, X): exact Gauss-Hermite integration of the discrete-
-  input mutual information (Monte Carlo beyond 16 support points), used to
-  verify the conditional-variance decomposition
+* discrete joints (U, X): order-40 Gauss-Hermite integration of the
+  discrete-input mutual information at every support size, used to verify
+  the conditional-variance decomposition
   B*I(U;Y1) -> (var[c1^H X] - E var[c1^H X | U]) / N0 and
   B*I(X;Y2|U) -> E var[c2^H X | U] / N0.
   At a noise point z, |z + d|^2 = |z|^2 + |d|^2 + 2 Re(conj(z) d) for every
   atom offset d, and the |z|^2 part cancels from every information term.
-  Shifted by one constant per atom, its own log-probability floored 550
-  below the largest, the exponents of an atom are one real
+  The exponents of an atom, (|z|^2 - |z + d|^2) / sigma^2, are then one real
   (atoms x 3) @ (3 x points) product against the points and a row of ones,
-  which cannot overflow, and one exp in place; its group's column sum and
-  the all-row sum then give the information terms through two logs. One
-  pass over c1 gives I(X;Y1) and I(U;Y1) (the group sum read from the same
-  rows), and a pass over only the group rows of c2 gives I(X;Y2|U); with
-  c1 == c2 that pass is the first one's and is skipped.
+  and one exp in place. None exceeds |z|^2 / sigma^2, at most 131.2 on the
+  order-40 nodes (twice the square of the largest node), so nothing
+  overflows. A second product weights the rows by their probabilities into
+  the all-row sum and the group's sum, which give the information terms
+  through two logs; the atom's own row, p_k exp(0), keeps both sums above 0.
+  One pass over c1 gives I(X;Y1) and I(U;Y1) (the group sum read from the
+  same rows), and a pass over only the group rows of c2 gives I(X;Y2|U);
+  with c1 == c2 that pass is the first one's and is skipped.
 
-The Monte Carlo path of the discrete-joint checker takes an explicit seed
-and derives one substream per bandwidth index, so results do not depend on
-evaluation order. Each bandwidth draws one set of noise points, shared by
-every atom and both passes as the quadrature nodes are (common random
-numbers), and the standard errors come from the atom-weighted sum at each
-point, so they carry the correlation the shared points create.
+Nothing here draws random numbers: every checker is deterministic, and every
+report's standard errors are 0.
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ __all__ = [
 DEFAULT_BANDWIDTHS = (1e1, 1e2, 1e3, 1e4, 1e5)
 
 _REL_TOL = 1e-3  # convergence threshold, relative to the target
-_QUAD_ORDER = 40  # Gauss-Hermite nodes per axis on the quadrature path
+_QUAD_ORDER = 40  # Gauss-Hermite nodes per axis of the discrete-joint checker
 
 
 def gaussian_scaled_mi(signal_var: float, noise_psd: float, bandwidth: float) -> float:
@@ -85,10 +83,8 @@ class LimitCheckReport:
 
     tolerance is the absolute threshold the convergence flag was judged
     against: the fixed relative tolerance 1e-3 times the target, or 1e-3 for
-    a zero target. standard_errors holds the Monte Carlo standard errors of
-    the discrete-joint checker; it is None on its quadrature path and for the
-    constant-phase checker, and all 0 for the phase-fading checker, which
-    samples nothing.
+    a zero target. standard_errors is all 0 on every report the checkers
+    make, since none of them samples anything.
     """
 
     bandwidths: np.ndarray
@@ -135,7 +131,7 @@ def _validate_noise_psd(noise_psd) -> None:
         raise ValueError(f"noise_psd must be finite and positive, got {noise_psd}")
 
 
-def _finish_report(bandwidths, values, target, ses=None) -> LimitCheckReport:
+def _finish_report(bandwidths, values, target) -> LimitCheckReport:
     abs_tol = _REL_TOL * abs(target) if target != 0.0 else _REL_TOL
     err = float(abs(values[-1] - target))
     return LimitCheckReport(
@@ -145,7 +141,7 @@ def _finish_report(bandwidths, values, target, ses=None) -> LimitCheckReport:
         converged=err <= abs_tol,
         final_abs_err=err,
         tolerance=abs_tol,
-        standard_errors=None if ses is None else np.asarray(ses, dtype=float),
+        standard_errors=np.zeros(bandwidths.size),
     )
 
 
@@ -234,7 +230,7 @@ def check_limit_phase_fading(
     w_abs = abs(fixed + gridded * phasors)
     s = (noise_psd * b)[:, None]
     values = b * _last_phase_average(w_abs, last, s).mean(axis=1)
-    return _finish_report(b, values, target, ses=np.zeros(b.size))
+    return _finish_report(b, values, target)
 
 
 def _last_phase_average(w_abs, a, s):
@@ -267,9 +263,8 @@ class ConditionalLimitReports:
 
     With c1 == c2 the chain rule makes total = marginal + conditional at
     every bandwidth, which is the cross-check the three reports exist for.
-    It holds to rounding on both paths, since all three come from the same
-    sums over the same points: Monte Carlo draws one set per bandwidth and
-    shares it between the three terms.
+    It holds to rounding, since all three come from the same sums over the
+    same quadrature nodes.
     """
 
     marginal: LimitCheckReport
@@ -277,66 +272,49 @@ class ConditionalLimitReports:
     total: LimitCheckReport
 
 
-# Each atom's exponents are shifted by its log-probability, floored this far
-# below the largest one: no exponent then exceeds _SHIFT_FLOOR + |z|^2 /
-# sigma_sq, which stays below exp's overflow at 709.78 for every quadrature
-# node (|z|^2 / sigma_sq <= 131.2) and every Monte Carlo draw short of an
-# Exp(1) variate above 159, while the atom's own term stays >= exp(-195).
-_SHIFT_FLOOR = 550.0
-
-
-def _mi_components(s, probs, inverse, group_p, sigma_sq, scale, nodes, weights, work, full=True):
+def _mi_components(s, probs, inverse, group_p, sigma_sq, nodes, weights, work, full=True):
     """Mutual-information parts of the discrete input s in complex Gaussian
     noise of variance sigma_sq, in nats per channel use.
 
     Returns the means of I(X;Y), I(U;Y) and I(X;Y|U), with atoms grouped by
-    label U, each averaged atom by atom over the same points: ``nodes`` is a
-    (3, m) array of ones and of the real and imaginary parts of the noise
-    points divided by ``scale``, and ``weights`` their Gauss-Hermite weights
-    or, for Monte Carlo draws, None (equal weights). Only Monte Carlo
-    averages come with standard errors (the second value; None for
-    quadrature). Every atom sees the same draws, so the atoms' errors are
-    correlated: each term's standard error is that of the mean over the
-    points of its atom-weighted sum, sum_k p_k f_k(z). With ``full`` False
-    only I(X;Y|U) is computed, and the other two means are NaN. ``work``
-    holds at least (atoms + 3) * m floats.
+    label U, each averaged atom by atom over the same Gauss-Hermite points:
+    ``nodes`` is a (3, m) array of ones and of the real and imaginary parts
+    of the unit-variance points, and ``weights`` their weights. With
+    ``full`` False only I(X;Y|U) is computed, and the other two means are
+    NaN. ``work`` holds at least (atoms + 3) * m floats.
 
     At atom k, with offsets d_j = s_k - s_j and a noise point z = x + iy,
     |z + d_j|^2 = |z|^2 + |d_j|^2 + 2 (x Re d_j + y Im d_j). The common
     -|z|^2 / sigma_sq cancels from all three terms, which leaves the real
-    exponents e_j = log p_j - |d_j|^2 / sigma_sq - (2 / sigma_sq)(x Re d_j +
-    y Im d_j). All of atom k's exponents are shifted by the one constant
-    c_k = max(log p_k, max log p - _SHIFT_FLOOR), so each atom costs one
-    (K x 3) @ (3 x m) product against the ones row and the points, one
-    exp in place, and the column sums S_grp over the rows of its group,
-    which come first, and S_all over every row. With these,
-    L_grp = c_k + log S_grp - log P(U=u_k) and L_all = c_k + log S_all,
-    and the terms are I(X;Y) <- -L_all, I(U;Y) <- L_grp - L_all and
-    I(X;Y|U) <- -L_grp. The own row is exp(log p_k - c_k), which is 1
-    unless the floor binds and never below exp(-195), so log S_grp is
-    finite.
+    exponents e_j = -|d_j|^2 / sigma_sq - (2 / sigma_sq)(x Re d_j +
+    y Im d_j) = (|z|^2 - |z + d_j|^2) / sigma_sq. So each atom costs one
+    (K x 3) @ (3 x m) product against the ones row and the points, one exp
+    in place, and one (2 x K) @ (K x m) product that sums the rows into
+    S_all = sum_j p_j exp(e_j) and S_grp = sum over its group, whose rows
+    come first, of p_j / P(U=u_k) exp(e_j). The terms are
+    I(X;Y) <- -log S_all, I(U;Y) <- log S_grp - log S_all and
+    I(X;Y|U) <- -log S_grp. No exponent exceeds |z|^2 / sigma_sq, at most
+    131.2 on the order-40 nodes, and the own row is p_k exp(0) > 0, so
+    nothing overflows and no log meets 0.
     """
     atoms = s.size
-    log_p = np.log(probs)
-    shifts = np.maximum(log_p, log_p.max() - _SHIFT_FLOOR)
-    log_gp = np.log(group_p)[inverse]
     sizes = np.bincount(inverse)[inverse]
     # row order per atom: its own group first
     order = np.argsort(inverse[None, :] != inverse[:, None], axis=1, kind="stable")
     d = s[:, None] - s[order]
     coef = np.empty((atoms, atoms, 3))
-    coef[..., 0] = log_p[order] - shifts[:, None] - (d.real * d.real + d.imag * d.imag) / sigma_sq
+    coef[..., 0] = -(d.real * d.real + d.imag * d.imag) / sigma_sq
     coef[..., 1] = d.real
     coef[..., 2] = d.imag
-    coef[..., 1:] *= -2.0 * scale / sigma_sq
-    # per atom, the rows summed into S_all and into S_grp
-    sums_of = np.ones((atoms, 2, atoms))
-    sums_of[:, 1] = np.arange(atoms) < sizes[:, None]
+    coef[..., 1:] *= -2.0 / math.sqrt(sigma_sq)
+    # per atom, the row weights of S_all and of S_grp
+    sums_of = np.empty((atoms, 2, atoms))
+    sums_of[:, 0] = probs[order]
+    sums_of[:, 1] = np.where(np.arange(atoms) < sizes[:, None],
+                             sums_of[:, 0] / group_p[inverse][:, None], 0.0)
     # per atom, the averages of log S_all, log S_grp - log S_all and log S_grp
     avg = np.zeros((atoms, 3))
     m = nodes.shape[1]
-    # on Monte Carlo, the atom-weighted sum of those logs at each point
-    acc = np.zeros((3, m)) if weights is None else None
     logs = work[work.size - 3 * m :].reshape(3, m)
     first = 0 if full else 2
     for k in range(atoms):
@@ -349,16 +327,11 @@ def _mi_components(s, probs, inverse, group_p, sigma_sq, scale, nodes, weights, 
         np.log(sums, out=sums)
         if full:
             np.subtract(logs[2], logs[0], out=logs[1])
-        if weights is None:
-            avg[k, first:] = logs[first:].mean(axis=1)
-            acc[first:] += probs[k] * logs[first:]
-        else:
-            avg[k, first:] = logs[first:] @ weights
-    terms = avg * (-1.0, 1.0, -1.0) + np.stack((-shifts, -log_gp, log_gp - shifts), axis=1)
-    means = probs @ terms
+        avg[k, first:] = logs[first:] @ weights
+    means = probs @ (avg * (-1.0, 1.0, -1.0))
     if not full:
         means[:2] = np.nan
-    return means, None if acc is None else np.sqrt(acc.var(axis=1) / m)
+    return means
 
 
 @functools.cache
@@ -398,18 +371,16 @@ def check_conditional_limits(
     """Verify the conditional wideband limits for a finite joint (U, X).
 
     X are the vector atoms of the joint, U its labels. Mutual informations
-    are computed exactly (2-D Gauss-Hermite products of order 40) when the
-    support has at most max_quadrature_support atoms, by seeded Monte Carlo
-    with mc_samples noise points per bandwidth otherwise. Convergence is
-    judged at the fixed relative tolerance 1e-3.
+    are integrated by 2-D Gauss-Hermite products of order 40 at every
+    support size. Nothing is random: ``max_quadrature_support``,
+    ``mc_samples`` and ``rng_seed`` are accepted but not read, and the
+    standard errors are all 0. Convergence is judged at the fixed relative
+    tolerance 1e-3.
 
     Each bandwidth runs one full pass over s1 = X c1^* for total and
     marginal, and a pass over s2 = X c2^* for conditional that evaluates
     only each atom's own group. When s2 equals s1 (c1 == c2), the second
-    pass is skipped and conditional is the first pass's third term. On
-    Monte Carlo each bandwidth draws one set of mc_samples points from its
-    own substream of rng_seed, and every atom of both passes averages over
-    it.
+    pass is skipped and conditional is the first pass's third term.
     """
     if not isinstance(joint, FiniteJoint):
         raise ValueError("joint must be a FiniteJoint")
@@ -422,8 +393,6 @@ def check_conditional_limits(
         )
     if not (np.all(np.isfinite(c1)) and np.all(np.isfinite(c2))):
         raise ValueError("gain vectors c1 and c2 must be finite")
-    if mc_samples < 2:
-        raise ValueError(f"mc_samples must be >= 2, got {mc_samples}")
     _validate_noise_psd(noise_psd)
     b = _validate_bandwidths(bandwidths)
 
@@ -452,38 +421,20 @@ def check_conditional_limits(
     target_marginal = (var1 - cond_var(s1)) / noise_psd
     target_conditional = cond_var(s2) / noise_psd
 
-    use_mc = probs.size > max_quadrature_support
-    streams = np.random.SeedSequence(rng_seed).spawn(b.size)
     nodes, weights = _unit_gauss_hermite()
-    if use_mc:
-        nodes, weights = np.ones((3, mc_samples)), None
     work = np.empty(nodes.shape[1] * (probs.size + 3))
 
     skip_second = np.array_equal(s1, s2)
     vals = np.empty((3, b.size))
-    ses = np.empty((3, b.size)) if use_mc else None
     for idx, bk in enumerate(b):
-        sigma_sq = noise_psd * bk
-        scale = math.sqrt(sigma_sq / 2.0 if use_mc else sigma_sq)
-        if use_mc:
-            # real parts first, then imaginary, as one call
-            np.random.default_rng(streams[idx]).standard_normal(out=nodes[1:])
-        args = (probs, inverse, group_p, sigma_sq, scale, nodes, weights, work)
-        means, errs = _mi_components(s1, *args)
+        args = (probs, inverse, group_p, noise_psd * bk, nodes, weights, work)
+        means = _mi_components(s1, *args)
         if not skip_second:
-            cond_means, cond_errs = _mi_components(s2, *args, full=False)
-            means[2] = cond_means[2]
-            if use_mc:
-                errs[2] = cond_errs[2]
+            means[2] = _mi_components(s2, *args, full=False)[2]
         vals[:, idx] = bk * means
-        if use_mc:
-            ses[:, idx] = bk * errs
-
-    def report(row, target):
-        return _finish_report(b, vals[row], target, ses=None if ses is None else ses[row])
 
     return ConditionalLimitReports(
-        marginal=report(1, target_marginal),
-        conditional=report(2, target_conditional),
-        total=report(0, target_total),
+        marginal=_finish_report(b, vals[1], target_marginal),
+        conditional=_finish_report(b, vals[2], target_conditional),
+        total=_finish_report(b, vals[0], target_total),
     )

@@ -303,32 +303,6 @@ def test_conditional_limits_chain_rule_quadrature():
     )
 
 
-def test_conditional_limits_monte_carlo_path():
-    # more atoms than the quadrature cap: the Monte Carlo estimator runs, with
-    # one set of draws per bandwidth shared by every component, so the chain
-    # identity holds to rounding; standard errors must be reported and bound
-    # the residual
-    rng = np.random.default_rng(0)
-    n = 24
-    x = rng.normal(size=(n, 2))
-    labels = np.repeat(np.arange(4.0), 6)
-    joint = FiniteJoint(x=x, y=labels, probs=np.full(n, 1.0 / n))
-    c = np.array([1.0, 0.5])
-    reports = check_conditional_limits(
-        joint, c, c, 1.0, bandwidths=[10.0, 100.0], mc_samples=40_000, rng_seed=3
-    )
-    assert reports.total.standard_errors is not None
-    resid = reports.total.scaled_mi - (
-        reports.marginal.scaled_mi + reports.conditional.scaled_mi
-    )
-    spread = np.sqrt(
-        reports.total.standard_errors**2
-        + reports.marginal.standard_errors**2
-        + reports.conditional.standard_errors**2
-    )
-    assert np.all(np.abs(resid) <= 4.0 * spread + 1e-12)
-
-
 def test_conditional_limits_validation():
     joint = two_point_joint()
     c = np.array([1.0, 0.0])
@@ -343,10 +317,6 @@ def test_conditional_limits_validation():
 def test_conditional_limits_rejects_bad_settings():
     joint = two_point_joint()
     c = np.array([1.0, 0.0])
-    # checked on the quadrature path too, where mc_samples is not used
-    for samples in (0, 1):
-        with pytest.raises(ValueError, match="mc_samples"):
-            check_conditional_limits(joint, c, c, 1.0, mc_samples=samples)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             check_conditional_limits(joint, np.array([bad, 0.6]), c, 1.0)
@@ -473,7 +443,7 @@ def test_conditional_limits_match_longdouble_sums(case):
     scale = np.max(np.abs(oracle[0]))
     got = (reports.total.scaled_mi, reports.marginal.scaled_mi, reports.conditional.scaled_mi)
     for values, expected in zip(got, oracle):
-        np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-9 * scale)
+        np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-10 * scale)
 
 
 # Quadrature sweeps pinned from the earlier kernel, which kept the |z|^2 term
@@ -508,93 +478,41 @@ def _eighteen_atom_joint():
     return FiniteJoint(x=x, y=np.arange(18.0) % 3, probs=np.full(18, 1.0 / 18))
 
 
-# Monte Carlo sweeps pinned from the checker that draws one set of points per
-# bandwidth for every atom and both passes, with standard errors from the
-# atom-weighted sum at each point.
-PINNED_MONTE_CARLO = [
-    # 18 atoms, c1 == c2
-    (lambda: (_eighteen_atom_joint(), np.array([1.0, 0.5]), np.array([1.0, 0.5]), 1.0,
-              dict(bandwidths=[10.0, 1000.0], mc_samples=3000, rng_seed=5)),
-     ([1.0626080090587724, 1.204017479590252],
-      [0.10841786396673214, 0.12957735776470475],
-      [0.9541901450920405, 1.0744401218256086]),
-     ([0.023895878806455863, 0.028142889663437583],
-      [0.002353382860377623, 0.0030270964440404706],
-      [0.021549829159999877, 0.025115798921355705])),
-    # the complex three-group joint forced onto Monte Carlo, c1 != c2
-    (lambda: (*_oracle_joints()[4],
-              dict(bandwidths=[10.0, 1e3, 1e5], max_quadrature_support=4, mc_samples=4000,
-                   rng_seed=9)),
-     ([0.4525515737378946, 0.4767236832109001, 0.4754836171438898],
-      [0.14639192923164912, 0.15088720421670976, 0.1520094504364743],
-      [0.3749620529541374, 0.3987690111545858, 0.40605978529173475]),
-     ([0.008071924504832925, 0.008187877065949695, 0.008308120208521565],
-      [0.0026868802468544345, 0.0024493595123869596, 0.0024100340916064418],
-      [0.006933074855927568, 0.007462562304295238, 0.007354000843930281])),
-]
+def test_conditional_limits_ignore_sampling_settings():
+    # quadrature runs at every support size: max_quadrature_support,
+    # mc_samples and rng_seed are accepted but change no bit, and nothing
+    # carries a standard error
+    joint = _eighteen_atom_joint()
+    c1, c2 = np.array([1.0, 0.5]), np.array([0.3j, -1.0])
+    bandwidths = [10.0, 1e3, 1e5]
+    base = check_conditional_limits(joint, c1, c2, 1.0, bandwidths)
+    other = check_conditional_limits(joint, c1, c2, 1.0, bandwidths, max_quadrature_support=0,
+                                     mc_samples=2, rng_seed=12345)
+    for got, want in zip((other.total, other.marginal, other.conditional),
+                         (base.total, base.marginal, base.conditional)):
+        np.testing.assert_array_equal(got.scaled_mi, want.scaled_mi)
+        np.testing.assert_array_equal(got.standard_errors, 0.0)
+        np.testing.assert_array_equal(want.standard_errors, 0.0)
 
 
-@pytest.mark.parametrize("case", range(len(PINNED_MONTE_CARLO)))
-def test_conditional_limits_pinned_monte_carlo(case):
-    build, pinned, pinned_ses = PINNED_MONTE_CARLO[case]
-    joint, c1, c2, noise_psd, options = build()
-    reports = check_conditional_limits(joint, c1, c2, noise_psd, **options)
-    scale = np.max(np.abs(pinned[0]))
-    parts = (reports.total, reports.marginal, reports.conditional)
-    for report, expected, expected_ses in zip(parts, pinned, pinned_ses):
-        np.testing.assert_allclose(report.scaled_mi, expected, rtol=0.0, atol=1e-9 * scale)
-        np.testing.assert_allclose(report.standard_errors, expected_ses, rtol=1e-12, atol=0.0)
-
-
-def test_conditional_limits_monte_carlo_chain_rule_to_rounding():
-    # the three sweeps average over the same draws, so with c1 == c2 the
-    # chain rule total = marginal + conditional holds to rounding, as on
-    # quadrature, and far inside the standard errors
-    build, _, _ = PINNED_MONTE_CARLO[0]
-    joint, c1, c2, noise_psd, options = build()
-    reports = check_conditional_limits(joint, c1, c2, noise_psd, **options)
+def test_conditional_limits_chain_rule_to_rounding():
+    # a joint shaped like the benchmark's largest: 17 atoms in 4 groups with
+    # Dirichlet(2) probabilities; the three sweeps are sums over the same
+    # nodes, so total = marginal + conditional holds to rounding
+    rng = np.random.default_rng(31)
+    joint = FiniteJoint(x=rng.normal(size=(17, 2)), y=np.arange(17.0) % 4,
+                        probs=rng.dirichlet(np.full(17, 2.0)))
+    c = rng.normal(size=2) + 1j * rng.normal(size=2)
+    reports = check_conditional_limits(joint, c, c, 1.3, bandwidths=[10.0, 100.0, 1000.0])
     chained = reports.marginal.scaled_mi + reports.conditional.scaled_mi
-    np.testing.assert_allclose(reports.total.scaled_mi, chained, rtol=1e-11, atol=1e-12)
-    assert np.all(reports.total.standard_errors > 1e-3)
-
-
-def test_conditional_limits_monte_carlo_standard_errors_are_honest():
-    # joints small enough for quadrature, forced onto Monte Carlo: measured
-    # in standard errors, the deviations from the exact sums must look like
-    # unit normals at a high and at a low SNR. Shared draws correlate the
-    # atoms' terms; counted as independent, the errors come out about 1.8
-    # times too small at B = 0.5 and 2.8 times too large at B = 50 (mean z^2
-    # 3.4 and 0.13 on these draws)
-    rng = np.random.default_rng(23)
-    bandwidths = [0.5, 50.0]
-    z = []
-    for atoms in (6, 10, 16):
-        x = rng.normal(size=(atoms, 2)) + 1j * rng.normal(size=(atoms, 2))
-        joint = FiniteJoint(x=x, y=np.arange(atoms) % 3,
-                            probs=rng.dirichlet(np.full(atoms, 2.0)))
-        c1 = np.array([1.0, 0.5j])
-        for c2 in (c1, np.array([0.3, -1.0])):
-            exact = check_conditional_limits(joint, c1, c2, 1.0, bandwidths)
-            for seed in range(12):
-                sampled = check_conditional_limits(
-                    joint, c1, c2, 1.0, bandwidths, max_quadrature_support=0,
-                    mc_samples=2000, rng_seed=seed)
-                for got, want in zip((sampled.total, sampled.marginal, sampled.conditional),
-                                     (exact.total, exact.marginal, exact.conditional)):
-                    z.append((got.scaled_mi - want.scaled_mi) / got.standard_errors)
-    z = np.array(z)
-    mean_sq = (z * z).mean(axis=0)
-    assert np.all((mean_sq >= 0.5) & (mean_sq <= 2.0)), mean_sq
-    assert np.abs(z).max() < 4.5
+    np.testing.assert_allclose(reports.total.scaled_mi, chained, rtol=0.0, atol=1e-13)
 
 
 def _reference_components(s, probs, inverse, group_p, sigma_sq, pts, weights, work, full=True):
     """The earlier discrete-joint kernel, in which the group rows and the
     other rows of each atom keep their own peak shift and meet in a
     logaddexp. ``pts`` are the noise points as a (2, m) array of real and
-    imaginary parts, shared by every atom, and ``weights`` their weights
-    (None for Monte Carlo). A Monte Carlo standard error is that of the
-    mean over the points of the atom-weighted sum sum_k p_k f_k."""
+    imaginary parts, shared by every atom, and ``weights`` their weights."""
 
     def lse_columns(block):
         peak = block.max(axis=0)
@@ -609,7 +527,6 @@ def _reference_components(s, probs, inverse, group_p, sigma_sq, pts, weights, wo
         for u in range(group_p.size)
     ]
     means = np.zeros(3)
-    per_point = np.zeros((3, pts.shape[1]))
     for k in range(s.size):
         u = inverse[k]
         size = sizes[u]
@@ -631,24 +548,16 @@ def _reference_components(s, probs, inverse, group_p, sigma_sq, pts, weights, wo
         else:
             terms = ((2, cond),)
         for i, f in terms:
-            if weights is None:
-                means[i] += probs[k] * float(f.mean())
-                per_point[i] += probs[k] * f
-            else:
-                means[i] += probs[k] * float(weights @ f)
+            means[i] += probs[k] * float(weights @ f)
     if not full:
         means[:2] = np.nan
-    return means, None if weights is not None else np.sqrt(per_point.var(axis=1) / pts.shape[1])
+    return means
 
 
-def _reference_sweeps(joint, c1, c2, noise_psd, bandwidths, use_mc, mc_samples=0, rng_seed=0):
-    """(total, marginal, conditional) sweeps from _reference_components and,
-    on Monte Carlo, their standard errors (else None), with the noise made
-    as the checker makes it: order-40 Gauss-Hermite nodes scaled by
-    sqrt(sigma_sq), or one substream per bandwidth, from which the real
-    parts, then the imaginary parts, are drawn once and scaled. Both passes
-    use the same points; on Monte Carlo the second pass runs even with
-    c1 == c2, where the checker skips it."""
+def _reference_sweeps(joint, c1, c2, noise_psd, bandwidths):
+    """(total, marginal, conditional) sweeps from _reference_components on
+    the order-40 Gauss-Hermite nodes scaled by sqrt(sigma_sq), as the
+    checker integrates; both passes use the same nodes."""
     keep = joint.probs > 0.0
     probs = joint.probs[keep] / joint.probs[keep].sum()
     _, inverse = np.unique(joint.y[keep], return_inverse=True)
@@ -658,60 +567,29 @@ def _reference_sweeps(joint, c1, c2, noise_psd, bandwidths, use_mc, mc_samples=0
     nodes, node_weights = np.polynomial.hermite.hermgauss(40)
     unit = np.stack((np.repeat(nodes, nodes.size), np.tile(nodes, nodes.size)))
     weights = np.outer(node_weights, node_weights).ravel() / np.pi
-    streams = np.random.SeedSequence(rng_seed).spawn(len(bandwidths))
-    m = mc_samples if use_mc else weights.size
-    work = np.empty(m * probs.size)
+    work = np.empty(weights.size * probs.size)
     vals = np.empty((3, len(bandwidths)))
-    ses = np.empty((3, len(bandwidths)))
     for idx, bk in enumerate(bandwidths):
         sigma_sq = noise_psd * bk
-        if use_mc:
-            rng = np.random.default_rng(streams[idx])
-            z = np.empty((2, m))
-            rng.standard_normal(out=z[0])
-            rng.standard_normal(out=z[1])
-            np.multiply(z, math.sqrt(sigma_sq / 2.0), out=z)
-            w = None
-        else:
-            z, w = math.sqrt(sigma_sq) * unit, weights
-
-        means, errs = _reference_components(s1, probs, inverse, group_p, sigma_sq, z, w, work)
-        if use_mc or not np.array_equal(s1, s2):
-            cond_means, cond_errs = _reference_components(
-                s2, probs, inverse, group_p, sigma_sq, z, w, work, full=False)
-            means[2] = cond_means[2]
-            if use_mc:
-                errs[2] = cond_errs[2]
+        args = (probs, inverse, group_p, sigma_sq, math.sqrt(sigma_sq) * unit, weights, work)
+        means = _reference_components(s1, *args)
+        if not np.array_equal(s1, s2):
+            means[2] = _reference_components(s2, *args, full=False)[2]
         vals[:, idx] = bk * means
-        if use_mc:
-            ses[:, idx] = bk * errs
-    return vals, ses if use_mc else None
+    return vals
 
 
-def _assert_matches_reference(joint, c1, c2, noise_psd, bandwidths, use_mc,
-                              mc_samples=200, rng_seed=0):
+def _assert_matches_reference(joint, c1, c2, noise_psd, bandwidths):
     """The checker against _reference_sweeps: values within 1e-9 of the
     largest |total| plus 1e-14 * B, the rounding floor of a sum whose
-    result is about SNR / B, and standard errors within 1e-12 relative on
-    the same floor. Other draws would move a standard error by about
-    1 / sqrt(2 mc_samples) relative, so the errors show the draws are the
-    reference's."""
-    reports = check_conditional_limits(
-        joint, c1, c2, noise_psd, bandwidths,
-        max_quadrature_support=0 if use_mc else 20, mc_samples=mc_samples, rng_seed=rng_seed)
-    expected, expected_ses = _reference_sweeps(
-        joint, c1, c2, noise_psd, bandwidths, use_mc, mc_samples, rng_seed)
-    floor = 1e-14 * np.asarray(bandwidths)
-    atol = 1e-9 * np.max(np.abs(expected[0])) + floor
+    result is about SNR / B, and standard errors all 0."""
+    reports = check_conditional_limits(joint, c1, c2, noise_psd, bandwidths)
+    expected = _reference_sweeps(joint, c1, c2, noise_psd, bandwidths)
+    atol = 1e-9 * np.max(np.abs(expected[0])) + 1e-14 * np.asarray(bandwidths)
     for row, report in enumerate((reports.total, reports.marginal, reports.conditional)):
         assert np.all(np.isfinite(report.scaled_mi))
         assert np.all(np.abs(report.scaled_mi - expected[row]) <= atol), (row, report.scaled_mi)
-        if use_mc:
-            ses, expected_row = report.standard_errors, expected_ses[row]
-            assert np.all(np.isfinite(ses))
-            assert np.all(np.abs(ses - expected_row) <= 1e-12 * expected_row + floor), (row, ses)
-        else:
-            assert report.standard_errors is None
+        np.testing.assert_array_equal(report.standard_errors, 0.0)
 
 
 _COORDS = st.floats(-3.0, 3.0, allow_subnormal=False)
@@ -719,9 +597,9 @@ _COORDS = st.floats(-3.0, 3.0, allow_subnormal=False)
 
 @st.composite
 def _discrete_joints(draw):
-    """A joint of 1 to 20 complex atoms in 1 or 2 dimensions, with labels
+    """A joint of 1 to 24 complex atoms in 1 or 2 dimensions, with labels
     from 1 to as many groups as atoms, and two gain vectors, equal or not."""
-    atoms = draw(st.integers(1, 20))
+    atoms = draw(st.integers(1, 24))
     dim = draw(st.integers(1, 2))
 
     def vector(size):
@@ -741,20 +619,16 @@ def _discrete_joints(draw):
     noise_psd=st.sampled_from([0.5, 1.0, 3.0]),
     # sigma^2 = N0 B from 1e-3 to 1e5
     exponents=st.lists(st.integers(-3, 5), min_size=1, max_size=3, unique=True),
-    use_mc=st.booleans(),
-    rng_seed=st.integers(0, 2**32 - 1),
 )
-def test_conditional_kernel_matches_reference(case, noise_psd, exponents, use_mc, rng_seed):
+def test_conditional_kernel_matches_reference(case, noise_psd, exponents):
     joint, c1, c2 = case
     bandwidths = [10.0 ** e / noise_psd for e in sorted(exponents)]
-    _assert_matches_reference(joint, c1, c2, noise_psd, bandwidths, use_mc, rng_seed=rng_seed)
+    _assert_matches_reference(joint, c1, c2, noise_psd, bandwidths)
 
 
-@pytest.mark.parametrize("use_mc", [False, True])
-def test_conditional_kernel_extreme_probabilities(use_mc):
-    # probabilities from 1e-300 to 1 span more log range than the shift
-    # floor, so the floor binds for the unlikely atoms; some atoms sit far
-    # apart at sigma^2 <= 1e-2, others on top of each other
+def test_conditional_kernel_extreme_probabilities():
+    # probabilities from 1e-300 to 1 weight the rows as they are; some atoms
+    # sit far apart at sigma^2 <= 1e-2, others on top of each other
     x = np.array([[0.0, 0.0], [0.0, 0.0], [40.0, 0.0], [0.0, -25.0], [0.05, 0.02],
                   [-30.0, 30.0], [0.1, 0.0], [0.0, 0.0]])
     probs = np.array([1e-300, 0.3, 1e-200, 1e-100, 1e-20, 0.2, 1e-8, 0.5])
@@ -764,8 +638,7 @@ def test_conditional_kernel_extreme_probabilities(use_mc):
     for c2 in (c1, np.array([0.3, -1.0])):
         for noise_psd in (1e-2, 1e-5):
             with np.errstate(over="raise", invalid="raise"):
-                _assert_matches_reference(joint, c1, c2, noise_psd, [1e-3, 0.1, 1.0], use_mc,
-                                          mc_samples=2000, rng_seed=17)
+                _assert_matches_reference(joint, c1, c2, noise_psd, [1e-3, 0.1, 1.0])
 
 
 def test_default_bandwidths_ascend():
