@@ -20,18 +20,23 @@ compare against the variance-ratio target:
   the conditional-variance decomposition
   B*I(U;Y1) -> (var[c1^H X] - E var[c1^H X | U]) / N0 and
   B*I(X;Y2|U) -> E var[c2^H X | U] / N0.
-  At a noise point z, |z + d|^2 = |z|^2 + |d|^2 + 2 Re(conj(z) d) for every
-  atom offset d, and the |z|^2 part cancels from every information term.
-  The exponents of an atom, (|z|^2 - |z + d|^2) / sigma^2, are then one real
-  (atoms x 3) @ (3 x points) product against the points and a row of ones,
-  and one exp in place. None exceeds |z|^2 / sigma^2, at most 131.2 on the
-  order-40 nodes (twice the square of the largest node), so nothing
-  overflows. A second product weights the rows by their probabilities into
-  the all-row sum and the group's sum, which give the information terms
-  through two logs; the atom's own row, p_k exp(0), keeps both sums above 0.
-  One pass over c1 gives I(X;Y1) and I(U;Y1) (the group sum read from the
-  same rows), and a pass over only the group rows of c2 gives I(X;Y2|U);
-  with c1 == c2 that pass is the first one's and is skipped.
+  At a unit noise node z = x + iy and an atom offset d = sigma (a + ib),
+  the exponent |z|^2 - |z + d / sigma|^2 of the Gaussian density ratio
+  splits into a part in x alone, -a (2x + a), and one in y alone,
+  -b (2y + b); the common |z|^2 cancels from every information term. Each
+  part is at most the square of the largest node, 65.6 (half the 131.2 of
+  the whole exponent), so no factor overflows. On the 40 x 40 product grid
+  an atom's probability-weighted sum over all atoms is then one
+  (40 x K) @ (K x 40) product of the two axis factors, and the sum over its
+  own group is another with the group's weights. The (bandwidth, atom)
+  pairs are batched: one exp over both axis factors of a block of pairs,
+  one batched product into their sums, one log and one product with the
+  1600 grid weights. Per bandwidth that costs 2 K^2 40 exps and 2 K 1600
+  logs, where exponents at every node cost K^2 1600 exps. The atom's own
+  row, p_k e^0, keeps both sums above 0. One pass over c1 gives I(X;Y) and
+  I(U;Y) (the group sum read from the same factors), and a pass with the
+  group sums alone over c2 gives I(X;Y|U); with c1 == c2 that pass is the
+  first one's and is skipped.
 
 Nothing here draws random numbers: every checker is deterministic, and every
 report's standard errors are 0.
@@ -61,6 +66,10 @@ DEFAULT_BANDWIDTHS = (1e1, 1e2, 1e3, 1e4, 1e5)
 
 _REL_TOL = 1e-3  # convergence threshold, relative to the target
 _QUAD_ORDER = 40  # Gauss-Hermite nodes per axis of the discrete-joint checker
+# (bandwidth, atom) pairs per batch of the discrete-joint kernel. Its factors
+# take 20 * 2 * 40 * K floats, 3.3 MB at K = 256 atoms; on a 2-vCPU Xeon,
+# blocks of 40 and 80 pairs were no faster at 4 to 17 atoms and slower at 64.
+_PAIR_BLOCK = 20
 
 
 def gaussian_scaled_mi(signal_var: float, noise_psd: float, bandwidth: float) -> float:
@@ -272,83 +281,92 @@ class ConditionalLimitReports:
     total: LimitCheckReport
 
 
-def _mi_components(s, probs, inverse, group_p, sigma_sq, nodes, weights, work, full=True):
+def _mi_components(s, probs, inverse, group_p, sigma_sq, full=True):
     """Mutual-information parts of the discrete input s in complex Gaussian
-    noise of variance sigma_sq, in nats per channel use.
+    noise of each variance in the array sigma_sq, in nats per channel use.
 
-    Returns the means of I(X;Y), I(U;Y) and I(X;Y|U), with atoms grouped by
-    label U, each averaged atom by atom over the same Gauss-Hermite points:
-    ``nodes`` is a (3, m) array of ones and of the real and imaginary parts
-    of the unit-variance points, and ``weights`` their weights. With
-    ``full`` False only I(X;Y|U) is computed, and the other two means are
-    NaN. ``work`` holds at least (atoms + 3) * m floats.
+    Returns a (3, sigma_sq.size) array: per variance, the means of I(X;Y),
+    I(U;Y) and I(X;Y|U), with atoms grouped by label U, each averaged atom by
+    atom over the order-40 Gauss-Hermite grid. With ``full`` False only
+    I(X;Y|U) is computed, and the other two rows are NaN.
 
-    At atom k, with offsets d_j = s_k - s_j and a noise point z = x + iy,
-    |z + d_j|^2 = |z|^2 + |d_j|^2 + 2 (x Re d_j + y Im d_j). The common
-    -|z|^2 / sigma_sq cancels from all three terms, which leaves the real
-    exponents e_j = -|d_j|^2 / sigma_sq - (2 / sigma_sq)(x Re d_j +
-    y Im d_j) = (|z|^2 - |z + d_j|^2) / sigma_sq. So each atom costs one
-    (K x 3) @ (3 x m) product against the ones row and the points, one exp
-    in place, and one (2 x K) @ (K x m) product that sums the rows into
-    S_all = sum_j p_j exp(e_j) and S_grp = sum over its group, whose rows
-    come first, of p_j / P(U=u_k) exp(e_j). The terms are
-    I(X;Y) <- -log S_all, I(U;Y) <- log S_grp - log S_all and
-    I(X;Y|U) <- -log S_grp. No exponent exceeds |z|^2 / sigma_sq, at most
-    131.2 on the order-40 nodes, and the own row is p_k exp(0) > 0, so
-    nothing overflows and no log meets 0.
+    At atom k, with offsets d_j = s_k - s_j and a unit noise node
+    z = x + iy, the exponent (|z|^2 - |z + d_j / sigma|^2) of row j splits
+    into fx_j(x) = x^2 - (x + a_j)^2 = -a_j (2x + a_j) and
+    fy_j(y) = -b_j (2y + b_j), with a_j + i b_j = d_j / sigma; the common
+    -|z|^2 cancels from all three terms. Each part is at most the square of
+    the largest node, 65.6, so no factor overflows. On the 40 x 40 grid the
+    all-row sum S_all = sum_j p_j e^{fx_j(x)} e^{fy_j(y)} is then the
+    (40 x K) @ (K x 40) product e^{fx}^T (p * e^{fy}), and the group sum
+    S_grp the same product with the row weights p_j / P(U=u_k) on the
+    group's rows and 0 elsewhere. The terms are I(X;Y) <- -log S_all,
+    I(U;Y) <- log S_grp - log S_all and I(X;Y|U) <- -log S_grp. The own
+    row is p_k e^0 e^0, so neither sum is below p_k and no log meets 0.
+    Where one factor underflows, the whole term is below p_j e^{-708 + 65.6}
+    (about 1e-279 p_j): it is lost from a sum of at least p_k whose log the
+    mean weights by p_k, so the means lose at most about 1e-279 absolute.
+
+    The (variance, atom) pairs run in blocks of _PAIR_BLOCK: one exp over
+    both axis factors of the block, one batched product into its
+    (block, 2, 40, 40) sums (one sum per pair with ``full`` False), one log
+    in place, and one product with the 1600 grid weights. For K atoms that is, per variance, 2 K^2 40 exps,
+    K batched (40 x K) @ (2 x K x 40) products and 2 K 1600 logs, where an
+    exponent at every node and row took K^2 1600 exps.
     """
+    nodes, weights = _unit_gauss_hermite()
     atoms = s.size
-    sizes = np.bincount(inverse)[inverse]
-    # row order per atom: its own group first
-    order = np.argsort(inverse[None, :] != inverse[:, None], axis=1, kind="stable")
-    d = s[:, None] - s[order]
-    coef = np.empty((atoms, atoms, 3))
-    coef[..., 0] = -(d.real * d.real + d.imag * d.imag) / sigma_sq
-    coef[..., 1] = d.real
-    coef[..., 2] = d.imag
-    coef[..., 1:] *= -2.0 / math.sqrt(sigma_sq)
-    # per atom, the row weights of S_all and of S_grp
-    sums_of = np.empty((atoms, 2, atoms))
-    sums_of[:, 0] = probs[order]
-    sums_of[:, 1] = np.where(np.arange(atoms) < sizes[:, None],
-                             sums_of[:, 0] / group_p[inverse][:, None], 0.0)
-    # per atom, the averages of log S_all, log S_grp - log S_all and log S_grp
-    avg = np.zeros((atoms, 3))
-    m = nodes.shape[1]
-    logs = work[work.size - 3 * m :].reshape(3, m)
-    first = 0 if full else 2
-    for k in range(atoms):
-        rows = atoms if full else sizes[k]
-        expo = work[: rows * m].reshape(rows, m)
-        np.matmul(coef[k, :rows], nodes, out=expo)
-        np.exp(expo, out=expo)
-        sums = logs[first::2]  # S_all and S_grp, or S_grp alone
-        np.matmul(sums_of[k, first // 2 :, :rows], expo, out=sums)
-        np.log(sums, out=sums)
-        if full:
-            np.subtract(logs[2], logs[0], out=logs[1])
-        avg[k, first:] = logs[first:] @ weights
-    means = probs @ (avg * (-1.0, 1.0, -1.0))
-    if not full:
-        means[:2] = np.nan
+    # per atom, the row weights of S_all and of S_grp, or of S_grp alone
+    grp = np.where(inverse[:, None] == inverse, probs / group_p[inverse][:, None], 0.0)
+    rows = np.stack((np.broadcast_to(probs, grp.shape), grp), axis=1) if full else grp[:, None]
+    n_sums = rows.shape[1]
+    d = s[:, None] - s
+    offsets = np.stack((d.real, d.imag), axis=1)  # (atoms, 2, atoms)
+    scale = 1.0 / np.sqrt(sigma_sq)
+    twice_nodes = 2.0 * nodes[:, None]
+    pairs = sigma_sq.size * atoms
+    block = min(_PAIR_BLOCK, pairs)
+    factors = np.empty((block, 2, _QUAD_ORDER, atoms))
+    weighted = np.empty((block, n_sums, atoms, _QUAD_ORDER))
+    sums = np.empty((block, n_sums, _QUAD_ORDER, _QUAD_ORDER))
+    avg = np.empty((pairs, n_sums))
+    for start in range(0, pairs, block):
+        pair = np.arange(start, min(start + block, pairs))
+        n, k = pair.size, pair % atoms
+        # a and b of each row, then fx and fy at every node, as (n, 2, node, row)
+        ab = (offsets[k] * scale[pair // atoms][:, None, None])[:, :, None, :]
+        e = factors[:n]
+        np.add(twice_nodes, ab, out=e)
+        np.multiply(e, -ab, out=e)
+        np.exp(e, out=e)
+        # the row weights go on the imaginary-axis factor, laid out (row, node)
+        w = weighted[:n]
+        np.multiply(e[:, 1:].swapaxes(-1, -2), rows[k][..., None], out=w)
+        out = sums[:n]
+        np.matmul(e[:, :1], w, out=out)
+        np.log(out, out=out)
+        avg[start : start + n] = out.reshape(n, n_sums, -1) @ weights
+    logs = probs @ avg.reshape(sigma_sq.size, atoms, n_sums)
+    means = np.full((3, sigma_sq.size), np.nan)
+    if full:
+        means[0] = -logs[:, 0]
+        means[1] = logs[:, 1] - logs[:, 0]
+    means[2] = -logs[:, -1]
     return means
 
 
 @functools.cache
 def _unit_gauss_hermite():
-    """Product Gauss-Hermite rule of order _QUAD_ORDER per axis for E f(z),
-    z circularly symmetric complex Gaussian of unit variance: the nodes as a
-    (3, order^2) array of ones and of real and imaginary parts, the ones
-    carrying the constant column of _mi_components' product, and their
-    weights, both read-only. Cached because the nodes cost about 0.4 ms, half
-    of a whole four-atom quadrature check with c1 == c2 on a 2-vCPU machine."""
+    """Gauss-Hermite rule of order _QUAD_ORDER per axis for E f(z), z
+    circularly symmetric complex Gaussian of unit variance: the nodes of one
+    axis, and the weights of the product grid as an (order^2,) array,
+    indexed by the real part's node then the imaginary part's, both
+    read-only. Cached so that a check pays for the nodes once per process,
+    not once per call, and built on first use, so importing pays nothing."""
     nodes, node_weights = np.polynomial.hermite.hermgauss(_QUAD_ORDER)
-    points = np.stack((np.ones(nodes.size ** 2), np.repeat(nodes, nodes.size),
-                       np.tile(nodes, nodes.size)))
     weights = np.outer(node_weights, node_weights).ravel() / np.pi
-    points.setflags(write=False)
+    nodes.setflags(write=False)
     weights.setflags(write=False)
-    return points, weights
+    return nodes, weights
 
 
 def _weighted_variance(values, probs) -> float:
@@ -377,10 +395,15 @@ def check_conditional_limits(
     standard errors are all 0. Convergence is judged at the fixed relative
     tolerance 1e-3.
 
-    Each bandwidth runs one full pass over s1 = X c1^* for total and
-    marginal, and a pass over s2 = X c2^* for conditional that evaluates
-    only each atom's own group. When s2 equals s1 (c1 == c2), the second
-    pass is skipped and conditional is the first pass's third term.
+    One pass over s1 = X c1^* gives total and marginal at every bandwidth,
+    and a pass over s2 = X c2^* that forms only each atom's group sums gives
+    conditional. When s2 equals s1 (c1 == c2), the second pass is skipped
+    and conditional is the first pass's third term. A pass factors each
+    Gaussian density ratio on the 40 x 40 grid into a real-axis and an
+    imaginary-axis part, each at most e^65.6, and batches its (bandwidth,
+    atom) pairs; per bandwidth it costs 2 K^2 40 exps, K batched
+    (40 x K) @ (2 x K x 40) products and 2 K 1600 logs for K atoms, where
+    an exponent at every node and row cost K^2 1600 exps.
     """
     if not isinstance(joint, FiniteJoint):
         raise ValueError("joint must be a FiniteJoint")
@@ -421,17 +444,11 @@ def check_conditional_limits(
     target_marginal = (var1 - cond_var(s1)) / noise_psd
     target_conditional = cond_var(s2) / noise_psd
 
-    nodes, weights = _unit_gauss_hermite()
-    work = np.empty(nodes.shape[1] * (probs.size + 3))
-
-    skip_second = np.array_equal(s1, s2)
-    vals = np.empty((3, b.size))
-    for idx, bk in enumerate(b):
-        args = (probs, inverse, group_p, noise_psd * bk, nodes, weights, work)
-        means = _mi_components(s1, *args)
-        if not skip_second:
-            means[2] = _mi_components(s2, *args, full=False)[2]
-        vals[:, idx] = bk * means
+    sigma_sq = noise_psd * b
+    means = _mi_components(s1, probs, inverse, group_p, sigma_sq)
+    if not np.array_equal(s1, s2):
+        means[2] = _mi_components(s2, probs, inverse, group_p, sigma_sq, full=False)[2]
+    vals = b * means
 
     return ConditionalLimitReports(
         marginal=_finish_report(b, vals[1], target_marginal),

@@ -641,6 +641,65 @@ def test_conditional_kernel_extreme_probabilities():
                 _assert_matches_reference(joint, c1, c2, noise_psd, [1e-3, 0.1, 1.0])
 
 
+def test_conditional_kernel_axis_underflow():
+    # the kernel multiplies a real-axis factor e^{fx} by an imaginary-axis
+    # one e^{fy}; with Re d / sigma = 27.5 and Im d / sigma = -8, e^{fx} is
+    # below the smallest normal float at 10 nodes where fx + fy, which the
+    # full exponent keeps, is as high as -662. The term sits in the sum of
+    # an atom of probability 1e-300 and outweighs its own row there by up to
+    # 2e12; the mean weights that atom's logs by 1e-300.
+    a, b = 27.5, -8.0
+    offset = 0.01 * complex(a, b)  # sigma = 0.01
+    nodes, _ = np.polynomial.hermite.hermgauss(40)
+    fx = nodes * nodes - (nodes + a) ** 2
+    fy = nodes * nodes - (nodes + b) ** 2
+    tiny = np.finfo(float).tiny
+    with np.errstate(under="ignore"):
+        lost = (np.exp(fx)[:, None] < tiny) & (np.exp(fx[:, None] + fy) >= tiny)
+    assert lost.any()
+
+    x = np.array([[0.0, 0.0], [offset, 0.0], [0.5 * offset, 0.01], [-offset, 0.0]])
+    joint = FiniteJoint(x=x, y=[0.0, 1.0, 0.0, 1.0],
+                        probs=[0.6, 1e-300, 0.3, 0.1])
+    c1 = np.array([1.0, 0.0])
+    for c2 in (c1, np.array([1.0, 2.0j])):
+        with np.errstate(over="raise", invalid="raise"):
+            # sigma^2 = 1e-4 at B = 1: the offset above; 4x smaller and larger
+            _assert_matches_reference(joint, c1, c2, 1e-4, [0.25, 1.0, 4.0])
+
+
+@pytest.mark.parametrize("atoms", [19, 21, 40])
+@pytest.mark.parametrize("sweeps", [1, 3, 5])
+def test_conditional_kernel_block_edges(atoms, sweeps):
+    # the kernel batches (bandwidth, atom) pairs 20 at a time, so these sizes
+    # put block edges inside a bandwidth's atoms and leave a short last block
+    rng = np.random.default_rng(atoms * 10 + sweeps)
+    labels = np.arange(atoms) % 4
+    labels[:3] = (10, 11, 12)  # three singleton groups
+    joint = FiniteJoint(x=rng.normal(size=(atoms, 2)) + 1j * rng.normal(size=(atoms, 2)),
+                        y=labels.astype(float), probs=rng.dirichlet(np.full(atoms, 2.0)))
+    c1 = rng.normal(size=2) + 1j * rng.normal(size=2)
+    c2 = rng.normal(size=2) + 1j * rng.normal(size=2)
+    _assert_matches_reference(joint, c1, c2, 0.8, np.geomspace(1.0, 1e4, sweeps))
+
+
+def test_conditional_kernel_memory_is_blocked():
+    # 256 atoms, five bandwidths, two passes: 10.6 MB at blocks of 20
+    # pairs, 8.3 MB for the earlier atom-at-a-time kernel; a block of all of
+    # a bandwidth's atoms holds over 40 MB of factors
+    rng = np.random.default_rng(256)
+    joint = FiniteJoint(x=rng.normal(size=(256, 2)) + 1j * rng.normal(size=(256, 2)),
+                        y=np.arange(256.0) % 7, probs=rng.dirichlet(np.ones(256)))
+    c1, c2 = np.array([1.0, 0.5j]), np.array([0.3, -1.0])
+    tracemalloc.start()
+    try:
+        check_conditional_limits(joint, c1, c2, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_default_bandwidths_ascend():
     assert list(DEFAULT_BANDWIDTHS) == sorted(DEFAULT_BANDWIDTHS)
     assert DEFAULT_BANDWIDTHS[0] >= 1.0
