@@ -27,6 +27,7 @@ ASCII and deterministic for fixed arguments.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -60,16 +61,19 @@ def _load(path: str) -> ChannelConfig:
     return load_config(Path(path).read_text(encoding="utf-8"))
 
 
-def _open_out(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Stdout when path is None or "-", else the file at path, closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as stream:
+            yield stream
 
 
 def _emit(lines_or_rows, out_path: str | None, header: list[str] | None = None) -> None:
     """Write key=value lines (header None) or CSV rows to stdout or a file."""
-    stream, owned = _open_out(out_path)
-    try:
+    with _output(out_path) as stream:
         if header is None:
             for key, value in lines_or_rows:
                 print(f"{key}={value}", file=stream)
@@ -77,9 +81,6 @@ def _emit(lines_or_rows, out_path: str | None, header: list[str] | None = None) 
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(lines_or_rows)
-    finally:
-        if owned:
-            stream.close()
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
@@ -195,8 +196,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
             header=["quantity", "computed", "expected", "tolerance", "within"],
         )
     else:
-        stream, owned = _open_out(args.out)
-        try:
+        with _output(args.out) as stream:
             width = max(len(name) for name, *_ in rows)
             for name, got, want, tol, ok in rows:
                 mark = "ok" if ok else "MISMATCH"
@@ -208,9 +208,6 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
             print(f"  p_required={_fmt(report.p_required)} > trace_x={_fmt(report.trace_x)}", file=stream)
             print(file=stream)
             print("note: " + CAVEAT, file=stream)
-        finally:
-            if owned:
-                stream.close()
     return EXIT_OK if report.matches_reference else EXIT_CHECK_FAILED
 
 
@@ -369,10 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -173,12 +173,38 @@ class CovBoundReport:
         return self.verdict.is_ordered
 
 
+def _group_deviations(labels, probs, rows):
+    """Group a finite joint's atoms by label.
+
+    Returns each atom's group index, the group probabilities, each atom's
+    weight p_k / P(u_k) within its group (0 for an atom of probability 0),
+    the groups' weighted mean rows, and each row's deviation from its
+    group's mean. ``rows`` holds one value (an atom's vector, or a
+    projection c^H x) or one row of values per atom.
+    """
+    _, inverse = np.unique(labels, return_inverse=True)
+    group_p = np.bincount(inverse, weights=probs)
+    within = np.divide(probs, group_p[inverse], out=np.zeros_like(probs), where=probs > 0)
+    members = inverse == np.arange(group_p.size)[:, None]
+    means = (members * within) @ rows
+    return inverse, group_p, within, means, rows - means[inverse]
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^H) / 2, which is Hermitian bit for bit in IEEE arithmetic."""
+    return 0.5 * (m + m.conj().T)
+
+
 def conditional_cov_bound_check(joint: FiniteJoint) -> CovBoundReport:
     """Check E_Y cov[X|Y] <= cov[X] - cov[X,Y] cov[X,Y]^H / var[Y] exactly.
 
     Both sides are computed by enumerating the joint's support, atoms with
-    equal y forming one conditioning group. The verdict and the floor on
-    var[Y] use the fixed tolerance 1e-9 of :func:`loewner_compare`.
+    equal y forming one conditioning group: E_Y cov[X|Y] is the
+    probability-weighted sum of each atom's outer product of its deviation
+    from its group's mean. Both sides are made exactly Hermitian, so the
+    order check sees no asymmetry from rounding at any scale. The verdict and
+    the floor on var[Y] use the fixed tolerance 1e-9 of
+    :func:`loewner_compare`.
     """
     if not isinstance(joint, FiniteJoint):
         raise ValueError("joint must be a FiniteJoint")
@@ -186,18 +212,8 @@ def conditional_cov_bound_check(joint: FiniteJoint) -> CovBoundReport:
     mean_x = p @ x
     xc = x - mean_x
     cov_x = np.einsum("k,ki,kj->ij", p, xc, xc.conj())
-
-    # cov of conditional means, grouping atoms by identical y
-    _, inverse = np.unique(y, return_inverse=True)
-    n_groups = int(inverse.max()) + 1
-    group_p = np.zeros(n_groups)
-    np.add.at(group_p, inverse, p)
-    group_mean = np.zeros((n_groups, joint.dim), dtype=complex)
-    np.add.at(group_mean, inverse, p[:, None] * xc)
-    nonzero = group_p > 0
-    group_mean[nonzero] /= group_p[nonzero, None]
-    cov_means = np.einsum("g,gi,gj->ij", group_p, group_mean, group_mean.conj())
-    lhs = cov_x - cov_means
+    dev = _group_deviations(y, p, x)[-1]
+    lhs = _hermitian_part(np.einsum("k,ki,kj->ij", p, dev, dev.conj()))
 
     mean_y = p @ y
     yc = y - mean_y
@@ -205,5 +221,5 @@ def conditional_cov_bound_check(joint: FiniteJoint) -> CovBoundReport:
     if var_y <= _ORDER_TOL:
         raise ValueError("var[Y] is zero; the bound requires a non-degenerate Y")
     cross = np.einsum("k,ki,k->i", p, xc, yc.conj())
-    rhs = cov_x - np.outer(cross, cross.conj()) / var_y
+    rhs = _hermitian_part(cov_x - np.outer(cross, cross.conj()) / var_y)
     return CovBoundReport(lhs=lhs, rhs=rhs, verdict=loewner_compare(rhs, lhs))

@@ -11,14 +11,15 @@ cuts are:
   (:func:`common_private_rates`) that can be compared numerically against
   the cut-set outer bound (:func:`broadcast_outer_rates`) by a sweep over
   stream powers (:func:`broadcast_region_gap`).  Every rate here is linear
-  in the six stream powers; the rate functions and the sweep share one set
-  of formulas.  The sweep visits only the largest admitted relay-3 private
-  powers of each (common, relay-2 private) cell, which dominate the rest of
-  their slab, so it costs O(steps**4) for the answer of the full O(steps**6)
-  grid.  Each antenna tabulates its share of every rate once over the cells
-  it admits, and the sweep adds the two tables a chunk of whole common-1 rows
-  at a time, so no rejected cell is evaluated; the achievable lookup spans
-  only the box of rate bins that some point occupies;
+  in the six stream powers, one source antenna's share plus the other's;
+  the rate functions and the sweep take those shares from one function.
+  The sweep visits only the largest admitted relay-3 private powers of each
+  (common, relay-2 private) cell, which dominate the rest of their slab, so
+  it costs O(steps**4) for the answer of the full O(steps**6) grid.  Each
+  antenna tabulates its share of every rate once over the cells it admits,
+  and the sweep adds the two tables a chunk of whole common-1 rows at a
+  time, so no rejected cell is evaluated; the achievable lookup spans only
+  the box of rate bins that some point occupies;
 * the synchronous broadcast cut, where rank-one beamforming attains a
   simple triangular region when one relay's channel is degraded with
   respect to the other (:func:`beamforming_rates`), and the minimum total
@@ -196,8 +197,16 @@ def _check_antenna_budgets(cfg: ChannelConfig, alloc: CommonPrivateAllocation) -
 
 
 # Under phase fading every broadcast-cut rate is linear in the six stream
-# powers.  The three helpers below hold those formulas for both bounds; they
-# work elementwise on arrays, so the region sweep runs them too.
+# powers, and each stream's rate is one antenna's share plus the other's.
+# The two helpers below hold those formulas for both bounds; they work
+# elementwise on arrays, and the region sweep tabulates the shares with them.
+
+
+def _antenna_shares(gain2, gain3, common, private2, private3):
+    """One antenna's share of each stream's rate: ``(gain2 * common,
+    gain3 * common, gain2 * private2, gain3 * private3)``, the common
+    stream at relays 2 and 3 and each private stream at its own relay."""
+    return gain2 * common, gain3 * common, gain2 * private2, gain3 * private3
 
 
 def _stream_rates(g2, g3, p1c, p2c, p12, p22, p13, p23):
@@ -208,23 +217,10 @@ def _stream_rates(g2, g3, p1c, p2c, p12, p22, p13, p23):
     and each private stream's rate at its own relay.  The powers may be
     arrays of any shapes that broadcast together.
     """
-    common2 = g2[0] * p1c + g2[1] * p2c
-    common3 = g3[0] * p1c + g3[1] * p2c
-    private2 = g2[0] * p12 + g2[1] * p22
-    private3 = g3[0] * p13 + g3[1] * p23
+    shares1 = _antenna_shares(g2[0], g3[0], p1c, p12, p13)
+    shares2 = _antenna_shares(g2[1], g3[1], p2c, p22, p23)
+    common2, common3, private2, private3 = (share1 + share2 for share1, share2 in zip(shares1, shares2))
     return common2, common3, np.minimum(common2, common3), private2, private3
-
-
-def _relay_rates(common2, common3, private2, private3):
-    """Per-relay rates ``common_k + private_k``: the inner bound with ``rc``
-    for both common rates, the outer bound with each relay's own."""
-    return common2 + private2, common3 + private3
-
-
-def _sum_cap(common, private2, private3):
-    """Sum-rate cap ``common + private2 + private3``.  With ``common = rc`` it
-    is the smaller of the two caps bit for bit, since rounding is monotone."""
-    return common + private2 + private3
 
 
 def _alloc_stream_rates(cfg: ChannelConfig, alloc: CommonPrivateAllocation, what: str):
@@ -241,13 +237,12 @@ def common_private_rates(cfg: ChannelConfig, alloc: CommonPrivateAllocation) -> 
     the weaker link; each private stream adds on top at its own relay.
     """
     common2, common3, rc, private2, private3 = _alloc_stream_rates(cfg, alloc, "common_private_rates")
-    r2, r3 = _relay_rates(rc, rc, private2, private3)
     return CommonPrivateRates(
         rc=rc,
-        r2=r2,
-        r3=r3,
-        r_sum1=_sum_cap(common2, private2, private3),
-        r_sum2=_sum_cap(common3, private2, private3),
+        r2=rc + private2,
+        r3=rc + private3,
+        r_sum1=common2 + private2 + private3,
+        r_sum2=common3 + private2 + private3,
     )
 
 
@@ -259,12 +254,11 @@ def broadcast_outer_rates(cfg: ChannelConfig, alloc: CommonPrivateAllocation) ->
     per-relay bounds the interesting comparison.
     """
     common2, common3, _, private2, private3 = _alloc_stream_rates(cfg, alloc, "broadcast_outer_rates")
-    r2, r3 = _relay_rates(common2, common3, private2, private3)
     return BroadcastOuterRates(
-        r2=r2,
-        r3=r3,
-        r_sum1=_sum_cap(common2, private2, private3),
-        r_sum2=_sum_cap(common3, private2, private3),
+        r2=common2 + private2,
+        r3=common3 + private3,
+        r_sum1=common2 + private2 + private3,
+        r_sum2=common3 + private2 + private3,
     )
 
 
@@ -345,25 +339,17 @@ def _antenna_cells(commons, budget: float, steps: int, gain2, gain3):
     """One antenna's admitted (common, p) cells, in (common, p) order.
 
     Returns their common (row) and private (column) indices and a
-    ``(4, cells)`` table of the antenna's share of each stream rate:
-    ``gain2 * common``, ``gain3 * common``, ``gain2 * p`` and ``gain3 * q``
-    at the top partner ``q``.
+    ``(4, cells)`` table of :func:`_antenna_shares` at each cell's common
+    power, its private power ``p`` and its top partner ``q``.
     """
     private, _, top = _top_partners(commons, budget, steps)
     rows, cols = np.nonzero(top >= 0)
-    common, partner = commons[rows], private[top[rows, cols]]
-    return rows, cols, np.stack((gain2 * common, gain3 * common, gain2 * private[cols], gain3 * partner))
+    shares = _antenna_shares(gain2, gain3, commons[rows], private[cols], private[top[rows, cols]])
+    return rows, cols, np.stack(shares)
 
 
-def _cell_rates(shares1, shares2):
-    """``(common2, common3, private2, private3)`` over every pair of an
-    antenna-1 cell and an antenna-2 cell, in one outer add: the sums that
-    :func:`_stream_rates` forms, antenna 1's share first."""
-    return shares1[:, :, None] + shares2[:, None, :]
-
-
-# Cells per call of _cell_rates in broadcast_region_gap, unless one common-1
-# row alone is larger.
+# Cells per chunk of antenna-1 rows in broadcast_region_gap, unless one
+# common-1 row alone is larger.
 _CHUNK_CELLS = 4096
 
 
@@ -440,12 +426,14 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
     achievable = np.full(_RATE_BINS * _RATE_BINS, -np.inf)
     edge2 = edge3 = 0
     for start, stop in _row_chunks(rows1, len(rows2)):
-        c2, c3, q2, q3 = _cell_rates(shares1[:, start:stop], shares2)
+        # every pair of an antenna-1 and an antenna-2 cell: the sums that
+        # _stream_rates forms, antenna 1's share first
+        c2, c3, q2, q3 = shares1[:, start:stop, None] + shares2[:, None, :]
         rc = np.minimum(c2, c3)
-        r2, r3 = _relay_rates(rc, rc, q2, q3)
+        r2, r3 = rc + q2, rc + q3
         bins2, bins3 = bins(r2), bins(r3)
-        # r2 + q3 is _sum_cap(rc, q2, q3) bit for bit; ufunc.at is far
-        # quicker on one flat index than on an index pair
+        # r2 + q3 is the sum cap rc + q2 + q3; ufunc.at is far quicker on
+        # one flat index than on an index pair
         np.maximum.at(achievable, (bins2 * _RATE_BINS + bins3).ravel(), (r2 + q3).ravel())
         edge2, edge3 = max(edge2, bins2.max()), max(edge3, bins3.max())
     # the occupied box plus one empty row and column, which every lookup
@@ -454,9 +442,9 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
     cover = _suffix_max(achievable.reshape(_RATE_BINS, _RATE_BINS)[:box2, :box3]).ravel()
 
     def demands(c2, c3, q2, q3):
-        r2, r3 = _relay_rates(c2, c3, q2, q3)
+        r2, r3 = c2 + q2, c3 + q3
         # clip each corner into the valid cone of rate triples
-        r_sum = np.maximum(_sum_cap(np.minimum(c2, c3), q2, q3), 0.0)
+        r_sum = np.maximum(np.minimum(c2, c3) + q2 + q3, 0.0)
         r2 = np.minimum(np.maximum(r2, 0.0), r_sum)
         r3 = np.minimum(np.maximum(r3, 0.0), r_sum)
         r_sum = np.minimum(r_sum, r2 + r3)
@@ -470,7 +458,7 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
     common1, common2 = np.linspace(-b1, b1, 2 * steps - 1), np.linspace(-b2, b2, 2 * steps - 1)
     (rows1, cols1, shares1), (rows2, cols2, shares2) = tables(common1, common2)
     for start, stop in _row_chunks(rows1, len(rows2)):
-        gaps = demands(*_cell_rates(shares1[:, start:stop], shares2))[3]
+        gaps = demands(*(shares1[:, start:stop, None] + shares2[:, None, :]))[3]
         top = gaps.max()
         if top > max_gap:
             max_gap = float(top)

@@ -18,8 +18,13 @@ compare against the variance-ratio target:
 * discrete joints (U, X): order-40 Gauss-Hermite integration of the
   discrete-input mutual information at every support size, used to verify
   the conditional-variance decomposition
-  B*I(U;Y1) -> (var[c1^H X] - E var[c1^H X | U]) / N0 and
-  B*I(X;Y2|U) -> E var[c2^H X | U] / N0.
+  B*I(U;Y1) -> var E[c1^H X | U] / N0 and
+  B*I(X;Y2|U) -> E var[c2^H X | U] / N0, with B*I(X;Y1) tending to their
+  sum for c1, var[c^H X] / N0. The targets are formed from each atom's
+  deviation from its group's mean, which the conditional-covariance bound
+  of :mod:`relaycap.matrices` reads too: the within-group variance is the
+  probability-weighted sum of the deviations' squares, and the
+  between-group variance that of the group means about their mean.
   At a unit noise node z = x + iy and an atom offset d = sigma (a + ib),
   the exponent |z|^2 - |z + d / sigma|^2 of the Gaussian density ratio
   splits into a part in x alone, -a (2x + a), and one in y alone,
@@ -50,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import FiniteJoint
+from .matrices import FiniteJoint, _group_deviations
 
 __all__ = [
     "DEFAULT_BANDWIDTHS",
@@ -266,9 +271,10 @@ def _last_phase_average(w_abs, a, s):
 class ConditionalLimitReports:
     """Limit sweeps for a discrete joint (U, X) observed through two channels.
 
-    marginal: B*I(U;Y1) against (var[c1^H X] - E var[c1^H X|U]) / N0
+    marginal: B*I(U;Y1) against var E[c1^H X|U] / N0
     conditional: B*I(X;Y2|U) against E var[c2^H X|U] / N0
-    total: B*I(X;Y1) against var[c1^H X] / N0
+    total: B*I(X;Y1) against var[c1^H X] / N0, formed as
+    (E var[c1^H X|U] + var E[c1^H X|U]) / N0
 
     With c1 == c2 the chain rule makes total = marginal + conditional at
     every bandwidth, which is the cross-check the three reports exist for.
@@ -281,7 +287,7 @@ class ConditionalLimitReports:
     total: LimitCheckReport
 
 
-def _mi_components(s, probs, inverse, group_p, sigma_sq, full=True):
+def _mi_components(s, probs, inverse, within, sigma_sq, full=True):
     """Mutual-information parts of the discrete input s in complex Gaussian
     noise of each variance in the array sigma_sq, in nats per channel use.
 
@@ -316,7 +322,7 @@ def _mi_components(s, probs, inverse, group_p, sigma_sq, full=True):
     nodes, weights = _unit_gauss_hermite()
     atoms = s.size
     # per atom, the row weights of S_all and of S_grp, or of S_grp alone
-    grp = np.where(inverse[:, None] == inverse, probs / group_p[inverse][:, None], 0.0)
+    grp = np.where(inverse[:, None] == inverse, within, 0.0)
     rows = np.stack((np.broadcast_to(probs, grp.shape), grp), axis=1) if full else grp[:, None]
     n_sums = rows.shape[1]
     d = s[:, None] - s
@@ -369,12 +375,6 @@ def _unit_gauss_hermite():
     return nodes, weights
 
 
-def _weighted_variance(values, probs) -> float:
-    mean = probs @ values
-    dev = values - mean
-    return float(np.real(probs @ (dev * dev.conj())))
-
-
 def check_conditional_limits(
     joint: FiniteJoint,
     c1,
@@ -394,6 +394,15 @@ def check_conditional_limits(
     ``mc_samples`` and ``rng_seed`` are accepted but not read, and the
     standard errors are all 0. Convergence is judged at the fixed relative
     tolerance 1e-3.
+
+    The targets come from each atom's deviation from its group's mean
+    (atoms with equal labels forming a group), for s1 = X c1^* and
+    s2 = X c2^*: conditional is sum_k p_k |s2_k - m2(u_k)|^2 / N0; marginal
+    is sum_g P(g) |m1(g) - m1|^2 / N0, with the group probabilities
+    normalised to sum to 1 and m1 their weighted mean of the group means
+    m1(g); and total is the sum of marginal and the same within-group sum
+    for s1. With a single label the one normalised probability is exactly
+    1, so the marginal target is exactly 0.
 
     One pass over s1 = X c1^* gives total and marginal at every bandwidth,
     and a pass over s2 = X c2^* that forms only each atom's group sums gives
@@ -426,32 +435,24 @@ def check_conditional_limits(
     # off by about B times that
     probs = joint.probs[keep]
     probs = probs / probs.sum()
-    _, inverse = np.unique(y, return_inverse=True)
-    group_p = np.bincount(inverse, weights=probs)
-
     s1 = x @ c1.conj()
     s2 = x @ c2.conj()
-
-    def cond_var(s):
-        acc = 0.0
-        for g in range(group_p.size):
-            member = inverse == g
-            acc += group_p[g] * _weighted_variance(s[member], probs[member] / group_p[g])
-        return acc
-
-    var1 = _weighted_variance(s1, probs)
-    target_total = var1 / noise_psd
-    target_marginal = (var1 - cond_var(s1)) / noise_psd
-    target_conditional = cond_var(s2) / noise_psd
+    inverse, group_p, within, group_mean, dev = _group_deviations(y, probs, np.stack((s1, s2), 1))
+    # E var[s1|U] and E var[s2|U]; then var E[s1|U] over the groups' shares,
+    # exactly 0 when U is constant, since the one share is then exactly 1
+    within_var = probs @ (dev * dev.conj()).real
+    share = group_p / group_p.sum()
+    spread = group_mean[:, 0] - share @ group_mean[:, 0]
+    between_var = share @ (spread * spread.conj()).real
 
     sigma_sq = noise_psd * b
-    means = _mi_components(s1, probs, inverse, group_p, sigma_sq)
+    means = _mi_components(s1, probs, inverse, within, sigma_sq)
     if not np.array_equal(s1, s2):
-        means[2] = _mi_components(s2, probs, inverse, group_p, sigma_sq, full=False)[2]
+        means[2] = _mi_components(s2, probs, inverse, within, sigma_sq, full=False)[2]
     vals = b * means
 
     return ConditionalLimitReports(
-        marginal=_finish_report(b, vals[1], target_marginal),
-        conditional=_finish_report(b, vals[2], target_conditional),
-        total=_finish_report(b, vals[0], target_total),
+        marginal=_finish_report(b, vals[1], between_var / noise_psd),
+        conditional=_finish_report(b, vals[2], within_var[1] / noise_psd),
+        total=_finish_report(b, vals[0], (within_var[0] + between_var) / noise_psd),
     )

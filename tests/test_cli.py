@@ -297,6 +297,25 @@ def test_out_file(tmp_path, sync_config, capsys):
     assert "rate" in kv
 
 
+@pytest.mark.parametrize("flags", [[], ["--csv"]])
+def test_counterexample_out_file_matches_stdout(tmp_path, capsys, flags):
+    assert main(["counterexample", *flags]) == EXIT_OK
+    printed = capsys.readouterr().out
+    target = tmp_path / "counterexample.txt"
+    assert main(["counterexample", *flags, "--out", str(target)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == printed.encode("utf-8")
+
+
+def test_out_into_missing_directory(tmp_path, sync_config, capsys):
+    target = tmp_path / "missing" / "result.txt"
+    assert main(["capacity", "--config", sync_config, "--out", str(target)]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert not target.parent.exists()
+
+
 def test_usage_errors_exit_bad_input(capsys):
     with pytest.raises(SystemExit) as err:
         main(["capacity"])  # --config missing

@@ -133,18 +133,24 @@ def test_cov_bound_independent_case():
 
 
 def test_cov_bound_random_joints_hold():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        n = int(rng.integers(3, 12))
-        d = int(rng.integers(1, 4))
-        x = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
-        y = rng.normal(size=n).round(1)  # ties make non-trivial groups
-        if np.ptp(y) == 0.0:
-            y[0] += 1.0
-        p = rng.uniform(0.1, 1.0, size=n)
-        p /= p.sum()
-        report = conditional_cov_bound_check(FiniteJoint(x=x, y=y, probs=p))
-        assert report.holds, report.verdict
+    # both sides are built exactly Hermitian: the order check rejects a
+    # Hermitian gap above 1e-12 absolute, which rounding alone exceeded at
+    # scale 1e2 when each side was left as computed
+    for scale in (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3):
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            n = int(rng.integers(3, 12))
+            d = int(rng.integers(1, 4))
+            x = scale * (rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d)))
+            y = rng.normal(size=n).round(1)  # ties make non-trivial groups
+            if np.ptp(y) == 0.0:
+                y[0] += 1.0
+            p = rng.uniform(0.1, 1.0, size=n)
+            p /= p.sum()
+            report = conditional_cov_bound_check(FiniteJoint(x=x, y=y, probs=p))
+            assert report.holds, (scale, report.verdict)
+            for side in (report.lhs, report.rhs):
+                np.testing.assert_array_equal(side, side.conj().T)
 
 
 def test_cov_bound_degenerate_y_rejected():

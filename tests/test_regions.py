@@ -30,10 +30,8 @@ from relaycap.regions import (
     _CHUNK_CELLS,
     _RATE_BINS,
     _broadcast_gains,
-    _cell_rates,
-    _relay_rates,
+    _row_chunks,
     _stream_rates,
-    _sum_cap,
     _suffix_max,
     _top_partners,
 )
@@ -389,18 +387,16 @@ def _reference_gap(cfg, steps):
     achievable = np.full((_RATE_BINS, _RATE_BINS), -np.inf)
     commons = np.linspace(0.0, b1, steps), np.linspace(0.0, b2, steps)
     for _, _, rc, q2, q3 in _pointwise_masked_rates(g2, g3, b1, b2, steps, *commons):
-        r2, r3 = _relay_rates(rc, rc, q2, q3)
-        np.maximum.at(achievable, (bins(r2), bins(r3)), _sum_cap(rc, q2, q3))
+        np.maximum.at(achievable, (bins(rc + q2), bins(rc + q3)), rc + q2 + q3)
     cover = np.maximum.accumulate(np.maximum.accumulate(achievable[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
 
     max_gap = -math.inf
     worst = (0.0, 0.0, 0.0)
     commons = np.linspace(-b1, b1, 2 * steps - 1), np.linspace(-b2, b2, 2 * steps - 1)
     for c2, c3, rc, q2, q3 in _pointwise_masked_rates(g2, g3, b1, b2, steps, *commons):
-        r2, r3 = _relay_rates(c2, c3, q2, q3)
-        r_sum = np.maximum(_sum_cap(rc, q2, q3), 0.0)
-        r2 = np.minimum(np.maximum(r2, 0.0), r_sum)
-        r3 = np.minimum(np.maximum(r3, 0.0), r_sum)
+        r_sum = np.maximum(rc + q2 + q3, 0.0)
+        r2 = np.minimum(np.maximum(c2 + q2, 0.0), r_sum)
+        r3 = np.minimum(np.maximum(c3 + q3, 0.0), r_sum)
         r_sum = np.minimum(r_sum, r2 + r3)
         gaps = r_sum - cover[bins(r2 - resolution), bins(r3 - resolution)]
         k = int(np.argmax(gaps))
@@ -459,17 +455,18 @@ def test_broadcast_gap_matches_full_sweep(cfg, steps):
 
 def test_broadcast_gap_evaluates_few_chunks():
     # at steps 16 the achievable pass takes 6 chunks and the outer pass 21;
-    # one common-1 row per call would take 16 + 31
-    calls = []
+    # one common-1 row per chunk would take 16 + 31
+    cells = []
 
-    def counted(shares1, shares2):
-        calls.append(shares1.shape[1] * shares2.shape[1])
-        return _cell_rates(shares1, shares2)
+    def counted(rows, width):
+        for start, stop in _row_chunks(rows, width):
+            cells.append((stop - start) * width)
+            yield start, stop
 
-    with mock.patch.object(regions, "_cell_rates", counted):
+    with mock.patch.object(regions, "_row_chunks", counted):
         broadcast_region_gap(diamond_config(), steps=16)
-    assert len(calls) <= 27
-    assert max(calls) <= _CHUNK_CELLS
+    assert len(cells) <= 27
+    assert max(cells) <= _CHUNK_CELLS
 
 
 def test_broadcast_gap_memory_stays_small():

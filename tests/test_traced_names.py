@@ -1,12 +1,21 @@
 """The benchmark's tracer finds every library function it wraps, and the
-parameters it reads by name, in the current signatures."""
+parameters it reads by name, in the current signatures; every keyword the
+benchmark's workloads pass is still a parameter, and every command line the
+CLI workload runs still parses."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import numpy as np
+import pytest
+
+import relaycap
+from relaycap.cli import build_parser
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # parameters that the tracer's variant functions read from the bound arguments
 BOUND_BY_NAME = {
@@ -16,22 +25,52 @@ BOUND_BY_NAME = {
 }
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_functions_import_from_their_modules():
-    for name, (module, attr) in _tracing().LIBRARY.items():
+    for name, (module, attr) in _load("tracing").LIBRARY.items():
         assert callable(getattr(importlib.import_module(module), attr)), name
 
 
 def test_traced_parameter_names_exist():
-    library = _tracing().LIBRARY
+    library = _load("tracing").LIBRARY
     for name, params in BOUND_BY_NAME.items():
         module, attr = library[name]
         signature = inspect.signature(getattr(importlib.import_module(module), attr))
         for param in params:
             assert param in signature.parameters, f"{name} lost parameter {param!r}"
+
+
+def test_workload_keywords_exist():
+    # the workloads call the library as lib.<name>(..., keyword=...), with
+    # lib bound to the package's public names
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    passed = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "lib"):
+            passed.setdefault(node.func.attr, set()).update(k.arg for k in node.keywords if k.arg)
+    assert {"rng_seed", "mc_samples"} <= passed["check_conditional_limits"]
+    assert "rng_seed" in passed["check_limit_phase_fading"]
+    for name, keywords in passed.items():
+        signature = inspect.signature(getattr(relaycap, name))
+        for keyword in keywords:
+            assert keyword in signature.parameters, f"{name} lost parameter {keyword!r}"
+
+
+def test_cli_workload_command_lines_parse(tmp_path):
+    items = _load("inputs").cli_items(np.random.default_rng(0), tmp_path)
+    flags = {arg for item in items for arg in item["argv"] if arg.startswith("--")}
+    assert {"--samples", "--seed", "--cross-check", "--gap", "--steps", "--cut", "--config",
+            "--matrix", "--r2", "--r3", "--r-sum", "--c2-sq", "--c3-sq", "--c0-sq"} <= flags
+    parser = build_parser()
+    for item in items:
+        try:
+            parser.parse_args(item["argv"])
+        except SystemExit:
+            pytest.fail(f"the CLI no longer parses {item['argv']}")

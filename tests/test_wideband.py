@@ -13,6 +13,7 @@ from relaycap import (
     DEFAULT_BANDWIDTHS,
     FiniteJoint,
     check_conditional_limits,
+    conditional_cov_bound_check,
     check_limit_constant_phase,
     check_limit_phase_fading,
     gaussian_scaled_mi,
@@ -259,17 +260,19 @@ def two_point_joint(angle=0.0):
 
 
 def test_conditional_limits_deterministic_given_u():
-    # X is a function of U: all information flows through U, nothing remains
+    # X is a function of U: all information flows through U, nothing remains,
+    # whatever gain vector observes it
     joint = two_point_joint()
     c = np.array([1.0, 0.0])
-    reports = check_conditional_limits(joint, c, c, 1.0)
-    assert reports.conditional.target == 0.0
-    np.testing.assert_allclose(reports.conditional.scaled_mi, 0.0, atol=1e-9)
-    # var[c^H X] = 1, so total and marginal both sweep toward 1
-    assert reports.total.target == pytest.approx(1.0)
-    assert reports.marginal.target == pytest.approx(1.0)
-    assert reports.total.converged
-    assert reports.marginal.converged
+    for c2 in (c, np.array([0.3, -1.2j])):
+        reports = check_conditional_limits(joint, c, c2, 1.0)
+        assert reports.conditional.target == 0.0
+        np.testing.assert_allclose(reports.conditional.scaled_mi, 0.0, atol=1e-9)
+        # var[c^H X] = 1, so total and marginal both sweep toward 1
+        assert reports.total.target == pytest.approx(1.0)
+        assert reports.marginal.target == pytest.approx(1.0)
+        assert reports.total.converged
+        assert reports.marginal.converged
 
 
 def test_conditional_limits_u_independent_of_x():
@@ -282,6 +285,46 @@ def test_conditional_limits_u_independent_of_x():
     np.testing.assert_allclose(reports.marginal.scaled_mi, 0.0, atol=1e-9)
     assert reports.conditional.target == pytest.approx(1.0)
     assert reports.conditional.converged
+
+
+def test_conditional_limits_single_label_marginal_target_is_zero():
+    # with one label U is constant and var E[c^H X|U] is exactly 0; formed as
+    # var[c^H X] - E var[c^H X|U], 20 of these 200 joints read a target of
+    # rounding size, as high as 2.2e-16 (seed 5), against which the tolerance
+    # 1e-3 * target failed the sweep
+    c = np.array([1.0, 0.5])
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+        joint = FiniteJoint(x=x, y=np.zeros(6), probs=rng.dirichlet(np.ones(6)))
+        reports = check_conditional_limits(joint, c, c, 1.0)
+        assert reports.marginal.target == 0.0, seed
+        assert reports.marginal.converged, seed
+        assert reports.total.target == reports.conditional.target, seed
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_conditional_limit_targets_match_the_bound_covariance(scale):
+    # the within-group targets read the same deviations as the averaged
+    # conditional covariance E cov[X|U] of conditional_cov_bound_check, so
+    # E var[c^H X|U] = c^H E cov[X|U] c for either gain vector
+    rng = np.random.default_rng(int(round(math.log10(scale))) + 40)
+    for _ in range(60):
+        atoms = int(rng.integers(2, 12))
+        dim = int(rng.integers(1, 4))
+        x = scale * (rng.normal(size=(atoms, dim)) + 1j * rng.normal(size=(atoms, dim)))
+        labels = rng.integers(0, atoms, size=atoms).astype(float)  # singletons are common
+        if np.ptp(labels) == 0.0:
+            labels[0] += 1.0
+        joint = FiniteJoint(x=x, y=labels, probs=rng.dirichlet(np.ones(atoms)))
+        c1, c2 = (rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(2))
+        noise_psd = float(rng.uniform(0.5, 2.0))
+        lhs = conditional_cov_bound_check(joint).lhs
+        reports = check_conditional_limits(joint, c1, c2, noise_psd, bandwidths=[1e5])
+        within1 = noise_psd * (reports.total.target - reports.marginal.target)
+        within2 = noise_psd * reports.conditional.target
+        for c, value in ((c1, within1), (c2, within2)):
+            assert value == pytest.approx(np.real(c.conj() @ lhs @ c), rel=1e-12, abs=0.0)
 
 
 def test_conditional_limits_chain_rule_quadrature():
