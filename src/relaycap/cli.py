@@ -22,6 +22,18 @@ Subcommands map one-to-one onto the library layers:
 
 Exit codes: 0 success, 1 bad input, 2 check failed.  All output is plain
 ASCII and deterministic for fixed arguments.
+
+Only the stdlib, numpy and :mod:`relaycap.channel` are imported with this
+module. The names the subcommands call from the other layers are listed in
+``_LAYER_NAMES``, by layer, and a module ``__getattr__`` (PEP 562) imports a
+name's layer the first time the name is read, so a process loads only the
+layers its subcommand runs: ``capacity`` loads capacity (with ``_search`` and
+matrices), ``region`` and ``min-power`` regions, ``verify-limits`` wideband
+(with matrices), ``counterexample`` counterexample (with regions and
+matrices) and ``matrix-check`` matrices. The subcommands call these names
+through the module object (``_cli.optimize_capacity(cfg)``), so they stay
+attributes of this module: a caller that replaces one, as a tracer wrapping
+it does, sees every call the subcommands make through it.
 """
 
 from __future__ import annotations
@@ -29,24 +41,41 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import importlib
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .capacity import optimize_capacity, optimize_covariance_bound, phase_fading_capacity
 from .channel import ChannelConfig, CsiMode, Topology, load_config
-from .counterexample import CAVEAT, comparison_rows, run_counterexample
-from .matrices import eigenvalues_ascending, is_hermitian, loewner_compare
-from .regions import (
-    CommonPrivateAllocation,
-    broadcast_region_gap,
-    common_private_rates,
-    mac_region_point,
-    min_power,
-)
-from .wideband import DEFAULT_BANDWIDTHS, check_limit_constant_phase, check_limit_phase_fading
+
+_LAYER_NAMES = {
+    "capacity": ("optimize_capacity", "optimize_covariance_bound", "phase_fading_capacity"),
+    "counterexample": ("CAVEAT", "comparison_rows", "run_counterexample"),
+    "matrices": ("eigenvalues_ascending", "is_hermitian", "loewner_compare"),
+    "regions": (
+        "CommonPrivateAllocation",
+        "broadcast_region_gap",
+        "common_private_rates",
+        "mac_region_point",
+        "min_power",
+    ),
+    "wideband": ("DEFAULT_BANDWIDTHS", "check_limit_constant_phase", "check_limit_phase_fading"),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__package__}.{layer}"), name)
+    globals()[name] = value  # bound here, where a caller can replace it
+    return value
+
+
+_cli = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -87,10 +116,10 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     cfg = _load(args.config)
     lines: list[tuple[str, str]] = [("csi", cfg.csi.value)]
     if cfg.csi is CsiMode.PHASE_FADING:
-        lines.append(("rate", _fmt(phase_fading_capacity(cfg))))
+        lines.append(("rate", _fmt(_cli.phase_fading_capacity(cfg))))
         _emit(lines, args.out)
         return EXIT_OK
-    result = optimize_capacity(cfg)
+    result = _cli.optimize_capacity(cfg)
     alloc = result.allocation
     lines += [
         ("rate", _fmt(result.rate)),
@@ -102,7 +131,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
         ("alpha", _fmt(alloc.alpha)),
     ]
     if args.cross_check:
-        other = optimize_covariance_bound(cfg)
+        other = _cli.optimize_covariance_bound(cfg)
         lines.append(("covariance_rate", _fmt(other.rate)))
         lines.append(("cross_check_gap", _fmt(abs(other.rate - result.rate))))
     _emit(lines, args.out)
@@ -124,13 +153,13 @@ def _cmd_region(args: argparse.Namespace) -> int:
             rhos = np.linspace(0.0, 1.0, args.steps)
         rows = []
         for rho in rhos:
-            point = mac_region_point(cfg, float(rho))
+            point = _cli.mac_region_point(cfg, float(rho))
             rows.append([_fmt(point.rho), _fmt(point.r23_max), _fmt(point.r32_max), _fmt(point.r_sum_max)])
         _emit(rows, args.out, header=["rho", "r23_max", "r32_max", "r_sum_max"])
         return EXIT_OK
     # broadcast cut
     if args.gap:
-        report = broadcast_region_gap(cfg, steps=args.steps)
+        report = _cli.broadcast_region_gap(cfg, steps=args.steps)
         _emit(
             [
                 ("max_gap", _fmt(report.max_gap)),
@@ -147,7 +176,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
     b2 = cfg.powers["P2"]
     rows = []
     for frac in np.linspace(0.0, 1.0, args.steps):
-        alloc = CommonPrivateAllocation(
+        alloc = _cli.CommonPrivateAllocation(
             p1c=frac * b1,
             p2c=frac * b2,
             p12=(1.0 - frac) * b1 / 2.0,
@@ -155,7 +184,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
             p13=(1.0 - frac) * b1 / 2.0,
             p23=(1.0 - frac) * b2 / 2.0,
         )
-        rates = common_private_rates(cfg, alloc)
+        rates = _cli.common_private_rates(cfg, alloc)
         rows.append(
             [
                 _fmt(frac),
@@ -170,7 +199,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
 
 
 def _cmd_min_power(args: argparse.Namespace) -> int:
-    result = min_power(
+    result = _cli.min_power(
         r2=args.r2, r3=args.r3, r_sum=args.r_sum,
         c2_sq=args.c2_sq, c3_sq=args.c3_sq, c0_sq=args.c0_sq,
     )
@@ -187,8 +216,8 @@ def _cmd_min_power(args: argparse.Namespace) -> int:
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> int:
-    report = run_counterexample()
-    rows = comparison_rows(report)
+    report = _cli.run_counterexample()
+    rows = _cli.comparison_rows(report)
     if args.csv:
         _emit(
             [[name, _fmt(got), _fmt(want), _fmt(tol), "yes" if ok else "no"] for name, got, want, tol, ok in rows],
@@ -207,13 +236,13 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
             print("power needed by common/private messaging exceeds the outer-bound budget:", file=stream)
             print(f"  p_required={_fmt(report.p_required)} > trace_x={_fmt(report.trace_x)}", file=stream)
             print(file=stream)
-            print("note: " + CAVEAT, file=stream)
+            print("note: " + _cli.CAVEAT, file=stream)
     return EXIT_OK if report.matches_reference else EXIT_CHECK_FAILED
 
 
 def _cmd_verify_limits(args: argparse.Namespace) -> int:
     cfg = _load(args.config)
-    bandwidths = tuple(args.bandwidths) if args.bandwidths else DEFAULT_BANDWIDTHS
+    bandwidths = tuple(args.bandwidths) if args.bandwidths else _cli.DEFAULT_BANDWIDTHS
     n0 = cfg.noise_psd
     if cfg.topology is Topology.SINGLE_RELAY:
         links = [("c21", "P1"), ("c31", "P1"), ("c32", "P2")]
@@ -226,9 +255,9 @@ def _cmd_verify_limits(args: argparse.Namespace) -> int:
         power = cfg.powers[budget_key]
         input_var = np.full(gains.shape, power / gains.size)
         if cfg.csi is CsiMode.SYNCHRONOUS:
-            report = check_limit_constant_phase(gains, input_var, n0, bandwidths)
+            report = _cli.check_limit_constant_phase(gains, input_var, n0, bandwidths)
         else:
-            report = check_limit_phase_fading(
+            report = _cli.check_limit_phase_fading(
                 np.abs(gains), input_var, n0, bandwidths,
                 num_phase_samples=args.samples, rng_seed=args.seed,
             )
@@ -279,11 +308,11 @@ def _parse_matrix(path: str) -> np.ndarray:
 def _cmd_matrix_check(args: argparse.Namespace) -> int:
     matrix = _parse_matrix(args.matrix)
     lines: list[tuple[str, str]] = [("shape", f"{matrix.shape[0]}x{matrix.shape[1]}")]
-    hermitian = is_hermitian(matrix)
+    hermitian = _cli.is_hermitian(matrix)
     lines.append(("hermitian", "yes" if hermitian else "no"))
     if hermitian:
-        eigs = eigenvalues_ascending(matrix)
-        verdict = loewner_compare(matrix, np.zeros_like(matrix))
+        eigs = _cli.eigenvalues_ascending(matrix)
+        verdict = _cli.loewner_compare(matrix, np.zeros_like(matrix))
         lines.append(("eigenvalues", ",".join(_fmt(e) for e in eigs)))
         lines.append(("relation_to_zero", verdict.relation.value))
         lines.append(("min_eigenvalue", _fmt(verdict.min_eigenvalue)))

@@ -8,6 +8,7 @@ function validates its input once and then calls the unchecked kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,6 +28,7 @@ __all__ = [
 
 HERMITIAN_TOL = 1e-12
 _ORDER_TOL = 1e-9  # eigenvalue threshold of the semidefinite order, and var[Y]'s floor
+_BOUND_RTOL = 1e-12  # the bound check's order threshold, relative to its rounding scale
 
 
 def _as_square(m) -> np.ndarray:
@@ -111,10 +113,14 @@ def loewner_compare(a, b) -> LoewnerVerdict:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     # the difference is checked again: it can overflow, and it must be Hermitian
-    lam = float(eigenvalues_ascending(a - b)[0])
-    if lam > _ORDER_TOL:
+    return _order_verdict(float(eigenvalues_ascending(a - b)[0]), _ORDER_TOL)
+
+
+def _order_verdict(lam: float, tol: float) -> LoewnerVerdict:
+    """Verdict on a difference whose minimum eigenvalue is lam, at threshold tol."""
+    if lam > tol:
         relation = LoewnerRelation.STRICTLY_GREATER
-    elif lam >= -_ORDER_TOL:
+    elif lam >= -tol:
         relation = LoewnerRelation.GREATER_OR_EQUAL
     else:
         relation = LoewnerRelation.INDEFINITE
@@ -202,8 +208,14 @@ def conditional_cov_bound_check(joint: FiniteJoint) -> CovBoundReport:
     equal y forming one conditioning group: E_Y cov[X|Y] is the
     probability-weighted sum of each atom's outer product of its deviation
     from its group's mean. Both sides are made exactly Hermitian, so the
-    order check sees no asymmetry from rounding at any scale. The verdict and
-    the floor on var[Y] use the fixed tolerance 1e-9 of
+    order check sees no asymmetry from rounding at any scale.
+
+    The verdict is scale-free: it judges the minimum eigenvalue of
+    rhs - lhs against 1e-12 sqrt(E|X|^2 s), with s the larger trace of
+    cov[X] and lhs. Centring an atom x rounds it by about 1e-16 |x|, so
+    each side carries a rounding error of about 1e-16 times that square
+    root; the threshold follows X's scale squared, also when X has a large
+    mean or no spread at all. The floor on var[Y] is the fixed 1e-9 of
     :func:`loewner_compare`.
     """
     if not isinstance(joint, FiniteJoint):
@@ -222,4 +234,9 @@ def conditional_cov_bound_check(joint: FiniteJoint) -> CovBoundReport:
         raise ValueError("var[Y] is zero; the bound requires a non-degenerate Y")
     cross = np.einsum("k,ki,k->i", p, xc, yc.conj())
     rhs = _hermitian_part(cov_x - np.outer(cross, cross.conj()) / var_y)
-    return CovBoundReport(lhs=lhs, rhs=rhs, verdict=loewner_compare(rhs, lhs))
+    # rhs - lhs is exactly Hermitian, since both sides are
+    second = p @ (x * x.conj()).real.sum(axis=1)
+    spread = max(np.trace(cov_x).real, np.trace(lhs).real)
+    tol = _BOUND_RTOL * math.sqrt(second * spread)
+    verdict = _order_verdict(float(_eigvalsh(rhs - lhs)[0]), tol)
+    return CovBoundReport(lhs=lhs, rhs=rhs, verdict=verdict)

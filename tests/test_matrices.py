@@ -153,6 +153,81 @@ def test_cov_bound_random_joints_hold():
                 np.testing.assert_array_equal(side, side.conj().T)
 
 
+def _labelled_joints(rng, count):
+    """Joints of 2 to 11 atoms in 1 to 3 dimensions, Dirichlet(1)
+    probabilities, labels in up to n/2 groups (at least two)."""
+    joints = []
+    while len(joints) < count:
+        n = int(rng.integers(2, 12))
+        d = int(rng.integers(1, 4))
+        x = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+        y = rng.integers(0, max(2, n // 2), size=n).astype(float)
+        if np.ptp(y) > 0.0:
+            joints.append((x, y, rng.dirichlet(np.ones(n))))
+    return joints
+
+
+def test_cov_bound_verdict_is_scale_free():
+    # rounding moves the minimum eigenvalue of rhs - lhs by about 1e-16
+    # scale^2; against a fixed 1e-9 it read as a violation on 69 of these
+    # joints at scale 1e4 and on none below 1e3
+    joints = _labelled_joints(np.random.default_rng(7), 190)
+    relations = None
+    for scale in 10.0 ** np.arange(-6, 7):
+        got = []
+        for x, y, p in joints:
+            report = conditional_cov_bound_check(FiniteJoint(x=scale * x, y=y, probs=p))
+            assert report.holds, (scale, report.verdict)
+            got.append(report.verdict.relation)
+        relations = relations or got
+        assert got == relations, scale
+
+
+@pytest.mark.parametrize("shape", ["constant", "offset", "linear"])
+def test_cov_bound_degenerate_joints_hold(shape):
+    # X constant (both sides are rounding noise), X with a mean 1e6 times
+    # its spread, X affine in Y (rhs cancels to rounding noise)
+    rng = np.random.default_rng(3)
+    for scale in (1e-6, 1.0, 1e6):
+        for _ in range(40):
+            n = int(rng.integers(2, 12))
+            y = rng.integers(0, 3, size=n).astype(float)
+            y[:2] = (0.0, 1.0)
+            centre = rng.normal(size=2) + 1j * rng.normal(size=2)
+            x = {
+                "constant": np.tile(centre, (n, 1)),
+                "offset": 1e6 * centre + rng.normal(size=(n, 2)),
+                "linear": np.stack([y, 0.5 - 2.0 * y], axis=1),
+            }[shape]
+            joint = FiniteJoint(x=scale * x, y=y, probs=rng.dirichlet(np.ones(n)))
+            assert conditional_cov_bound_check(joint).holds, (scale, n)
+
+
+def test_cov_bound_catches_an_out_of_order_pair(monkeypatch):
+    # with two labels E[X|Y] is affine in Y, so lhs equals rhs; deviations
+    # inflated by 1e-6 push lhs above rhs by about 2e-6 of its size, which
+    # the check must see at every scale (a fixed 1e-9 missed it up to 1e-2)
+    from relaycap import matrices
+
+    exact = matrices._group_deviations
+
+    def inflated(labels, probs, rows):
+        *head, dev = exact(labels, probs, rows)
+        return (*head, dev * (1.0 + 1e-6))
+
+    rng = np.random.default_rng(5)
+    joints = [(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)), np.arange(6.0) % 2,
+               rng.dirichlet(np.ones(6))) for _ in range(10)]
+    for scale in 10.0 ** np.arange(-6, 7):
+        for x, y, p in joints:
+            joint = FiniteJoint(x=scale * x, y=y, probs=p)
+            assert conditional_cov_bound_check(joint).holds
+            monkeypatch.setattr(matrices, "_group_deviations", inflated)
+            report = conditional_cov_bound_check(joint)
+            monkeypatch.setattr(matrices, "_group_deviations", exact)
+            assert report.verdict.relation is LoewnerRelation.INDEFINITE, (scale, report.verdict)
+
+
 def test_cov_bound_degenerate_y_rejected():
     x = np.array([[1.0], [2.0]])
     with pytest.raises(ValueError, match="non-degenerate Y"):

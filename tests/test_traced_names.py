@@ -74,3 +74,32 @@ def test_cli_workload_command_lines_parse(tmp_path):
             parser.parse_args(item["argv"])
         except SystemExit:
             pytest.fail(f"the CLI no longer parses {item['argv']}")
+
+
+def test_patched_cli_records_its_layer_calls(tmp_path, monkeypatch):
+    # the CLI binds its layer names on first use; the benchmark's tracer
+    # wraps them where it finds them and must still see every call
+    from helpers import diamond_config, single_relay_config
+
+    import relaycap.cli as cli
+
+    tracing = _load("tracing")
+    for _, attr in tracing.LIBRARY.values():
+        if hasattr(cli, attr):  # undone after the test, wrapped or not
+            monkeypatch.setattr(cli, attr, getattr(cli, attr))
+    tracer = tracing.Tracer()
+    tracing.patch_module(cli, tracer)
+    sync = tmp_path / "sync.json"
+    sync.write_text(single_relay_config(p1=2.0, p2=1.0, alpha=0.4, c32=0.8).to_json())
+    diamond = tmp_path / "diamond.json"
+    diamond.write_text(diamond_config(p1=1.5, p2=2.0).to_json())
+
+    assert cli.main(["capacity", "--config", str(sync), "--cross-check"]) == 0
+    assert [span["name"] for span in tracer.spans] == [
+        "channel.load_config", "capacity.optimize_capacity", "capacity.optimize_covariance_bound"]
+    del tracer.spans[:]
+    assert cli.main(["region", "--config", str(diamond), "--cut", "broadcast", "--gap",
+                     "--steps", "4"]) == 0
+    assert [span["name"] for span in tracer.spans] == [
+        "channel.load_config", "regions.broadcast_region_gap"]
+    assert tracer.spans[1]["variant"] == "steps4"
