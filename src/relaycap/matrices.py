@@ -211,11 +211,13 @@ def conditional_cov_bound_check(joint: FiniteJoint) -> CovBoundReport:
     order check sees no asymmetry from rounding at any scale.
 
     The verdict is scale-free: it judges the minimum eigenvalue of
-    rhs - lhs against 1e-12 sqrt(E|X|^2 s), with s the larger trace of
-    cov[X] and lhs. Centring an atom x rounds it by about 1e-16 |x|, so
-    each side carries a rounding error of about 1e-16 times that square
-    root; the threshold follows X's scale squared, also when X has a large
-    mean or no spread at all. The floor on var[Y] is the fixed 1e-9 of
+    rhs - lhs against 1e-12 sqrt(E|X|^2) sqrt(s), with s the larger trace
+    of cov[X] and lhs. Centring an atom x rounds it by about 1e-16 |x|, so
+    each side carries a rounding error of about 1e-16 times that product;
+    the threshold follows X's scale squared, also when X has a large mean
+    or no spread at all, and is finite, and nonzero where X spreads, at any
+    scale where both sides are finite. A side that overflows raises
+    ValueError. The floor on var[Y] is the fixed 1e-9 of
     :func:`loewner_compare`.
     """
     if not isinstance(joint, FiniteJoint):
@@ -234,9 +236,11 @@ def conditional_cov_bound_check(joint: FiniteJoint) -> CovBoundReport:
         raise ValueError("var[Y] is zero; the bound requires a non-degenerate Y")
     cross = np.einsum("k,ki,k->i", p, xc, yc.conj())
     rhs = _hermitian_part(cov_x - np.outer(cross, cross.conj()) / var_y)
-    # rhs - lhs is exactly Hermitian, since both sides are
-    second = p @ (x * x.conj()).real.sum(axis=1)
-    spread = max(np.trace(cov_x).real, np.trace(lhs).real)
-    tol = _BOUND_RTOL * math.sqrt(second * spread)
-    verdict = _order_verdict(float(_eigvalsh(rhs - lhs)[0]), tol)
+    # rhs - lhs is exactly Hermitian, since both sides are; it still can overflow
+    diff = _as_square(rhs - lhs)
+    # sqrt(E|X|^2) and the square roots of the traces as hypot norms, which
+    # neither overflow nor underflow where X and the sides are finite
+    rms = math.hypot(*(np.sqrt(p)[:, None] * np.abs(x)).ravel())
+    spread = max(math.hypot(*np.sqrt(np.diagonal(side).real)) for side in (cov_x, lhs))
+    verdict = _order_verdict(float(_eigvalsh(diff)[0]), _BOUND_RTOL * rms * spread)
     return CovBoundReport(lhs=lhs, rhs=rhs, verdict=verdict)

@@ -317,31 +317,22 @@ def _mi_components(s, probs, inverse, within, sigma_sq, full=True):
     (block, 2, 40, 40) sums (one sum per pair with ``full`` False), one log
     in place, and one product with the 1600 grid weights. For K atoms that is, per variance, 2 K^2 40 exps,
     K batched (40 x K) @ (2 x K x 40) products and 2 K 1600 logs, where an
-    exponent at every node and row took K^2 1600 exps. With ``full`` False
-    only S_grp is formed, and only from the atom's own group's rows
-    (:func:`_group_rows`), so for a largest group of G atoms that pass takes
-    2 K G 40 exps and K 1600 logs: every other row has weight 0 in S_grp.
+    exponent at every node and row took K^2 1600 exps.
     """
     nodes, weights = _unit_gauss_hermite()
     atoms = s.size
-    if full:
-        # per atom, every row, weighted for S_all and for S_grp
-        cols = np.arange(atoms)
-        grp = np.where(inverse[:, None] == inverse, within, 0.0)
-        rows = np.stack((np.broadcast_to(probs, grp.shape), grp), axis=1)
-    else:
-        # per atom, only its group's rows, padded to the largest group with
-        # the atom's own row at weight 0
-        cols, rows = _group_rows(inverse, within)
-    n_rows, n_sums = cols.shape[-1], rows.shape[1]
-    d = s[:, None] - s[cols]
-    offsets = np.stack((d.real, d.imag), axis=1)  # (atoms, 2, n_rows)
+    # per atom, the row weights of S_all and of S_grp, or of S_grp alone
+    grp = np.where(inverse[:, None] == inverse, within, 0.0)
+    rows = np.stack((np.broadcast_to(probs, grp.shape), grp), axis=1) if full else grp[:, None]
+    n_sums = rows.shape[1]
+    d = s[:, None] - s
+    offsets = np.stack((d.real, d.imag), axis=1)  # (atoms, 2, atoms)
     scale = 1.0 / np.sqrt(sigma_sq)
     twice_nodes = 2.0 * nodes[:, None]
     pairs = sigma_sq.size * atoms
     block = min(_PAIR_BLOCK, pairs)
-    factors = np.empty((block, 2, _QUAD_ORDER, n_rows))
-    weighted = np.empty((block, n_sums, n_rows, _QUAD_ORDER))
+    factors = np.empty((block, 2, _QUAD_ORDER, atoms))
+    weighted = np.empty((block, n_sums, atoms, _QUAD_ORDER))
     sums = np.empty((block, n_sums, _QUAD_ORDER, _QUAD_ORDER))
     avg = np.empty((pairs, n_sums))
     for start in range(0, pairs, block):
@@ -367,22 +358,6 @@ def _mi_components(s, probs, inverse, within, sigma_sq, full=True):
         means[1] = logs[:, 1] - logs[:, 0]
     means[2] = -logs[:, -1]
     return means
-
-
-def _group_rows(inverse, within):
-    """Each atom's group members as (atoms, G) row indices, G the largest
-    group's size, and their S_grp weights as (atoms, 1, G); a smaller
-    group is padded with the atom's own index at weight 0, whose factor
-    e^0 cannot overflow."""
-    atoms = inverse.size
-    sizes = np.bincount(inverse)
-    order = np.argsort(inverse, kind="stable")
-    slot = np.arange(sizes.max())
-    valid = (slot < sizes[:, None])[inverse]
-    first = (np.cumsum(sizes) - sizes)[inverse]
-    cols = np.where(valid, order[np.minimum(first[:, None] + slot, atoms - 1)],
-                    np.arange(atoms)[:, None])
-    return cols, np.where(valid, within[cols], 0.0)[:, None]
 
 
 @functools.cache

@@ -167,13 +167,18 @@ def _labelled_joints(rng, count):
     return joints
 
 
+# X scales from where a threshold built from scale^4 would underflow to
+# where it would overflow
+_SCALES = np.r_[1e-100, 10.0 ** np.arange(-6, 7), 1e100]
+
+
 def test_cov_bound_verdict_is_scale_free():
     # rounding moves the minimum eigenvalue of rhs - lhs by about 1e-16
     # scale^2; against a fixed 1e-9 it read as a violation on 69 of these
     # joints at scale 1e4 and on none below 1e3
     joints = _labelled_joints(np.random.default_rng(7), 190)
     relations = None
-    for scale in 10.0 ** np.arange(-6, 7):
+    for scale in _SCALES:
         got = []
         for x, y, p in joints:
             report = conditional_cov_bound_check(FiniteJoint(x=scale * x, y=y, probs=p))
@@ -188,7 +193,7 @@ def test_cov_bound_degenerate_joints_hold(shape):
     # X constant (both sides are rounding noise), X with a mean 1e6 times
     # its spread, X affine in Y (rhs cancels to rounding noise)
     rng = np.random.default_rng(3)
-    for scale in (1e-6, 1.0, 1e6):
+    for scale in (1e-100, 1e-6, 1.0, 1e6, 1e100):
         for _ in range(40):
             n = int(rng.integers(2, 12))
             y = rng.integers(0, 3, size=n).astype(float)
@@ -218,7 +223,7 @@ def test_cov_bound_catches_an_out_of_order_pair(monkeypatch):
     rng = np.random.default_rng(5)
     joints = [(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)), np.arange(6.0) % 2,
                rng.dirichlet(np.ones(6))) for _ in range(10)]
-    for scale in 10.0 ** np.arange(-6, 7):
+    for scale in _SCALES:
         for x, y, p in joints:
             joint = FiniteJoint(x=scale * x, y=y, probs=p)
             assert conditional_cov_bound_check(joint).holds
@@ -226,6 +231,15 @@ def test_cov_bound_catches_an_out_of_order_pair(monkeypatch):
             report = conditional_cov_bound_check(joint)
             monkeypatch.setattr(matrices, "_group_deviations", exact)
             assert report.verdict.relation is LoewnerRelation.INDEFINITE, (scale, report.verdict)
+
+
+def test_cov_bound_overflowing_sides_rejected():
+    # |X| near 1e160 squares past the largest float: cov[X] is infinite
+    x, y, p = _labelled_joints(np.random.default_rng(7), 1)[0]
+    joint = FiniteJoint(x=1e160 * x, y=y, probs=p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            conditional_cov_bound_check(joint)
 
 
 def test_cov_bound_degenerate_y_rejected():

@@ -731,9 +731,8 @@ def test_conditional_kernel_block_edges(atoms, sweeps):
     np.zeros(7), np.arange(7.0), np.arange(23.0) % 4, np.r_[np.zeros(20), 1.0, 2.0, 2.0],
 ])
 def test_group_only_pass_matches_the_full_pass(labels):
-    # the group-only pass gathers each atom's group rows, padded to the
-    # largest group at weight 0; its I(X;Y|U) is the full pass's third row,
-    # which sums the same rows and multiplies every other row by 0
+    # the group-only pass forms S_grp alone; its I(X;Y|U) is the full
+    # pass's third row, from the same rows and weights
     atoms = labels.size
     rng = np.random.default_rng(atoms)
     s = rng.normal(size=atoms) + 1j * rng.normal(size=atoms)
