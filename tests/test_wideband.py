@@ -18,8 +18,7 @@ from relaycap import (
     check_limit_phase_fading,
     gaussian_scaled_mi,
 )
-from relaycap.matrices import _group_deviations
-from relaycap.wideband import _last_phase_average, _mi_components
+from relaycap.wideband import _last_phase_average
 
 
 def test_gaussian_scaled_mi_values():
@@ -725,24 +724,6 @@ def test_conditional_kernel_block_edges(atoms, sweeps):
     c1 = rng.normal(size=2) + 1j * rng.normal(size=2)
     c2 = rng.normal(size=2) + 1j * rng.normal(size=2)
     _assert_matches_reference(joint, c1, c2, 0.8, np.geomspace(1.0, 1e4, sweeps))
-
-
-@pytest.mark.parametrize("labels", [
-    np.zeros(7), np.arange(7.0), np.arange(23.0) % 4, np.r_[np.zeros(20), 1.0, 2.0, 2.0],
-])
-def test_group_only_pass_matches_the_full_pass(labels):
-    # the group-only pass forms S_grp alone; its I(X;Y|U) is the full
-    # pass's third row, from the same rows and weights
-    atoms = labels.size
-    rng = np.random.default_rng(atoms)
-    s = rng.normal(size=atoms) + 1j * rng.normal(size=atoms)
-    probs = rng.dirichlet(np.full(atoms, 2.0))
-    inverse, _, within, _, _ = _group_deviations(labels, probs, s)
-    sigma_sq = np.array([0.3, 10.0, 1e4])
-    full = _mi_components(s, probs, inverse, within, sigma_sq)
-    grouped = _mi_components(s, probs, inverse, within, sigma_sq, full=False)
-    assert np.isnan(grouped[:2]).all()
-    np.testing.assert_allclose(grouped[2], full[2], rtol=1e-13, atol=0.0)
 
 
 def test_conditional_kernel_memory_is_blocked():
