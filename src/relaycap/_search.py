@@ -12,12 +12,12 @@ nests the same three steps:
   (the ends, the curved term's stationary point, and the kink where the two
   cross with its floating-point neighbours), each evaluated exactly by
   :func:`split_max`;
-* :func:`grid_refine` handles the one outer coordinate of each optimizer
-  (the relay-block angle of the covariance search, which is not concave,
-  and the dual multiplier of the power-form search): a grid scan, then
+* :func:`grid_refine` handles the outer coordinate of the covariance
+  search, the relay-block angle, which is not concave: a grid scan, then
   rounds of finer grids around the best point.  It carries what the
-  objective computed alongside each value (the share and split, or the beam
-  angle) out to the winner, so no optimizer evaluates its winner twice.
+  objective computed alongside each value (the share and split) out to the
+  winner, so the winner is not evaluated twice.  The power-form search has
+  a convex dual in its outer coordinate and bisects it instead.
 
 All three are vectorised: the kernels take and return arrays, one entry per
 candidate, and :func:`grid_refine` passes each stage's whole grid to one call.

@@ -16,13 +16,10 @@ The two routes bound the same quantity, which makes them useful as mutual
 cross-checks: an optimizer bug in one is unlikely to reproduce in the other.
 
 Both cuts are concave over a convex budget set, so the capacity also equals
-the Lagrangian dual ``min over lambda in [0, 1] of g(lambda)``, where
-``g(lambda)`` is the largest ``lambda * relay_decode + (1 - lambda) *
-mac_combine`` any allocation reaches.  That inner maximum has a closed form
-(a 2x2 eigenvalue and a scalar coherent power), and ``g`` is convex in
-``lambda``.  :func:`optimize_capacity` minimizes ``g`` over ``lambda``,
-takes the beam angle from the minimizer, solves the powers exactly at that
-one angle, and returns ``g(lambda*)`` as a certified upper bound next to the
+the minimum over ``lambda`` in ``[0, 1]`` of a convex Lagrangian dual
+``g(lambda)`` whose inner maximum has a closed form.  :func:`optimize_capacity`
+bisects for that minimum, solves the powers exactly at the beam angle it
+gives, and returns ``g(lambda*)`` as a certified upper bound next to the
 achieved rate.  :func:`optimize_covariance_bound` stays a primal search.
 
 With phase fading (no carrier-phase tracking at the transmitters) the
@@ -128,11 +125,9 @@ class MatrixBoundParams:
             raise ValueError("beam vector u must be finite")
         if not math.isfinite(self.beta):
             raise ValueError(f"beta must be finite, got {self.beta!r}")
-        for arr in (a, b, u):
+        for name, arr in (("a", a), ("b", b), ("u", u)):
             arr.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "u", u)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -151,8 +146,6 @@ class CapacityResult:
     upper_bound: float | None = None
 
 
-# Scan grid of the dual multiplier lambda over [0, 1] in optimize_capacity.
-_MULTIPLIER_POINTS = 257
 # Scan grid of the relay-block angle over [-pi/2, pi/2] in optimize_covariance_bound.
 _RELAY_ANGLE_POINTS = 133
 
@@ -176,10 +169,7 @@ def _single_relay_geometry(cfg: ChannelConfig):
     c31 = cfg.gain("c31")
     g21 = float(np.vdot(c21, c21).real)
     g31 = float(np.vdot(c31, c31).real)
-    if g21 > 0.0 and g31 > 0.0:
-        alpha = angle_between(c21, c31)
-    else:
-        alpha = 0.0
+    alpha = angle_between(c21, c31) if g21 > 0.0 and g31 > 0.0 else 0.0
     m32 = abs(cfg.scalar_gain("c32"))
     p1 = cfg.powers["P1"] / cfg.noise_psd
     p2 = cfg.powers["P2"] / cfg.noise_psd
@@ -220,6 +210,30 @@ def achievable_rate(cfg: ChannelConfig, alloc: PowerAllocation) -> float:
     return min(bound_rd, bound_mac)
 
 
+def _dual(lam, g21, g31, alpha, p1, partner):
+    """``(g(lam), slope, theta)`` for :func:`optimize_capacity`: the dual, its
+    slope ``relay_decode - mac_combine`` at the inner maximizer, and the top
+    eigenvector's angle, clipped to ``[0, alpha]``."""
+    mac_weight = 1.0 - lam
+    a = lam * g21 * math.cos(alpha) ** 2 + mac_weight * g31
+    b = lam * g21 * math.cos(alpha) * math.sin(alpha)
+    c = lam * g21 * math.sin(alpha) ** 2
+    top = (a + c) / 2.0 + math.hypot((a - c) / 2.0, b)
+    k = max(g31, top)
+    theta = min(max(0.5 * math.atan2(2.0 * b, a - c), 0.0), alpha)
+    # stationary sqrt(pb1) = num / den, capped at sqrt(p1); num = 0 (dead
+    # relay, lam = 1, no direct link) means no coherent power, even at den = 0
+    num = mac_weight * partner * math.sqrt(g31)
+    den = k - mac_weight * g31
+    cap = math.sqrt(p1)
+    root = (cap if num > 0.0 else 0.0) if num >= cap * den else num / den
+    rest = p1 - root ** 2
+    coherent = (root * math.sqrt(g31) + partner) ** 2
+    # rd - mac per Watt of the rest: on the direct beam both cuts gain alike
+    beam = 0.0 if g31 >= top else g21 * math.cos(alpha - theta) ** 2 - g31 * math.cos(theta) ** 2
+    return k * rest + mac_weight * coherent, beam * rest - coherent, theta
+
+
 def optimize_capacity(cfg: ChannelConfig) -> CapacityResult:
     """Maximize ``min(cutset_bounds)`` over power splits and beam angle.
 
@@ -230,63 +244,49 @@ def optimize_capacity(cfg: ChannelConfig) -> CapacityResult:
     e(alpha) e(alpha)^T + (1 - lambda) g31 e(0) e(0)^T``, so the best beam
     earns the top eigenvalue of ``M``, or ``g31`` on the beam that also
     carries the direct link; the coherent power ``pb1`` then maximizes a
-    concave quadratic in ``sqrt(pb1)``.  :func:`~relaycap._search.grid_refine`
-    finds the minimum, returned as ``upper_bound``, and hands back the
-    top-eigenvector angle that its stage computed at the minimizer: the
-    optimal beam angle, with no second evaluation of ``g``.  Where ``g`` is flat
-    at its minimum that angle can miss, so the beam pointed at the relay
-    (``theta = alpha``) is tried as well and the better of the two kept.
+    concave quadratic in ``sqrt(pb1)`` (:func:`_dual`).  By Danskin's
+    theorem ``g`` has the slope ``relay_decode - mac_combine`` there, and as
+    ``g`` is convex the minimizer is 0 or 1 where the slope points out of
+    ``[0, 1]``, and is otherwise bisected on the slope's sign down to a
+    bracket ``2**-53`` wide (53 halvings, each midpoint exact).  The smaller
+    ``g`` at its ends is ``upper_bound``, and its top eigenvector's angle the
+    optimal beam.  Where ``g`` is flat at its minimum that angle can miss,
+    so the beam pointed at the relay (``theta = alpha``) is tried as well.
 
     The powers are solved exactly at these angles rather than read from
-    the dual: the minimizer is known only to about 1e-8, an error that costs
-    rate at second order through the angle but at first order through the
-    dual's powers.  The ``p21`` / ``p31`` split is a max-min of two affine
-    functions and the profile over ``pb1`` is then concave, both solved in
-    closed form by :func:`~relaycap._search.coherent_max`.  The allocation
+    the dual: at a kink of ``g`` the optimum mixes the inner maximizers on
+    either side, which no one ``lambda`` hands back.  The ``p21`` / ``p31``
+    split is a max-min of two affine functions and the profile over ``pb1``
+    is then concave, both solved in closed form by
+    :func:`~relaycap._search.coherent_max`.  The allocation
     is replayed through :func:`cutset_bounds` to pick the binding cut.
     """
     require_network(cfg, "optimize_capacity", Topology.SINGLE_RELAY, CsiMode.SYNCHRONOUS)
     g21, g31, m32, alpha, p1, p2 = _single_relay_geometry(cfg)
     n0 = cfg.noise_psd
     partner = m32 * math.sqrt(p2)
-
-    def neg_dual(lam):
-        """-g(lam) and the top-eigenvector angle, clipped to [0, alpha], elementwise."""
-        mac_weight = 1.0 - lam
-        a = lam * g21 * math.cos(alpha) ** 2 + mac_weight * g31
-        b = lam * g21 * math.cos(alpha) * math.sin(alpha)
-        c = lam * g21 * math.sin(alpha) ** 2
-        k = np.maximum(g31, (a + c) / 2.0 + np.hypot((a - c) / 2.0, b))
-        theta = np.clip(0.5 * np.arctan2(2.0 * b, a - c), 0.0, alpha)
-        # stationary sqrt(pb1) = num / den, capped at sqrt(p1); num = 0 (dead
-        # relay, lam = 1, no direct link) means no coherent power, even at den = 0
-        num = mac_weight * partner * math.sqrt(g31)
-        den = k - mac_weight * g31
-        cap = math.sqrt(p1)
-        capped = num >= cap * den
-        root = np.where(capped & (num > 0.0), cap, num / np.where(capped, 1.0, den))
-        value = k * (p1 - root ** 2) + mac_weight * (root * math.sqrt(g31) + partner) ** 2
-        return -value, theta
-
-    lams = np.linspace(0.0, 1.0, _MULTIPLIER_POINTS)
-    neg_bound, _, theta_dual = grid_refine(neg_dual, lams)
+    geometry = (g21, g31, alpha, p1, partner)
+    lo, hi = 0.0, 1.0
+    at_lo, at_hi = _dual(lo, *geometry), _dual(hi, *geometry)
+    while at_lo[1] < 0.0 < at_hi[1] and hi - lo > 2.0 ** -53:
+        mid = 0.5 * (lo + hi)
+        at_mid = _dual(mid, *geometry)
+        if at_mid[1] > 0.0:
+            hi, at_hi = mid, at_mid
+        else:
+            lo, at_lo = mid, at_mid
+    bound, _, theta_dual = at_lo if at_lo[0] <= at_hi[0] else at_hi
     thetas = np.array([theta_dual, alpha])
     values, pb1s, p21s = coherent_max(
         g21 * np.cos(alpha - thetas) ** 2, g31 * np.cos(thetas) ** 2, g31, 1.0, p1,
         partner ** 2, 2.0 * partner * math.sqrt(g31), g31)
     best = int(np.argmax(values))
     value, pb1, p21, theta = (float(v[best]) for v in (values, pb1s, p21s, thetas))
-    alloc = PowerAllocation(
-        p21=p21 * n0,
-        p31=max(0.0, p1 - pb1 - p21) * n0,
-        pb1=pb1 * n0,
-        theta=theta,
-        alpha=alpha,
-    )
+    alloc = PowerAllocation(p21=p21 * n0, p31=max(0.0, p1 - pb1 - p21) * n0, pb1=pb1 * n0,
+                            theta=theta, alpha=alpha)
     bound_rd, bound_mac = cutset_bounds(cfg, alloc)
     binding = BindingBound.RELAY_DECODE if bound_rd <= bound_mac else BindingBound.MAC_COMBINE
-    return CapacityResult(rate=value, allocation=alloc, binding_bound=binding,
-                          upper_bound=-neg_bound)
+    return CapacityResult(rate=value, allocation=alloc, binding_bound=binding, upper_bound=bound)
 
 
 def phase_fading_capacity(cfg: ChannelConfig) -> float:

@@ -101,3 +101,27 @@ def random_diamond(rng, csi=CsiMode.PHASE_FADING):
         },
         noise_psd=float(rng.uniform(0.5, 2.0)),
     )
+
+
+# Channels on which the dual's minimum is flat and the angle of its
+# minimizer's eigenvector misses the optimal beam, so a rate found at that
+# angle alone falls short of the upper bound (relative gaps from 5e-5 to 1).
+# Each row is P1, P2, N0, c21, c31, c32.
+FLAT_DUAL_CHANNELS = [
+    (1.0, 1.0, 1.0, (0, 2.5e5j), (0.0025j, 0), 0.25j),
+    (1.0, 1.0, 10.0, (0, 2.5e5j), (0.0025j, 0), 0.0025j),
+    (0.1, 1e-6, 100.0, (1, 0), (1.0000001439727109e-15, 1e-6), 8e-7),
+    (1e5, 0.01, 0.01, (1e5, 0), (1.000000143972711e-11, 0.01), 0.008),
+    (100.0, 1e-6, 100.0, (100, 0), (1.0000001439727109e-15, 1e-6), 8e-7),
+    (1000.0, 100.0, 1e-6, (0, -1000 + 750j), (-0.0075 + 0.0075j, 0), 5e-7 + 7.5e-7j),
+    (1000.0, 100.0, 1e-6, (0, -1000 + 750j), (-0.0075 + 0.0075j, 0), 2.5e-7 + 7.5e-7j),
+]
+
+# Channels whose optimal share sits at a steep kink next to its upper end,
+# where a share found in sqrt(s) or rounded from it loses the rate. On the
+# second the best shares are one and two ulps below the end (rate 3.24e-6),
+# and the end itself leaves no budget for the relay beam (rate 0).
+KINK_CHANNELS = [
+    gains_single_relay(1.0, 1.0, 1.0, (0, 0.25j), (0, 2.5e-5j), 2.5e-5j),
+    gains_single_relay(1e6, 1e6, 1e6, (1e6, 0), (1e-3, 0), 8e-4),
+]

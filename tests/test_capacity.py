@@ -23,7 +23,22 @@ from relaycap import (
 from relaycap import capacity
 from relaycap._search import REFINE_ROUNDS
 
-from helpers import diamond_config, random_single_relay, single_relay_config
+from helpers import (FLAT_DUAL_CHANNELS, KINK_CHANNELS, diamond_config, gains_single_relay,
+                     random_single_relay, single_relay_config)
+
+
+def record_dual_calls(monkeypatch):
+    """Record ``(lam, g(lam))`` for each evaluation of the power route's dual."""
+    calls = []
+    dual = capacity._dual
+
+    def counted(lam, *geometry):
+        out = dual(lam, *geometry)
+        calls.append((lam, out[0]))
+        return out
+
+    monkeypatch.setattr(capacity, "_dual", counted)
+    return calls
 
 
 def test_power_allocation_validation():
@@ -92,9 +107,11 @@ def test_cutset_requires_synchronous_single_relay():
         cutset_bounds(single_relay_config(csi=CsiMode.PHASE_FADING), alloc)
 
 
-def test_optimize_weak_relay_link_reduces_to_direct():
+def test_optimize_weak_relay_link_reduces_to_direct(monkeypatch):
     # when the source-to-relay link is no stronger than the direct link the
-    # broadcast cut caps the rate at g31 * P1 / N0, achieved without the relay
+    # broadcast cut caps the rate at g31 * P1 / N0, achieved without the relay;
+    # the dual's slope at lambda = 1 is then <= 0, so lambda* = 1 with no halving
+    calls = record_dual_calls(monkeypatch)
     rng = np.random.default_rng(8)
     for _ in range(5):
         c21 = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -109,9 +126,38 @@ def test_optimize_weak_relay_link_reduces_to_direct():
             noise_psd=0.8,
         )
         g31 = float(np.vdot(c31, c31).real)
+        calls.clear()
         result = optimize_capacity(cfg)
         assert result.rate == pytest.approx(g31 * 2.5 / 0.8, rel=1e-9)
         assert result.binding_bound is BindingBound.RELAY_DECODE
+        assert [lam for lam, _ in calls] == [0.0, 1.0]
+        assert result.upper_bound == calls[1][1] < calls[0][1]
+
+
+def test_optimize_dead_relay_takes_the_dual_at_zero(monkeypatch):
+    # no relay-to-destination link: the MAC cut equals the direct link, the
+    # dual's slope at lambda = 0 is 0, and lambda* = 0 with no halving
+    calls = record_dual_calls(monkeypatch)
+    result = optimize_capacity(single_relay_config(p1=5.0, p2=2.0, alpha=0.7, c32=0.0, scale21=1.8))
+    assert [lam for lam, _ in calls] == [0.0, 1.0]
+    assert result.upper_bound == calls[0][1] == 5.0 < calls[1][1]
+    assert result.rate == pytest.approx(5.0, rel=1e-15)
+
+
+def test_optimize_bisects_the_dual_at_most_53_times(monkeypatch):
+    # the two ends, then halvings of [0, 1] until the bracket is 2**-53 wide
+    calls = record_dual_calls(monkeypatch)
+    cfgs = [single_relay_config(**kwargs) for kwargs, _ in PINNED_RATES]
+    cfgs += [gains_single_relay(*row) for row in FLAT_DUAL_CHANNELS] + KINK_CHANNELS
+    counts = []
+    for cfg in cfgs:
+        calls.clear()
+        result = optimize_capacity(cfg)
+        assert [lam for lam, _ in calls[:2]] == [0.0, 1.0]
+        assert result.upper_bound in [g for _, g in calls]
+        counts.append(len(calls))
+    assert max(counts) <= 55
+    assert max(counts) > 50  # some channel has lambda* inside (0, 1)
 
 
 def test_optimize_result_is_achievable_and_binding_consistent():

@@ -66,6 +66,19 @@ def test_capacity_cross_check(sync_config, capsys):
     assert float(kv["covariance_rate"]) == pytest.approx(float(kv["rate"]), rel=1e-6)
 
 
+def test_capacity_cross_check_output_is_pinned(sync_config, capsys):
+    # the whole stdout; the gap is the last bits of both rates. The exact dual
+    # minimiser (by a 40-digit bisection) has theta* = 0.23416224656197690 and
+    # pb1 = 0.38185945457; a grid search for it left theta 2.3e-10 low and
+    # printed theta=0.234162246 and pb1=0.381859454, every other line as here
+    assert main(["capacity", "--config", sync_config, "--cross-check"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "csi=synchronous\nrate=3.54160049\nbinding=relay_decode\np21=1.61814055\np31=0\n"
+        "pb1=0.381859455\ntheta=0.234162247\nalpha=0.4\ncovariance_rate=3.54160049\n"
+        "cross_check_gap=8.8817842e-16\n"
+    )
+
+
 def test_capacity_deterministic(sync_config, capsys):
     main(["capacity", "--config", sync_config])
     first = capsys.readouterr().out

@@ -14,7 +14,7 @@ from relaycap._search import (REFINE_POINTS, REFINE_ROUNDS, _first_max, coherent
                               split_max)
 from relaycap.channel import rounding_slack
 
-from helpers import gains_single_relay
+from helpers import KINK_CHANNELS
 
 DENSE = 10_001
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -256,16 +256,6 @@ def test_coherent_max_scalar_degenerate_cases():
     # a beam better on both bounds than coherent power: no share at all
     value, share, t = coherent_max(3.0, 3.0, 1.0, 1.0, 2.0, 0.0, 0.0, 0.5)
     assert (float(value), float(share), float(t)) == (6.0, 0.0, 2.0)
-
-
-# Channels whose optimal share sits at a steep kink next to its upper end,
-# where a share found in sqrt(s) or rounded from it loses the rate. On the
-# second the best shares are one and two ulps below the end (rate 3.24e-6),
-# and the end itself leaves no budget for the relay beam (rate 0).
-KINK_CHANNELS = [
-    gains_single_relay(1.0, 1.0, 1.0, (0, 0.25j), (0, 2.5e-5j), 2.5e-5j),
-    gains_single_relay(1e6, 1e6, 1e6, (1e6, 0), (1e-3, 0), 8e-4),
-]
 
 
 def test_coherent_max_resolves_kinks_next_to_the_end():
