@@ -72,7 +72,7 @@ def with_flat_dual_examples(test):
 def test_dual_bound_certifies_the_rate(cfg):
     # the dual value bounds every allocation's rate, and the search closes
     # the gap: the achieved rate is the capacity to 6e-15, ten times the worst
-    # gap on these examples (5e-16; a grid search for lambda* left 2e-14)
+    # gap on these examples (5e-16; a grid search for lambda* left 4e-14 here)
     result = optimize_capacity(cfg)
     assert result.upper_bound >= result.rate - rounding_slack(result.rate)
     assert result.upper_bound - result.rate <= 6e-15 * result.upper_bound
