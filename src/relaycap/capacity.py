@@ -368,7 +368,7 @@ def _plane_basis(c21: np.ndarray, c31: np.ndarray) -> tuple[np.ndarray, np.ndarr
         e1 = (c21 * phase) / n21
     residual = c31 - np.vdot(e1, c31) * e1
     res_norm = float(np.linalg.norm(residual))
-    if res_norm > 1e-12 * max(1.0, n31):
+    if res_norm > 1e-12 * n31:
         e2 = residual / res_norm
     else:
         pick = np.array([0j, 1.0 + 0j]) if abs(e1[1]) < 0.9 else np.array([1.0 + 0j, 0j])

@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 HERMITIAN_TOL = 1e-12
-_ORDER_TOL = 1e-9  # eigenvalue threshold of the semidefinite order, and var[Y]'s floor
+_ORDER_TOL = 1e-9  # eigenvalue threshold of the semidefinite order, and var[Y]'s floor relative to E|Y|^2
 _BOUND_RTOL = 1e-12  # the bound check's order threshold, relative to its rounding scale
 
 
@@ -217,8 +217,11 @@ def conditional_cov_bound_check(joint: FiniteJoint) -> CovBoundReport:
     the threshold follows X's scale squared, also when X has a large mean
     or no spread at all, and is finite, and nonzero where X spreads, at any
     scale where both sides are finite. A side that overflows raises
-    ValueError. The floor on var[Y] is the fixed 1e-9 of
-    :func:`loewner_compare`.
+    ValueError. The bound does not change when Y is scaled, so neither
+    does the verdict: Y counts as degenerate when var[Y] <= 1e-9 E|Y|^2, a
+    floor that scales with Y. Centring Y rounds it by about 1e-16 |Y|,
+    which moves the rhs by about 1e-16 sqrt(E|Y|^2 / var[Y]) of cov[X]; at
+    the floor that is 3e-12, near the order threshold.
     """
     if not isinstance(joint, FiniteJoint):
         raise ValueError("joint must be a FiniteJoint")
@@ -232,7 +235,7 @@ def conditional_cov_bound_check(joint: FiniteJoint) -> CovBoundReport:
     mean_y = p @ y
     yc = y - mean_y
     var_y = float(np.real(p @ (yc * yc.conj())))
-    if var_y <= _ORDER_TOL:
+    if var_y <= _ORDER_TOL * float(p @ np.abs(y) ** 2):
         raise ValueError("var[Y] is zero; the bound requires a non-degenerate Y")
     cross = np.einsum("k,ki,k->i", p, xc, yc.conj())
     rhs = _hermitian_part(cov_x - np.outer(cross, cross.conj()) / var_y)

@@ -13,13 +13,14 @@ cuts are:
   stream powers (:func:`broadcast_region_gap`).  Every rate here is linear
   in the six stream powers, one source antenna's share plus the other's;
   the rate functions and the sweep take those shares from one function.
-  The sweep visits only the largest admitted relay-3 private powers of each
-  (common, relay-2 private) cell, which dominate the rest of their slab, so
-  it costs O(steps**4) for the answer of the full O(steps**6) grid.  Each
-  antenna tabulates its share of every rate once over the cells it admits,
-  and the sweep adds the two tables a chunk of whole common-1 rows at a
-  time, so no rejected cell is evaluated; the achievable lookup spans only
-  the box of rate bins that some point occupies;
+  The sweep visits only the relay-3 private powers that spend the rest of
+  each antenna's budget; for each (common, relay-2 private) cell they
+  dominate the rest of their slab, so the sweep costs O(steps**4) for the
+  answer of the full O(steps**6) grid.  Each antenna tabulates its share of
+  every rate once over the cells it admits, and the sweep adds the two
+  tables a chunk of whole common-1 rows at a time, so no rejected cell is
+  evaluated; the achievable lookup spans only the box of rate bins that
+  some point occupies;
 * the synchronous broadcast cut, where rank-one beamforming attains a
   simple triangular region when one relay's channel is degraded with
   respect to the other (:func:`beamforming_rates`), and the minimum total
@@ -313,38 +314,27 @@ class BroadcastGapReport:
     worst_demand: RatePoint
 
 
-def _top_partners(commons, budget: float, steps: int):
-    """One antenna's admission rule over the sweep's power grid.
-
-    The private powers run over ``steps`` points on ``[0, budget]``.  With
-    common power ``c`` the antenna admits a private pair ``(p, q)`` when it
-    keeps its budget and a negative ``c`` cancels only its own private
-    power: ``c + (p + q) <= budget`` and ``c + min(p, q) >= 0``, both up to
-    rounding slack.  Returns the private powers, the admission table over
-    (common, p, q), and for each (common, p) the largest admitted index q,
-    or -1 when none is admitted.
-    """
-    private = np.linspace(0.0, budget, steps)
-    slack = rounding_slack(budget)
-    common = commons[:, None, None]
-    fits = common + np.add.outer(private, private) <= budget + slack
-    # rounding is monotone, so c + min(p, q) >= -slack holds exactly
-    # when both c + p and c + q do
-    fits &= common + np.minimum.outer(private, private) >= -slack
-    top = np.where(fits.any(axis=2), steps - 1 - np.argmax(fits[:, :, ::-1], axis=2), -1)
-    return private, fits, top
-
-
 def _antenna_cells(commons, budget: float, steps: int, gain2, gain3):
     """One antenna's admitted (common, p) cells, in (common, p) order.
 
-    Returns their common (row) and private (column) indices and a
-    ``(4, cells)`` table of :func:`_antenna_shares` at each cell's common
-    power, its private power ``p`` and its top partner ``q``.
+    Every power of the sweep is a whole number of grid steps h = budget / n,
+    n = steps - 1: the private powers p = j h and q = k h with j, k in
+    [0, n], and ``commons`` the last ``len(commons)`` of i h with i <= n.
+    The antenna keeps its budget, c + (p + q) <= budget, and a negative
+    common power cancels only its own private power, c + min(p, q) >= 0:
+    in grid steps i + j + k <= n, j >= -i and k >= -i.  So (c, p) is
+    admitted when 0 <= i + j <= n, and its top partner k = n - i - j spends
+    the rest of the budget.
+
+    Returns the admitted cells' common (row) and private (column) indices
+    and a ``(4, cells)`` table of :func:`_antenna_shares` at each cell's
+    common power, its private power ``p`` and its top partner ``q``.
     """
-    private, _, top = _top_partners(commons, budget, steps)
-    rows, cols = np.nonzero(top >= 0)
-    shares = _antenna_shares(gain2, gain3, commons[rows], private[cols], private[top[rows, cols]])
+    n = steps - 1
+    spent = np.arange(steps - len(commons), steps)[:, None] + np.arange(steps)
+    rows, cols = np.nonzero((spent >= 0) & (spent <= n))
+    private = np.linspace(0.0, budget, steps)
+    shares = _antenna_shares(gain2, gain3, commons[rows], private[cols], private[n - spent[rows, cols]])
     return rows, cols, np.stack(shares)
 
 
@@ -379,13 +369,17 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
     demand up to the rate resolution.
 
     Each pass visits, for every common pair and relay-2 private pair
-    (p12, p22), only the largest admitted relay-3 private powers (p13, p23),
-    so the sweep costs O(steps**4) instead of O(steps**6) for the same
-    floats.  With the rest fixed, every rounding step from (p13, p23) to a
-    rate, a bin and a gap is monotone: r3 and the sum cap never fall, r2's
-    bin stays put, and the lookup into the suffix maximum never rises.  So
-    the top point dominates its (p13, p23) slab: the dropped points change
-    neither the suffix maximum nor the largest gap.
+    (p12, p22), only the relay-3 private powers (p13, p23) that spend the
+    rest of each antenna's budget, the largest that antenna admits, so the
+    sweep costs O(steps**4) instead of O(steps**6) for the same floats.
+    Every grid power is a whole number of grid steps, so which cells an
+    antenna admits, and their top partners, is integer arithmetic on grid
+    indices (:func:`_antenna_cells`).  With the rest fixed, every rounding
+    step from (p13, p23) to a rate, a bin and a gap is monotone: r3 and the
+    sum cap never fall, r2's bin stays put, and the lookup into the suffix
+    maximum never rises.  So the top point dominates its (p13, p23) slab:
+    the dropped points change neither the suffix maximum nor the largest
+    gap.
 
     Every rate term is one antenna's share plus the other's, so each antenna
     tabulates its shares once over its admitted (common, p) cells, and a
@@ -397,7 +391,7 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
     pair, p12, p22, p13, p23) order: inside a chunk, the smallest (common
     pair, p12, p22) among the cells tied at its maximum; across chunks, the
     first chunk to reach the maximum; inside the winning slab, found by
-    re-evaluating it in full.
+    re-evaluating its admitted (p13, p23) box in full.
     """
     require_network(cfg, "broadcast_region_gap", Topology.TWO_RELAY_DIAMOND, CsiMode.PHASE_FADING)
     if steps < 2:
@@ -472,13 +466,14 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
     worst = (0.0, 0.0, 0.0)
     if winner is not None:
         i, j, k12, k22 = winner
-        private1, fits1, _ = _top_partners(common1[i : i + 1], b1, steps)
-        private2, fits2, _ = _top_partners(common2[j : j + 1], b2, steps)
-        c2, c3, _, q2, q3 = _stream_rates(
-            g2, g3, common1[i], common2[j], private1[k12], private2[k22], private1[:, None], private2
-        )
+        # an outer common row r lies r - n grid steps from 0, so the slab
+        # admits relay-3 indices from max(0, n - r) up to the top partner
+        n = steps - 1
+        private1, private2 = np.linspace(0.0, b1, steps), np.linspace(0.0, b2, steps)
+        p13 = private1[max(0, n - i) : 2 * n + 1 - i - k12, None]
+        p23 = private2[max(0, n - j) : 2 * n + 1 - j - k22]
+        c2, c3, _, q2, q3 = _stream_rates(g2, g3, common1[i], common2[j], private1[k12], private2[k22], p13, p23)
         r2, r3, r_sum, gaps = demands(c2, c3, q2, q3)
-        gaps = np.where(fits1[0, k12][:, None] & fits2[0, k22], gaps, -np.inf)
         k = np.unravel_index(np.argmax(gaps), gaps.shape)
         worst = (float(r2[k]), float(r3[k]), float(r_sum[k]))
 

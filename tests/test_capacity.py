@@ -22,6 +22,7 @@ from relaycap import (
 )
 from relaycap import capacity
 from relaycap._search import REFINE_ROUNDS
+from relaycap.channel import rounding_slack
 
 from helpers import (FLAT_DUAL_CHANNELS, KINK_CHANNELS, diamond_config, gains_single_relay,
                      random_single_relay, single_relay_config)
@@ -393,6 +394,17 @@ def test_covariance_optimizer_internal_consistency():
     # the relay block comes out (numerically) rank one
     eigs = np.linalg.eigvalsh(params.a)
     assert eigs[0] <= 1e-9 * max(1.0, eigs[-1])
+
+
+@pytest.mark.parametrize("scale", [1e6, 1.0, 1e-6, 1e-12, 1e-13, 1e-15, 1e-50, 1e-100])
+def test_covariance_optimizer_replays_at_small_gain_scales(scale):
+    # c21 and c31 are far from parallel at every scale, so the beams must be
+    # laid in their plane even when both gain vectors are tiny; P1 = 1/s^2
+    # keeps the rate the same at every scale
+    cfg = gains_single_relay(1.0 / scale ** 2, 1.0, 1.0, np.array([1.0, 0.3j]) * scale,
+                             np.array([0.2, 1.0]) * scale, 0.5)
+    result = optimize_covariance_bound(cfg)
+    assert abs(min(covariance_bounds(cfg, result.allocation)) - result.rate) <= rounding_slack(result.rate)
 
 
 def test_covariance_optimizer_zero_source_power():

@@ -188,6 +188,25 @@ def test_cov_bound_verdict_is_scale_free():
         assert got == relations, scale
 
 
+def test_cov_bound_verdict_ignores_the_scale_of_y():
+    # the bound does not change when Y is scaled; against a fixed floor of
+    # 1e-9 on var[Y] the labels (0, 0, 1, 1, 2, 2) read as degenerate from
+    # scale 1e-5 down
+    rng = np.random.default_rng(7)
+    joints = _labelled_joints(rng, 190)
+    joints.append((rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)), np.repeat([0.0, 1.0, 2.0], 2),
+                   rng.dirichlet(np.ones(6))))
+    relations = None
+    for scale in _SCALES:
+        got = []
+        for x, y, p in joints:
+            report = conditional_cov_bound_check(FiniteJoint(x=x, y=scale * y, probs=p))
+            assert report.holds, (scale, report.verdict)
+            got.append(report.verdict.relation)
+        relations = relations or got
+        assert got == relations, scale
+
+
 @pytest.mark.parametrize("shape", ["constant", "offset", "linear"])
 def test_cov_bound_degenerate_joints_hold(shape):
     # X constant (both sides are rounding noise), X with a mean 1e6 times

@@ -29,11 +29,11 @@ from relaycap.channel import rounding_slack
 from relaycap.regions import (
     _CHUNK_CELLS,
     _RATE_BINS,
+    _antenna_cells,
     _broadcast_gains,
     _row_chunks,
     _stream_rates,
     _suffix_max,
-    _top_partners,
 )
 
 from helpers import diamond_config, single_relay_config
@@ -347,25 +347,35 @@ def _pointwise_masked_rates(g2, g3, b1, b2, steps, common1, common2):
                 yield _stream_rates(g2, g3, p1c, p2c, p12[keep], p22[keep], p13[keep], p23[keep])
 
 
-@pytest.mark.parametrize("steps", [3, 4, 5])
 @pytest.mark.parametrize("outer", [False, True])
-def test_top_partners_match_pointwise_rule(steps, outer):
-    for budget in (1.5, 0.7):
+@pytest.mark.parametrize("budget", [0.0, 1e-300, 1e-6, 0.7, 1e6, 1e300])
+def test_antenna_cells_match_pointwise_rule(budget, outer):
+    # unit gains make the share table (c, c, p, q): each admitted cell's
+    # common power, private power and top partner
+    for steps in range(2, 41):
+        # the common powers of the sweep's outer and achievable passes
         if outer:
             commons = np.linspace(-budget, budget, 2 * steps - 1)
         else:
             commons = np.linspace(0.0, budget, steps)
-        private, fits, top = _top_partners(commons, budget, steps)
+        private = np.linspace(0.0, budget, steps)
+        c, p, q = commons[:, None, None], private[:, None], private
         slack = rounding_slack(budget)
-        for c_idx, c in enumerate(commons):
-            for p_idx, p in enumerate(private):
-                admitted = [
-                    q_idx
-                    for q_idx, q in enumerate(private)
-                    if c + (p + q) <= budget + slack and c + min(p, q) >= -slack
-                ]
-                assert np.flatnonzero(fits[c_idx, p_idx]).tolist() == admitted
-                assert top[c_idx, p_idx] == (admitted[-1] if admitted else -1)
+        fits = (c + (p + q) <= budget + slack) & (c + np.minimum(p, q) >= -slack)
+        rows, cols, (common, _, p_share, q_share) = _antenna_cells(commons, budget, steps, 1.0, 1.0)
+        assert np.all(np.diff(rows * steps + cols) > 0)  # in (common, p) order
+        expected_rows, expected_cols = np.nonzero(fits.any(axis=2))
+        # the largest admitted partner index of each admitted cell
+        top = steps - 1 - np.argmax(fits[expected_rows, expected_cols, ::-1], axis=1)
+        if budget > 0.0:
+            np.testing.assert_array_equal(rows, expected_rows)
+            np.testing.assert_array_equal(cols, expected_cols)
+            np.testing.assert_array_equal(q_share, private[top])
+        # every grid power is 0 at a zero budget, so the float rule admits
+        # every cell: there only the admitted powers must agree
+        got = set(zip(common.tolist(), p_share.tolist(), q_share.tolist()))
+        want = set(zip(commons[expected_rows].tolist(), private[expected_cols].tolist(), private[top].tolist()))
+        assert got == want, steps
 
 
 def _reference_gap(cfg, steps):
@@ -442,6 +452,11 @@ def _fading_diamonds(draw):
 # the first tied cell of the winning common-1 row is not the one with the
 # smallest p12, so a chunk that ends inside the row picks the wrong one
 @example(cfg=diamond_config(p1=1.0, p2=2.0, c21=(1 - 1j, -0.5 + 1j), c31=(1 + 1j, -0.5 + 1j)), steps=5)
+# one zero budget: every power of that antenna's grid is 0, so the float
+# rule of the reference admits all of its cells and the sweep only those
+# whose grid indices keep the budget
+@example(cfg=diamond_config(p1=0.0, p2=1.25, c21=(0.75 + 0.5j, -1.0), c31=(0.25, 1.0 - 0.5j)), steps=6)
+@example(cfg=diamond_config(p1=1.75, p2=0.0, c21=(1.0, 0.5j), c31=(-0.25 + 0.75j, 1.0)), steps=7)
 def test_broadcast_gap_matches_full_sweep(cfg, steps):
     expected = [float(x).hex() for x in _reference_gap(cfg, steps)]
     # one common-1 row per chunk, the default, and every row in one chunk
