@@ -14,13 +14,18 @@ nests the same three steps:
   :func:`split_max`;
 * :func:`grid_refine` handles the outer coordinate of the covariance
   search, the relay-block angle, which is not concave: a grid scan, then
-  rounds of finer grids around the best point.  It carries what the
-  objective computed alongside each value (the share and split) out to the
-  winner, so the winner is not evaluated twice.  The power-form search has
-  a convex dual in its outer coordinate and bisects it instead.
+  rounds of finer grids around the best point.  The caller hands it the
+  scan together with an upper bound of the objective on each grid cell;
+  when no cell bound exceeds the scan's best value, that point is proven
+  the maximum and the rounds are skipped.  It carries what the objective
+  computed alongside each value (the share and split) out to the winner,
+  so the winner is not evaluated twice.  The power-form search has a convex
+  dual in its outer coordinate and bisects it instead.
 
 All three are vectorised: the kernels take and return arrays, one entry per
-candidate, and :func:`grid_refine` passes each stage's whole grid to one call.
+candidate.  The covariance route evaluates its scan and its cell bounds in
+one kernel call, and :func:`grid_refine` passes each round's whole grid to
+one more.
 """
 
 from __future__ import annotations
@@ -135,39 +140,43 @@ def _kink_shares(c, b2, s_hi, k0, k1, k2):
     return s, np.nextafter(s, 0.0), np.nextafter(s, s_hi)
 
 
-def grid_refine(f, axis):
-    """Maximize ``f`` over an interval by a grid scan refined around the best point.
+def grid_refine(f, axis, scan, cell_bounds):
+    """Maximize ``f`` over an interval from a grid scan, refined around the best point.
 
     ``axis`` is an ascending, evenly spaced grid of at least two points; the
     interval is its span.  ``f`` maps an array of points to a tuple
     ``(values, *payload)`` of arrays of that length: the values there, and
     anything computed alongside them that the caller wants at the winner.
-    It is called once per stage with the whole grid of that stage.  After
-    the scan, each of ``REFINE_ROUNDS`` rounds lays ``REFINE_POINTS`` points
-    over one grid step either side of the best point so far, clipped to the
-    interval; a round's best replaces it only when strictly better.  The
-    result is never worse than the best scanned point.  Returns ``(value,
-    point, *payload)`` as floats, the payload being ``f``'s at that point.
-    A bare array from ``f`` raises ``TypeError``: unpacked, it would pass
-    its entries for values and payload.
+    ``scan`` is that tuple on ``axis``, computed by the caller, and
+    ``cell_bounds[i]`` bounds ``f`` from above on ``[axis[i], axis[i + 1]]``.
+    When no cell bound exceeds the scan's best value, no point of the
+    interval beats it, and it is returned without calling ``f``.  Otherwise
+    each of ``REFINE_ROUNDS`` rounds calls ``f`` once with ``REFINE_POINTS``
+    points laid over one grid step either side of the best point so far,
+    clipped to the interval; a round's best replaces it only when strictly
+    better.  The result is never worse than the best scanned point.  Returns
+    ``(value, point, *payload)`` as floats, the payload being ``f``'s at
+    that point.  A bare array from ``f`` raises ``TypeError``: unpacked, it
+    would pass its entries for values and payload.
     """
     axis = np.asarray(axis, dtype=float)
     lo, hi = float(axis[0]), float(axis[-1])
     step = (hi - lo) / (len(axis) - 1)
 
-    def stage(points):
-        out = f(points)
+    def stage(points, out):
         if not isinstance(out, tuple):
             raise TypeError(f"f must return a tuple (values, *payload), got {type(out).__name__}")
         values, *payload = out
         pick = int(np.argmax(values))
         return (float(values[pick]), float(points[pick]), *(float(p[pick]) for p in payload))
 
-    best = stage(axis)
+    best = stage(axis, scan)
+    if np.all(np.asarray(cell_bounds) <= best[0]):
+        return best
     for _ in range(REFINE_ROUNDS):
         axis = np.linspace(max(lo, best[1] - step), min(hi, best[1] + step), REFINE_POINTS)
         step = 2.0 * step / (REFINE_POINTS - 1)
-        candidate = stage(axis)
+        candidate = stage(axis, f(axis))
         if candidate[0] > best[0]:
             best = candidate
     return best

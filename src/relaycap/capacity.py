@@ -395,6 +395,18 @@ def optimize_covariance_bound(cfg: ChannelConfig) -> CapacityResult:
     blocks attain that value without a second evaluation.  The result is
     replayed through :func:`covariance_bounds`.
 
+    On ``[0, alpha]`` the relay block's relay gain ``g21 cos(phi)**2``
+    falls and its destination gain ``g31 cos(phi - alpha)**2`` rises, and
+    ``coherent_max`` never decreases in either gain, so the kernel at a
+    scan cell's relay gain from its left end and destination gain from its
+    right end bounds the profile from above on that cell.  The same kernel
+    call takes the scan points and these cell bounds.  When no cell bound
+    exceeds the best scanned value, that scan point is the maximum over the
+    whole interval and the refine rounds are skipped; otherwise they run as
+    usual.  The bound is primal, and reads nothing of the power route's
+    dual.  ``upper_bound`` stays ``None``: where the rounds run, a bound
+    would have to cover every cell they leave out.
+
     Rank one loses nothing.  A relay block ``(1 - eta) beam(phi) + eta
     I/2`` has the gains ``(1 - eta/2) k(phi) + (eta/2) k(phi + pi/2)``,
     where ``k(phi) = (g21 cos(phi)**2, g31 cos(phi - alpha)**2)`` is affine
@@ -419,18 +431,26 @@ def optimize_covariance_bound(cfg: ChannelConfig) -> CapacityResult:
     relay_gain = m32 ** 2 * p2
     coherent_amp = 2.0 * m32 * math.sqrt(p1 * p2 * g31)
 
-    def best_over_share(phi_a: np.ndarray):
-        """Exact max over s and the trace split per relay-block angle; returns (value, s, trace_a).
+    def best_over_share(k_rd: np.ndarray, k_rd_dest: np.ndarray):
+        """Exact max over s and the trace split per pair of relay-block gains; returns (value, s, trace_a).
 
         In s the split-maximized bound is concave: the MAC bound gains
         p1*s plus a sqrt(s) term, the rest is affine on the budget simplex.
         """
-        k_rd = g21 * np.cos(phi_a) ** 2
-        k_rd_dest = g31 * np.cos(phi_a - alpha) ** 2
         return coherent_max(k_rd, k_rd_dest, g31, p1, 1.0, relay_gain, coherent_amp, p1 * g31)
 
+    def gains(phi_a: np.ndarray):
+        return g21 * np.cos(phi_a) ** 2, g31 * np.cos(phi_a - alpha) ** 2
+
     angles = np.linspace(0.0, alpha, _RELAY_ANGLE_POINTS)
-    value, phi_a, share, trace_a = grid_refine(best_over_share, angles)
+    k_rd, k_rd_dest = gains(angles)
+    # the scan points, then each cell's bound (k_rd from its left end,
+    # k_rd_dest from its right), in one kernel call
+    values, shares, traces = best_over_share(np.concatenate([k_rd, k_rd[:-1]]),
+                                             np.concatenate([k_rd_dest, k_rd_dest[1:]]))
+    n = len(angles)
+    value, phi_a, share, trace_a = grid_refine(lambda phi: best_over_share(*gains(phi)), angles,
+                                               (values[:n], shares[:n], traces[:n]), values[n:])
     beta = math.sqrt(share)
     trace_b = p1 * (1.0 - share) - trace_a
 

@@ -4,9 +4,12 @@ All factories return fresh ChannelConfig instances with simple, hand-checkable
 geometry so individual tests can state expected numbers inline.
 """
 
+from unittest import mock
+
 import numpy as np
 
-from relaycap import ChannelConfig, CsiMode, Topology
+from relaycap import ChannelConfig, CsiMode, Topology, capacity, optimize_covariance_bound
+from relaycap._search import REFINE_POINTS, REFINE_ROUNDS
 
 
 def single_relay_config(
@@ -125,3 +128,33 @@ KINK_CHANNELS = [
     gains_single_relay(1.0, 1.0, 1.0, (0, 0.25j), (0, 2.5e-5j), 2.5e-5j),
     gains_single_relay(1e6, 1e6, 1e6, (1e6, 0), (1e-3, 0), 8e-4),
 ]
+
+
+def always_refine(f, axis, scan, cell_bounds):
+    """The covariance route's angle search before its scan carried a
+    certificate, kept as the oracle of its early exit: a stand-in for
+    ``grid_refine`` that ignores ``scan`` and ``cell_bounds``, scans
+    ``axis`` with ``f`` itself and always runs every refine round."""
+    axis = np.asarray(axis, dtype=float)
+    lo, hi = float(axis[0]), float(axis[-1])
+    step = (hi - lo) / (len(axis) - 1)
+
+    def stage(points):
+        values, *payload = f(points)
+        pick = int(np.argmax(values))
+        return (float(values[pick]), float(points[pick]), *(float(p[pick]) for p in payload))
+
+    best = stage(axis)
+    for _ in range(REFINE_ROUNDS):
+        axis = np.linspace(max(lo, best[1] - step), min(hi, best[1] + step), REFINE_POINTS)
+        step = 2.0 * step / (REFINE_POINTS - 1)
+        candidate = stage(axis)
+        if candidate[0] > best[0]:
+            best = candidate
+    return best
+
+
+def always_refined_covariance(cfg):
+    """``optimize_covariance_bound`` with every refine round run."""
+    with mock.patch.object(capacity, "grid_refine", always_refine):
+        return optimize_covariance_bound(cfg)

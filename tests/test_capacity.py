@@ -24,8 +24,8 @@ from relaycap import capacity
 from relaycap._search import REFINE_ROUNDS
 from relaycap.channel import rounding_slack
 
-from helpers import (FLAT_DUAL_CHANNELS, KINK_CHANNELS, diamond_config, gains_single_relay,
-                     random_single_relay, single_relay_config)
+from helpers import (FLAT_DUAL_CHANNELS, KINK_CHANNELS, always_refined_covariance, diamond_config,
+                     gains_single_relay, random_single_relay, single_relay_config)
 
 
 def record_dual_calls(monkeypatch):
@@ -241,9 +241,9 @@ def test_optimize_covariance_pinned_rates():
 
 
 def test_optimizers_call_the_coherent_kernel_once_per_stage(monkeypatch):
-    # one call per refine stage of the covariance route (a scan and six
-    # rounds) and one, at the chosen beam angles, for the power route; a
-    # count is deterministic where a timing is not
+    # one call per refine stage of the covariance route (a scan, with its
+    # cell bounds, and six rounds) and one, at the chosen beam angles, for
+    # the power route; a count is deterministic where a timing is not
     calls = []
 
     def counted(*args):
@@ -259,6 +259,24 @@ def test_optimizers_call_the_coherent_kernel_once_per_stage(monkeypatch):
     calls.clear()
     optimize_capacity(cfg)
     assert len(calls) == 1
+    # the cell bounds certify the scan on a dead relay (c32 = 0), at
+    # alpha = 0 and where only the relay-decode cut binds (the MAC cut is 32%
+    # above it); where the MAC cut binds too, the profile peaks between scan
+    # points and every round runs
+    for index, count in ((6, 1), (4, 1), (1, 1), (2, REFINE_ROUNDS + 1)):
+        calls.clear()
+        optimize_covariance_bound(single_relay_config(**PINNED_RATES[index][0]))
+        assert len(calls) == count
+
+
+def test_covariance_early_exit_keeps_the_pinned_rates():
+    # the channels of PINNED_RATES and PINNED_RANDOM_RATES get the rates the
+    # always-refined search gets, bit for bit, whether or not they refine
+    cfgs = [single_relay_config(**kwargs) for kwargs, _ in PINNED_RATES]
+    rng = np.random.default_rng(606)
+    cfgs += [random_single_relay(rng) for _ in PINNED_RANDOM_RATES]
+    for cfg in cfgs:
+        assert optimize_covariance_bound(cfg).rate == always_refined_covariance(cfg).rate
 
 
 def test_phase_fading_capacity_hand_case():

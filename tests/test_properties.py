@@ -3,6 +3,8 @@
 import math
 
 import numpy as np
+from unittest import mock
+
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -11,14 +13,17 @@ from relaycap import (
     CsiMode,
     FiniteJoint,
     Topology,
+    capacity,
     check_conditional_limits,
     check_limit_phase_fading,
     optimize_capacity,
     optimize_covariance_bound,
 )
+from relaycap._search import grid_refine
 from relaycap.channel import rounding_slack
 
-from helpers import FLAT_DUAL_CHANNELS, gains_single_relay, single_relay_config
+from helpers import (FLAT_DUAL_CHANNELS, KINK_CHANNELS, always_refined_covariance, gains_single_relay,
+                     single_relay_config)
 
 SCALES = st.integers(-6, 6).map(lambda k: 10.0 ** k)
 # gain entries on a grid of quarters: exact zeros, and so zero and parallel
@@ -80,8 +85,11 @@ def test_dual_bound_certifies_the_rate(cfg):
 
 # A narrow peak in the relay-block angle that the angle scan steps over; the
 # relay block's beam pointed along c31 (phi = alpha) reaches it.
-@example(gains_single_relay(1e6, 100.0, 0.01, (-5000 - 7500j, 7500), (-500 - 250j, -250 + 1000j),
-                            2.5e-6 - 2.5e-6j))
+NARROW_PEAK_CHANNEL = gains_single_relay(1e6, 100.0, 0.01, (-5000 - 7500j, 7500),
+                                         (-500 - 250j, -250 + 1000j), 2.5e-6 - 2.5e-6j)
+
+
+@example(NARROW_PEAK_CHANNEL)
 @with_flat_dual_examples
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
 @given(st.one_of(planar_channels(), complex_channels()))
@@ -91,6 +99,89 @@ def test_dual_bound_certifies_the_covariance_rate(cfg):
     bound = optimize_capacity(cfg).upper_bound
     rate = optimize_covariance_bound(cfg).rate
     assert bound * (1.0 - 1e-12) <= rate <= bound + rounding_slack(bound)
+
+
+# A dead relay whose angle profile is flat: its highest cell bound tops the
+# scan's best value by rounding alone (1.3e-16 relative), so the route must
+# refine it even though the rounds find nothing better.
+FLAT_PROFILE_CHANNEL = gains_single_relay(
+    2.448228173613641, 0.9818974433011523, 1.810068702720552,
+    (0.39494318942459034 + 1.6763327196655948j, 2.3979372675854025 - 1.1735783523750556j),
+    (0.35022479577355486 - 1.655676895719328j, -1.3309888613685903 + 0.7435460014427098j), 0.0)
+
+
+def with_kink_examples(test):
+    for cfg in KINK_CHANNELS:
+        test = example(cfg)(test)
+    return test
+
+
+@example(FLAT_PROFILE_CHANNEL)
+@example(NARROW_PEAK_CHANNEL)
+@with_kink_examples
+@with_flat_dual_examples
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(st.one_of(planar_channels(), complex_channels()))
+def test_covariance_scan_certificate_against_always_refine(cfg):
+    seen = {"refined": False}
+
+    def spy(f, axis, scan, cell_bounds):
+        def counted(points):
+            seen["refined"] = True
+            return f(points)
+
+        seen.update(f=f, axis=axis, bounds=cell_bounds)
+        return grid_refine(counted, axis, scan, cell_bounds)
+
+    with mock.patch.object(capacity, "grid_refine", spy):
+        rate = optimize_covariance_bound(cfg).rate
+    # each cell bound lies above the profile sampled across its cell
+    bounds, axis = seen["bounds"], seen["axis"]
+    cells = np.linspace(axis[:-1], axis[1:], 9, axis=1)
+    sampled = seen["f"](cells.ravel())[0].reshape(cells.shape).max(axis=1)
+    assert np.all(sampled <= bounds + rounding_slack(*bounds))
+    # the rounds are skipped only when no cell bound tops the rate returned
+    assert seen["refined"] or np.all(bounds <= rate)
+    # a skip loses at most rounding against the always-refined search
+    oracle = always_refined_covariance(cfg).rate
+    if seen["refined"]:
+        assert rate == oracle
+    else:
+        assert oracle - rounding_slack(oracle) <= rate <= oracle
+
+
+def _scaled(cfg, factor):
+    powers = {name: p * factor for name, p in cfg.powers.items()}
+    return ChannelConfig(topology=cfg.topology, csi=cfg.csi, powers=powers, gains=cfg.gains,
+                         noise_psd=cfg.noise_psd * factor)
+
+
+def _rates(cfg):
+    return optimize_capacity(cfg).rate, optimize_covariance_bound(cfg).rate
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(st.one_of(planar_channels(), complex_channels()), st.integers(-6, 6))
+def test_optimizers_ignore_joint_power_and_noise_scaling(cfg, k):
+    # every rate depends on the powers only through P / N0
+    for rate, scaled in zip(_rates(cfg), _rates(_scaled(cfg, 10.0 ** k))):
+        assert abs(scaled - rate) <= rounding_slack(rate)
+
+
+PHASES = st.floats(0.0, 2.0 * math.pi)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(st.one_of(planar_channels(), complex_channels()), PHASES, PHASES, PHASES)
+def test_optimizers_ignore_a_phase_rotation_per_link(cfg, t21, t31, t32):
+    # the transmitters track carrier phase, so a common phase on any one link
+    # is absorbed into its beam
+    gains = {name: cfg.gains[name] * np.exp(1j * t) for name, t in
+             (("c21", t21), ("c31", t31), ("c32", t32))}
+    rotated = ChannelConfig(topology=cfg.topology, csi=cfg.csi, powers=cfg.powers, gains=gains,
+                            noise_psd=cfg.noise_psd)
+    for rate, turned in zip(_rates(cfg), _rates(rotated)):
+        assert abs(turned - rate) <= rounding_slack(rate)
 
 
 FADING_BANDWIDTHS = np.logspace(-3, 8, 12)

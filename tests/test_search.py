@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaycap import _search, optimize_capacity, optimize_covariance_bound
 from relaycap._search import (REFINE_POINTS, REFINE_ROUNDS, _first_max, coherent_max, grid_refine,
@@ -139,7 +141,8 @@ def test_grid_refine_finds_the_global_maximum_of_a_wavy_profile():
     def wavy(x):
         return np.cos(3.0 * x) + 0.4 * np.sin(7.0 * x + 0.3)
 
-    value, x = grid_refine(lambda x: (wavy(x),), np.linspace(0.0, 3.0, 65))
+    axis = np.linspace(0.0, 3.0, 65)
+    value, x = grid_refine(lambda x: (wavy(x),), axis, (wavy(axis),), np.full(64, np.inf))
     assert value == wavy(np.array(x))
     assert value >= wavy(np.linspace(0.0, 3.0, 200_001)).max() - 1e-9
 
@@ -152,7 +155,7 @@ def test_grid_refine_stages_final_step_and_payload():
         return np.cos(3.0 * x) + 0.4 * np.sin(7.0 * x + 0.3), x * x, 1.0 - x
 
     scan = np.linspace(0.0, 3.0, 65)
-    value, x, square, rest = grid_refine(f, scan)
+    value, x, square, rest = grid_refine(f, scan, f(scan), np.full(64, np.inf))
     assert len(grids) == REFINE_ROUNDS + 1
     assert all(len(grid) == REFINE_POINTS for grid in grids[1:])
     # the final step is the scan's shrunk 2**36-fold, up to the rounding of
@@ -163,7 +166,63 @@ def test_grid_refine_stages_final_step_and_payload():
     assert value == float(f(np.array([x]))[0][0])
     # a bare array would unpack into a value and payloads row by row
     with pytest.raises(TypeError, match="tuple"):
-        grid_refine(np.cos, scan)
+        grid_refine(np.cos, scan, (np.cos(scan),), np.full(64, np.inf))
+
+
+def test_grid_refine_skips_the_rounds_when_the_cell_bounds_hold():
+    calls = []
+
+    def falling(x):
+        calls.append(x)
+        return 1.0 - x * x, 2.0 * x
+
+    axis = np.linspace(0.0, 3.0, 65)
+    values, doubled = falling(axis)
+    # a falling profile peaks at each cell's left end, so those values bound it
+    assert grid_refine(falling, axis, (values, doubled), values[:-1]) == (1.0, 0.0, 0.0)
+    assert len(calls) == 1
+    # a bound one ulp above the best is no certificate: every round runs
+    raised = np.concatenate([values[:-2], [np.nextafter(1.0, 2.0)]])
+    assert grid_refine(falling, axis, (values, doubled), raised) == (1.0, 0.0, 0.0)
+    assert len(calls) == 1 + REFINE_ROUNDS
+
+
+SCALES = st.integers(-6, 6).map(lambda k: 10.0 ** k)
+FRACTIONS = st.floats(0.0, 1.0)
+
+
+@st.composite
+def kernel_rows(draw):
+    """Arguments of :func:`coherent_max`, each at its own scale of 1e+-6 with
+    zeros among the draws, and the gain to raise: ``k_b <= k_rest`` as both
+    optimizers pass it, or any ``k_b``."""
+    def value():
+        return draw(FRACTIONS) * draw(SCALES)
+
+    k_rest = value()
+    k_a = value()
+    in_domain = draw(st.booleans())
+    k_b = k_rest * draw(FRACTIONS) if in_domain else value()
+    which = draw(st.sampled_from(("k_a", "k_b")))
+    args = dict(k_a=k_a, k_b=k_b, k_rest=k_rest, b2=value(), s_hi=value(), k0=value(), k1=value(),
+                k2=value())
+    old = args[which]
+    if which == "k_b" and in_domain:
+        args[which] = old + (k_rest - old) * draw(FRACTIONS)
+    else:
+        args[which] = old + value()
+    return args, which, old
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(kernel_rows())
+def test_coherent_max_never_falls_when_a_gain_rises(row):
+    # the covariance route's cell bounds rest on this: a gain raised in
+    # either cut cannot lower the best rate by more than rounding
+    args, which, old = row
+    raised = float(coherent_max(**args)[0])
+    value = float(coherent_max(**{**args, which: old})[0])
+    assert raised >= value - rounding_slack(value)
 
 
 def _share_profile(k_a, k_b, k_rest, b2, s_hi, k0, k1, k2, s):
