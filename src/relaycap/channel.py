@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -127,6 +128,17 @@ class ChannelConfig:
             and self.gains.keys() == other.gains.keys()
             and all(np.array_equal(self.gains[k], other.gains[k]) for k in self.gains)
         )
+
+    @cached_property
+    def _broadcast_gains(self) -> tuple[list[float], list[float]]:
+        """``|c21|**2 / N0`` and ``|c31|**2 / N0`` per source antenna, as floats.
+
+        The diamond's broadcast-cut rates are linear in these gains, and a
+        config never changes, so they are worked out once, on first use.
+        They come from ``np.abs`` of the gain arrays: Python's ``abs`` of a
+        complex entry can differ from it in the last bit.
+        """
+        return tuple((np.abs(self.gains[key]) ** 2 / self.noise_psd).tolist() for key in ("c21", "c31"))
 
     def gain(self, key: str) -> np.ndarray:
         """Gain vector for a link; scalar links come back as length-1 arrays."""

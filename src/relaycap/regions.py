@@ -12,7 +12,10 @@ cuts are:
   the cut-set outer bound (:func:`broadcast_outer_rates`) by a sweep over
   stream powers (:func:`broadcast_region_gap`).  Every rate here is linear
   in the six stream powers, one source antenna's share plus the other's;
-  the rate functions and the sweep take those shares from one function.
+  the rate functions and the sweep take those shares from one function,
+  the rate functions on floats and the sweep on arrays.  The gains
+  ``|c21|**2 / N0`` and ``|c31|**2 / N0`` enter as floats worked out once
+  per config.
   The sweep visits only the relay-3 private powers that spend the rest of
   each antenna's budget; for each (common, relay-2 private) cell they
   dominate the rest of their slab, so the sweep costs O(steps**4) for the
@@ -20,7 +23,9 @@ cuts are:
   every rate once over the cells it admits, and the sweep adds the two
   tables a chunk of whole common-1 rows at a time, so no rejected cell is
   evaluated; the achievable lookup spans only the box of rate bins that
-  some point occupies;
+  some point occupies, allocated at that size once the box is known and
+  stored with both axes reversed, so that its suffix maximum is two running
+  maxima in place;
 * the synchronous broadcast cut, where rank-one beamforming attains a
   simple triangular region when one relay's channel is degraded with
   respect to the other (:func:`beamforming_rates`), and the minimum total
@@ -33,6 +38,7 @@ Rates are nats per second, powers Watts.  For the broadcast cut the budgets
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,12 +188,6 @@ class BroadcastOuterRates:
         return min(self.r_sum1, self.r_sum2)
 
 
-def _broadcast_gains(cfg: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
-    g2 = np.abs(cfg.gain("c21")) ** 2 / cfg.noise_psd
-    g3 = np.abs(cfg.gain("c31")) ** 2 / cfg.noise_psd
-    return g2, g3
-
-
 def _check_antenna_budgets(cfg: ChannelConfig, alloc: CommonPrivateAllocation) -> None:
     b1 = cfg.powers["P1"]
     b2 = cfg.powers["P2"]
@@ -199,8 +199,9 @@ def _check_antenna_budgets(cfg: ChannelConfig, alloc: CommonPrivateAllocation) -
 
 # Under phase fading every broadcast-cut rate is linear in the six stream
 # powers, and each stream's rate is one antenna's share plus the other's.
-# The two helpers below hold those formulas for both bounds; they work
-# elementwise on arrays, and the region sweep tabulates the shares with them.
+# The two helpers below hold those formulas for both bounds; they work on
+# floats, which the rate functions pass, and elementwise on arrays, with
+# which the region sweep tabulates the shares.
 
 
 def _antenna_shares(gain2, gain3, common, private2, private3):
@@ -215,8 +216,9 @@ def _stream_rates(g2, g3, p1c, p2c, p12, p22, p13, p23):
 
     Returns ``(common2, common3, rc, private2, private3)``: the common
     stream's rate at relays 2 and 3, the rate ``rc`` at which both decode it,
-    and each private stream's rate at its own relay.  The powers may be
-    arrays of any shapes that broadcast together.
+    and each private stream's rate at its own relay.  ``g2`` and ``g3``
+    hold each antenna's gain; the powers may be floats, or arrays of any
+    shapes that broadcast together.
     """
     shares1 = _antenna_shares(g2[0], g3[0], p1c, p12, p13)
     shares2 = _antenna_shares(g2[1], g3[1], p2c, p22, p23)
@@ -227,7 +229,7 @@ def _stream_rates(g2, g3, p1c, p2c, p12, p22, p13, p23):
 def _alloc_stream_rates(cfg: ChannelConfig, alloc: CommonPrivateAllocation, what: str):
     require_network(cfg, what, Topology.TWO_RELAY_DIAMOND, CsiMode.PHASE_FADING)
     _check_antenna_budgets(cfg, alloc)
-    g2, g3 = _broadcast_gains(cfg)
+    g2, g3 = cfg._broadcast_gains
     return _stream_rates(g2, g3, alloc.p1c, alloc.p2c, alloc.p12, alloc.p22, alloc.p13, alloc.p23)
 
 
@@ -283,13 +285,14 @@ class RatePoint:
             raise ValueError("r_sum cannot be smaller than max(r2, r3)")
 
 
-def _suffix_max(grid: np.ndarray) -> np.ndarray:
-    """grid[i, j] -> max over cells (>= i, >= j). The grid holds no NaN, so
-    fmax, which skips numpy's NaN propagation, gives the same bits."""
-    out = grid[::-1, ::-1].copy()
-    np.fmax.accumulate(out, axis=0, out=out)
-    np.fmax.accumulate(out, axis=1, out=out)
-    return out[::-1, ::-1]
+def _suffix_max(reversed_grid: np.ndarray) -> None:
+    """In place, on a grid stored with both axes reversed: each cell becomes
+    the max over the cells at or beyond it in the grid's own order, which in
+    storage order is a running max down both axes of a contiguous array.
+    The grid holds no NaN, so fmax, which skips numpy's NaN propagation,
+    gives the same bits as max."""
+    np.fmax.accumulate(reversed_grid, axis=0, out=reversed_grid)
+    np.fmax.accumulate(reversed_grid, axis=1, out=reversed_grid)
 
 
 # Bins per rate axis of the achievable-region lookup in broadcast_region_gap.
@@ -314,12 +317,13 @@ class BroadcastGapReport:
     worst_demand: RatePoint
 
 
-def _antenna_cells(commons, budget: float, steps: int, gain2, gain3):
+def _antenna_cells(commons, private, gain2, gain3):
     """One antenna's admitted (common, p) cells, in (common, p) order.
 
     Every power of the sweep is a whole number of grid steps h = budget / n,
     n = steps - 1: the private powers p = j h and q = k h with j, k in
-    [0, n], and ``commons`` the last ``len(commons)`` of i h with i <= n.
+    [0, n], the grid ``private`` of ``steps`` powers from 0 to the budget,
+    and ``commons`` the last ``len(commons)`` of i h with i <= n.
     The antenna keeps its budget, c + (p + q) <= budget, and a negative
     common power cancels only its own private power, c + min(p, q) >= 0:
     in grid steps i + j + k <= n, j >= -i and k >= -i.  So (c, p) is
@@ -330,10 +334,10 @@ def _antenna_cells(commons, budget: float, steps: int, gain2, gain3):
     and a ``(4, cells)`` table of :func:`_antenna_shares` at each cell's
     common power, its private power ``p`` and its top partner ``q``.
     """
+    steps = len(private)
     n = steps - 1
     spent = np.arange(steps - len(commons), steps)[:, None] + np.arange(steps)
     rows, cols = np.nonzero((spent >= 0) & (spent <= n))
-    private = np.linspace(0.0, budget, steps)
     shares = _antenna_shares(gain2, gain3, commons[rows], private[cols], private[n - spent[rows, cols]])
     return rows, cols, np.stack(shares)
 
@@ -387,16 +391,26 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
     antenna rejects is evaluated.  The antenna-1 table is taken in chunks of
     whole common-1 rows.  The achievable grid's suffix maximum covers only
     the box of occupied bins plus one empty row and column, into which every
-    lookup is clipped.  ``worst_demand`` is the first maximizer in (common
+    lookup is clipped.  The achievable pass keeps each point's flat bin
+    index, as a ``uint16``, and its sum cap, so the grid is allocated at the
+    box's size once the box is known.  It is stored with both axes reversed:
+    the suffix maximum is then two running maxima in place on a contiguous
+    array, and bin (b2, b3) sits at ``last - (b2 * box3 + b3)``.  The gains
+    are the config's floats, worked out once per config, as in the rate
+    functions.  ``worst_demand`` is the first maximizer in (common
     pair, p12, p22, p13, p23) order: inside a chunk, the smallest (common
     pair, p12, p22) among the cells tied at its maximum; across chunks, the
     first chunk to reach the maximum; inside the winning slab, found by
     re-evaluating its admitted (p13, p23) box in full.
     """
     require_network(cfg, "broadcast_region_gap", Topology.TWO_RELAY_DIAMOND, CsiMode.PHASE_FADING)
+    try:
+        steps = operator.index(steps)
+    except TypeError:
+        raise ValueError(f"steps must be an integer, got {steps!r}") from None
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    g2, g3 = _broadcast_gains(cfg)
+    g2, g3 = cfg._broadcast_gains
     gmax = np.maximum(g2, g3)
     b1 = cfg.powers["P1"]
     b2 = cfg.powers["P2"]
@@ -410,14 +424,17 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
         # truncation floors every rate that does not clip to bin 0
         return np.minimum(np.maximum((rates / delta).astype(int), 0), edge)
 
+    private1, private2 = np.linspace(0.0, b1, steps), np.linspace(0.0, b2, steps)
+
     def tables(common1, common2):
         return (
-            _antenna_cells(common1, b1, steps, g2[0], g3[0]),
-            _antenna_cells(common2, b2, steps, g2[1], g3[1]),
+            _antenna_cells(common1, private1, g2[0], g3[0]),
+            _antenna_cells(common2, private2, g2[1], g3[1]),
         )
 
-    (rows1, _, shares1), (rows2, _, shares2) = tables(np.linspace(0, b1, steps), np.linspace(0, b2, steps))
-    achievable = np.full(_RATE_BINS * _RATE_BINS, -np.inf)
+    # the achievable pass's common powers are the private grid itself
+    (rows1, _, shares1), (rows2, _, shares2) = tables(private1, private2)
+    achievable = []
     edge2 = edge3 = 0
     for start, stop in _row_chunks(rows1, len(rows2)):
         # every pair of an antenna-1 and an antenna-2 cell: the sums that
@@ -426,14 +443,22 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
         rc = np.minimum(c2, c3)
         r2, r3 = rc + q2, rc + q3
         bins2, bins3 = bins(r2), bins(r3)
-        # r2 + q3 is the sum cap rc + q2 + q3; ufunc.at is far quicker on
-        # one flat index than on an index pair
-        np.maximum.at(achievable, (bins2 * _RATE_BINS + bins3).ravel(), (r2 + q3).ravel())
-        edge2, edge3 = max(edge2, bins2.max()), max(edge3, bins3.max())
+        # each point's bin pair as one flat index, which a uint16 holds, and
+        # its sum cap r2 + q3 = rc + q2 + q3
+        achievable.append(((bins2 * _RATE_BINS + bins3).astype(np.uint16).ravel(), (r2 + q3).ravel()))
+        edge2, edge3 = max(edge2, int(bins2.max())), max(edge3, int(bins3.max()))
     # the occupied box plus one empty row and column, which every lookup
-    # beyond the box is clipped onto
+    # beyond the box is clipped onto, stored with both axes reversed: bin
+    # (b2, b3) of the box sits at last - (b2 * box3 + b3)
     box2, box3 = min(edge2 + 2, _RATE_BINS), min(edge3 + 2, _RATE_BINS)
-    cover = _suffix_max(achievable.reshape(_RATE_BINS, _RATE_BINS)[:box2, :box3]).ravel()
+    last = box2 * box3 - 1
+    cover = np.full(box2 * box3, -np.inf)
+    for flat, sum_caps in achievable:
+        bins2, bins3 = np.divmod(flat, _RATE_BINS)
+        # box3 <= _RATE_BINS, so each index stays in uint16; ufunc.at is far
+        # quicker on one flat index than on an index pair
+        np.maximum.at(cover, last - (bins2 * box3 + bins3), sum_caps)
+    _suffix_max(cover.reshape(box2, box3))
 
     def demands(c2, c3, q2, q3):
         r2, r3 = c2 + q2, c3 + q3
@@ -445,7 +470,7 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
         # floor, not ceil: the bin holding a point with r >= demand - slack
         # must stay inside the lookup, so matching is lenient by < one bin
         lookup = bins(r2 - resolution, box2 - 1) * box3 + bins(r3 - resolution, box3 - 1)
-        return r2, r3, r_sum, r_sum - cover.take(lookup)
+        return r2, r3, r_sum, r_sum - cover.take(last - lookup)
 
     max_gap = -math.inf
     winner = None
@@ -469,7 +494,6 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
         # an outer common row r lies r - n grid steps from 0, so the slab
         # admits relay-3 indices from max(0, n - r) up to the top partner
         n = steps - 1
-        private1, private2 = np.linspace(0.0, b1, steps), np.linspace(0.0, b2, steps)
         p13 = private1[max(0, n - i) : 2 * n + 1 - i - k12, None]
         p23 = private2[max(0, n - j) : 2 * n + 1 - j - k22]
         c2, c3, _, q2, q3 = _stream_rates(g2, g3, common1[i], common2[j], private1[k12], private2[k22], p13, p23)
@@ -605,9 +629,12 @@ def max_min_beam_gain(c2: np.ndarray, c3: np.ndarray) -> float:
     the value is the weaker squared norm ``min(n2, n3)**2``.  Otherwise the
     best beam lies between the two vectors where both gains are equal, which
     gives ``(n2 n3 sin(alpha))**2 / (n2**2 + n3**2 - 2 n2 n3 cos(alpha))``.
+    Both vectors must be finite and nonzero.
     """
     c2 = np.asarray(c2, dtype=complex)
     c3 = np.asarray(c3, dtype=complex)
+    if not (np.isfinite(c2).all() and np.isfinite(c3).all()):
+        raise ValueError("gain vectors must be finite")
     n2 = float(np.linalg.norm(c2))
     n3 = float(np.linalg.norm(c3))
     if n2 == 0.0 or n3 == 0.0:

@@ -10,12 +10,16 @@ from hypothesis import strategies as st
 
 from relaycap import (
     ChannelConfig,
+    CommonPrivateAllocation,
     CsiMode,
     FiniteJoint,
     Topology,
+    broadcast_outer_rates,
     capacity,
     check_conditional_limits,
     check_limit_phase_fading,
+    common_private_rates,
+    mac_region_point,
     optimize_capacity,
     optimize_covariance_bound,
 )
@@ -182,6 +186,74 @@ def test_optimizers_ignore_a_phase_rotation_per_link(cfg, t21, t31, t32):
                             noise_psd=cfg.noise_psd)
     for rate, turned in zip(_rates(cfg), _rates(rotated)):
         assert abs(turned - rate) <= rounding_slack(rate)
+
+
+@st.composite
+def relay_swap_cases(draw):
+    """A diamond's gains, powers and N0 with a broadcast-cut allocation that
+    both the diamond and its relay-swapped twin admit: every value at 1e+-6,
+    zero gains and powers among the draws, and common powers down to minus
+    the smaller private power of their antenna."""
+    def gain(size):
+        scale = draw(SCALES)
+        return [complex(draw(UNIT), draw(UNIT)) * scale for _ in range(size)]
+
+    def antenna():
+        p, q = (draw(st.one_of(st.just(0.0), SCALES)) for _ in range(2))
+        common = draw(st.one_of(st.floats(-1.0, 1.0).map(lambda t: t * min(p, q)), SCALES))
+        return common, p, q
+
+    (p1c, p12, p13), (p2c, p22, p23) = antenna(), antenna()
+    alloc = CommonPrivateAllocation(p1c=p1c, p2c=p2c, p12=p12, p22=p22, p13=p13, p23=p23)
+    gains = {"c21": gain(2), "c31": gain(2), "c42": gain(1), "c43": gain(1)}
+    # P2 budgets source antenna 2 on the broadcast cut and relay 2 on the
+    # MAC cut, so P2 and P3 each cover antenna 2 and differ beyond that
+    need2 = abs(p2c) + p22 + p23
+    powers = {
+        "P1": abs(p1c) + p12 + p13,
+        "P2": need2 + draw(st.one_of(st.just(0.0), SCALES)),
+        "P3": need2 + draw(st.one_of(st.just(0.0), SCALES)),
+    }
+    return gains, powers, draw(SCALES), alloc, draw(st.floats(0.0, 1.0))
+
+
+def _swap_relays(gains, powers, alloc):
+    swapped_gains = dict(gains, c21=gains["c31"], c31=gains["c21"], c42=gains["c43"], c43=gains["c42"])
+    swapped_powers = dict(powers, P2=powers["P3"], P3=powers["P2"])
+    swapped_alloc = CommonPrivateAllocation(p1c=alloc.p1c, p2c=alloc.p2c, p12=alloc.p13, p22=alloc.p23,
+                                            p13=alloc.p12, p23=alloc.p22)
+    return swapped_gains, swapped_powers, swapped_alloc
+
+
+def _diamond(gains, powers, noise_psd, csi):
+    return ChannelConfig(topology=Topology.TWO_RELAY_DIAMOND, csi=csi, powers=powers,
+                         gains={key: np.array(value) for key, value in gains.items()}, noise_psd=noise_psd)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(relay_swap_cases())
+def test_diamond_rates_swap_with_the_relays(case):
+    # relabelling relays 2 and 3 (c21<->c31, p12<->p13, p22<->p23,
+    # c42<->c43, P2<->P3) relabels every per-relay rate and sum cap
+    gains, powers, noise_psd, alloc, rho = case
+    swapped_gains, swapped_powers, swapped_alloc = _swap_relays(gains, powers, alloc)
+    cfg = _diamond(gains, powers, noise_psd, CsiMode.PHASE_FADING)
+    twin = _diamond(swapped_gains, swapped_powers, noise_psd, CsiMode.PHASE_FADING)
+    # every rate term is a gain times a power of one antenna
+    g2, g3 = (np.abs(cfg.gain(key)) ** 2 / noise_psd for key in ("c21", "c31"))
+    terms = np.maximum(g2, g3) * [abs(alloc.p1c) + alloc.p12 + alloc.p13, abs(alloc.p2c) + alloc.p22 + alloc.p23]
+    slack = rounding_slack(*terms)
+    for rates in (common_private_rates, broadcast_outer_rates):
+        base, swapped = rates(cfg, alloc), rates(twin, swapped_alloc)
+        for field, twin_field in (("r2", "r3"), ("r3", "r2"), ("r_sum1", "r_sum2"), ("r_sum2", "r_sum1")):
+            assert abs(getattr(swapped, twin_field) - getattr(base, field)) <= slack, (rates, field)
+    for csi in CsiMode:
+        base = mac_region_point(_diamond(gains, powers, noise_psd, csi), rho)
+        swapped = mac_region_point(_diamond(swapped_gains, swapped_powers, noise_psd, csi), rho)
+        slack = rounding_slack(base.r23_max, base.r32_max, base.r_sum_max)
+        assert abs(swapped.r32_max - base.r23_max) <= slack, csi
+        assert abs(swapped.r23_max - base.r32_max) <= slack, csi
+        assert abs(swapped.r_sum_max - base.r_sum_max) <= slack, csi
 
 
 FADING_BANDWIDTHS = np.logspace(-3, 8, 12)

@@ -30,7 +30,6 @@ from relaycap.regions import (
     _CHUNK_CELLS,
     _RATE_BINS,
     _antenna_cells,
-    _broadcast_gains,
     _row_chunks,
     _stream_rates,
     _suffix_max,
@@ -232,12 +231,19 @@ def test_rate_point_validation():
     RatePoint(r2=1e-13, r3=1e-13, r_sum=2e-13 * (1.0 + 1e-15))
 
 
+def _suffix_max_of(grid):
+    """_suffix_max on a reversed copy of grid, read back in grid order."""
+    reversed_grid = grid[::-1, ::-1].copy()
+    _suffix_max(reversed_grid)
+    return reversed_grid[::-1, ::-1]
+
+
 def test_suffix_max():
     grid = np.array([[1.0, 5.0], [2.0, 0.0]])
-    np.testing.assert_array_equal(_suffix_max(grid), [[5.0, 5.0], [2.0, 0.0]])
+    np.testing.assert_array_equal(_suffix_max_of(grid), [[5.0, 5.0], [2.0, 0.0]])
     rng = np.random.default_rng(0)
     g = rng.normal(size=(7, 9))
-    cover = _suffix_max(g)
+    cover = _suffix_max_of(g)
     for i in range(7):
         for j in range(9):
             assert cover[i, j] == g[i:, j:].max()
@@ -362,7 +368,7 @@ def test_top_partners_match_pointwise_rule(steps, outer):
         c, p, q = commons[:, None, None], private[:, None], private
         slack = rounding_slack(budget)
         fits = (c + (p + q) <= budget + slack) & (c + np.minimum(p, q) >= -slack)
-        rows, cols, (common, _, p_share, q_share) = _antenna_cells(commons, budget, steps, 1.0, 1.0)
+        rows, cols, (common, _, p_share, q_share) = _antenna_cells(commons, private, 1.0, 1.0)
         assert np.all(np.diff(rows * steps + cols) > 0)  # in (common, p) order
         expected_rows, expected_cols = np.nonzero(fits.any(axis=2))
         # the largest admitted partner index of each admitted cell
@@ -381,7 +387,7 @@ def test_top_partners_match_pointwise_rule(steps, outer):
 def _reference_gap(cfg, steps):
     """The sweep over every admitted point of the power grid, O(steps**6):
     (max_gap, rate_resolution, worst r2, r3, r_sum)."""
-    g2, g3 = _broadcast_gains(cfg)
+    g2, g3 = (np.abs(cfg.gain(key)) ** 2 / cfg.noise_psd for key in ("c21", "c31"))
     gmax = np.maximum(g2, g3)
     b1 = cfg.powers["P1"]
     b2 = cfg.powers["P2"]
@@ -468,6 +474,51 @@ def test_broadcast_gap_matches_full_sweep(cfg, steps):
         assert [float(x).hex() for x in got] == expected, chunk_cells
 
 
+@st.composite
+def _fading_allocations(draw):
+    """A diamond from :func:`_fading_diamonds` and a broadcast-cut allocation
+    it admits: private powers anywhere in the antenna's budget, and a common
+    power from minus the smaller private power up to the rest of the budget."""
+    cfg = draw(_fading_diamonds())
+    fractions = st.floats(0.0, 1.0)
+
+    def antenna(budget):
+        p = budget * draw(fractions)
+        q = (budget - p) * draw(fractions)
+        low = -min(p, q)
+        return low + (budget - p - q - low) * draw(fractions), p, q
+
+    (p1c, p12, p13), (p2c, p22, p23) = antenna(cfg.powers["P1"]), antenna(cfg.powers["P2"])
+    return cfg, CommonPrivateAllocation(p1c=p1c, p2c=p2c, p12=p12, p22=p22, p13=p13, p23=p23)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(case=_fading_allocations())
+# a negative common power that cancels a private stream on each antenna
+@example(
+    case=(
+        diamond_config(p1=1.5, p2=2.0, c21=(0.25, -1e6j), c31=(0.0, 0.75e-6)),
+        CommonPrivateAllocation(p1c=-0.5, p2c=-0.25, p12=0.5, p22=1.0, p13=1.0, p23=0.25),
+    )
+)
+def test_rate_functions_share_the_sweeps_arithmetic(case):
+    # the rate functions work on float gains and powers; the sweep evaluates
+    # the same formula elementwise on arrays: both give the same bits
+    cfg, alloc = case
+    g2, g3 = (np.abs(cfg.gain(key)) ** 2 / cfg.noise_psd for key in ("c21", "c31"))
+    powers = (np.array([getattr(alloc, name)]) for name in ("p1c", "p2c", "p12", "p22", "p13", "p23"))
+    common2, common3, rc, private2, private3 = (value[0] for value in _stream_rates(g2, g3, *powers))
+    sums = (common2 + private2 + private3, common3 + private2 + private3)
+    inner = common_private_rates(cfg, alloc)
+    outer = broadcast_outer_rates(cfg, alloc)
+    cases = [
+        ((inner.rc, inner.r2, inner.r3, inner.r_sum1, inner.r_sum2), (rc, rc + private2, rc + private3, *sums)),
+        ((outer.r2, outer.r3, outer.r_sum1, outer.r_sum2), (common2 + private2, common3 + private3, *sums)),
+    ]
+    for got, want in cases:
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+
 def test_broadcast_gap_evaluates_few_chunks():
     # at steps 16 the achievable pass takes 6 chunks and the outer pass 21;
     # one common-1 row per chunk would take 16 + 31
@@ -482,6 +533,21 @@ def test_broadcast_gap_evaluates_few_chunks():
         broadcast_region_gap(diamond_config(), steps=16)
     assert len(cells) <= 27
     assert max(cells) <= _CHUNK_CELLS
+
+
+def test_broadcast_gap_memory_stays_small_at_steps_8():
+    # the cover grid spans only the occupied box of rate bins (about
+    # 0.2 MB here), not the full 256 x 256 grid and its two copies, for a
+    # traced peak of about 0.7 MB
+    cfg = diamond_config()
+    broadcast_region_gap(cfg, steps=8)  # warm-up
+    tracemalloc.start()
+    try:
+        broadcast_region_gap(cfg, steps=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_broadcast_gap_memory_stays_small():
@@ -519,8 +585,15 @@ def test_broadcast_gap_validation():
     cfg = diamond_config()
     with pytest.raises(ValueError, match="steps"):
         broadcast_region_gap(cfg, steps=1)
+    for steps in (2.5, 8.0, "8"):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            broadcast_region_gap(cfg, steps=steps)
     with pytest.raises(ValueError, match="csi mode"):
         broadcast_region_gap(diamond_config(csi=CsiMode.SYNCHRONOUS))
+    # a numpy integer is taken, and the report carries a Python int
+    report = broadcast_region_gap(cfg, steps=np.int64(8))
+    assert type(report.steps) is int and report.steps == 8
+    assert report == broadcast_region_gap(cfg, steps=8)
 
 
 # ------------------------------------------------------------- beamforming
@@ -690,3 +763,7 @@ def test_max_min_beam_gain_sampling_oracle():
 def test_max_min_beam_gain_rejects_zero_vectors():
     with pytest.raises(ValueError, match="nonzero"):
         max_min_beam_gain(np.zeros(2), np.array([1.0, 0.0]))
+    # and non-finite ones, which would otherwise come back as nan
+    for c2, c3 in [((math.nan, 0.0), (1.0, 0.0)), ((math.inf, 0.0), (1.0, 1.0)), ((1.0, 0.0), (0.0, -math.inf))]:
+        with pytest.raises(ValueError, match="finite"):
+            max_min_beam_gain(np.array(c2), np.array(c3))
