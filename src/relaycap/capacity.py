@@ -146,7 +146,7 @@ class CapacityResult:
     upper_bound: float | None = None
 
 
-# Scan grid of the relay-block angle over [-pi/2, pi/2] in optimize_covariance_bound.
+# Scan grid of the relay-block angle over [0, alpha] in optimize_covariance_bound.
 _RELAY_ANGLE_POINTS = 133
 
 

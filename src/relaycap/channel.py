@@ -97,6 +97,9 @@ class ChannelConfig:
             val = float(self.powers[key])
             if not (math.isfinite(val) and val >= 0.0):
                 raise ValueError(f"powers.{key} must be finite and >= 0, got {self.powers[key]}")
+            # every engine works with P / N0, which must not overflow
+            if not math.isfinite(val / self.noise_psd):
+                raise ValueError(f"powers.{key} / noise_psd must be finite, got {val!r} / {self.noise_psd!r}")
             clean_powers[key] = val
         object.__setattr__(self, "powers", clean_powers)
 
@@ -113,6 +116,10 @@ class ChannelConfig:
                 raise ValueError(f"gains.{key} must have {dim} component(s), got {vec.size}")
             if not np.all(np.isfinite(vec.view(float))):
                 raise ValueError(f"gains.{key} contains non-finite values")
+            # nor |c|**2 / N0, the link's gain over the noise
+            gain = float(np.vdot(vec, vec).real)
+            if not math.isfinite(gain / self.noise_psd):
+                raise ValueError(f"|gains.{key}|**2 / noise_psd must be finite, got {gain!r} / {self.noise_psd!r}")
             vec.setflags(write=False)
             clean_gains[key] = vec
         object.__setattr__(self, "gains", clean_gains)

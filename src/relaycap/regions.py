@@ -23,9 +23,9 @@ cuts are:
   every rate once over the cells it admits, and the sweep adds the two
   tables a chunk of whole common-1 rows at a time, so no rejected cell is
   evaluated; the achievable lookup spans only the box of rate bins that
-  some point occupies, allocated at that size once the box is known and
-  stored with both axes reversed, so that its suffix maximum is two running
-  maxima in place;
+  the closed-form rate maxima bound, allocated before the sweep and stored
+  with both axes reversed, so that its suffix maximum is two running maxima
+  in place;
 * the synchronous broadcast cut, where rank-one beamforming attains a
   simple triangular region when one relay's channel is degraded with
   respect to the other (:func:`beamforming_rates`), and the minimum total
@@ -389,12 +389,14 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
     tabulates its shares once over its admitted (common, p) cells, and a
     cell's terms are one outer add of the two tables: no cell that either
     antenna rejects is evaluated.  The antenna-1 table is taken in chunks of
-    whole common-1 rows.  The achievable grid's suffix maximum covers only
-    the box of occupied bins plus one empty row and column, into which every
-    lookup is clipped.  The achievable pass keeps each point's flat bin
-    index, as a ``uint16``, and its sum cap, so the grid is allocated at the
-    box's size once the box is known.  It is stored with both axes reversed:
-    the suffix maximum is then two running maxima in place on a contiguous
+    whole common-1 rows.  Every achievable r2 = min(c2, c3) + q2 is at most
+    c2 + q2 <= g2 . b, attained with no common power and each budget on
+    relay 2's private stream, and likewise r3 with g3.  So the achievable
+    grid covers only the bins up to ``bins(g . b)``, one more for a rounding
+    overshoot and one empty row and column, into which every lookup is
+    clipped; it is allocated before the achievable pass, which scatters
+    each chunk straight into it.  It is stored with both axes reversed: the
+    suffix maximum is then two running maxima in place on a contiguous
     array, and bin (b2, b3) sits at ``last - (b2 * box3 + b3)``.  The gains
     are the config's floats, worked out once per config, as in the rate
     functions.  ``worst_demand`` is the first maximizer in (common
@@ -432,32 +434,24 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
             _antenna_cells(common2, private2, g2[1], g3[1]),
         )
 
+    # the box: every bin up to bins(g . b), one past it for a rounding
+    # overshoot and one empty row and column, which every lookup beyond the
+    # box is clipped onto, stored with both axes reversed: bin (b2, b3) of
+    # the box sits at last - (b2 * box3 + b3)
+    box2, box3 = (min(int((g[0] * b1 + g[1] * b2) / delta) + 3, _RATE_BINS) for g in (g2, g3))
+    last = box2 * box3 - 1
+    cover = np.full(box2 * box3, -np.inf)
     # the achievable pass's common powers are the private grid itself
     (rows1, _, shares1), (rows2, _, shares2) = tables(private1, private2)
-    achievable = []
-    edge2 = edge3 = 0
     for start, stop in _row_chunks(rows1, len(rows2)):
         # every pair of an antenna-1 and an antenna-2 cell: the sums that
         # _stream_rates forms, antenna 1's share first
         c2, c3, q2, q3 = shares1[:, start:stop, None] + shares2[:, None, :]
         rc = np.minimum(c2, c3)
         r2, r3 = rc + q2, rc + q3
-        bins2, bins3 = bins(r2), bins(r3)
-        # each point's bin pair as one flat index, which a uint16 holds, and
-        # its sum cap r2 + q3 = rc + q2 + q3
-        achievable.append(((bins2 * _RATE_BINS + bins3).astype(np.uint16).ravel(), (r2 + q3).ravel()))
-        edge2, edge3 = max(edge2, int(bins2.max())), max(edge3, int(bins3.max()))
-    # the occupied box plus one empty row and column, which every lookup
-    # beyond the box is clipped onto, stored with both axes reversed: bin
-    # (b2, b3) of the box sits at last - (b2 * box3 + b3)
-    box2, box3 = min(edge2 + 2, _RATE_BINS), min(edge3 + 2, _RATE_BINS)
-    last = box2 * box3 - 1
-    cover = np.full(box2 * box3, -np.inf)
-    for flat, sum_caps in achievable:
-        bins2, bins3 = np.divmod(flat, _RATE_BINS)
-        # box3 <= _RATE_BINS, so each index stays in uint16; ufunc.at is far
-        # quicker on one flat index than on an index pair
-        np.maximum.at(cover, last - (bins2 * box3 + bins3), sum_caps)
+        # each point's sum cap r2 + q3 = rc + q2 + q3 at its bin pair; ufunc.at
+        # is far quicker on one flat index than on an index pair
+        np.maximum.at(cover, last - (bins(r2, box2 - 1) * box3 + bins(r3, box3 - 1)), r2 + q3)
     _suffix_max(cover.reshape(box2, box3))
 
     def demands(c2, c3, q2, q3):

@@ -177,6 +177,34 @@ def test_config_rejects_nonfinite_gains():
         single_relay_config(c32=float("inf"))
 
 
+def test_config_rejects_overflowing_ratios_to_noise():
+    # every engine works with P / N0 and |c|**2 / N0; finite powers and gains
+    # can still overflow them, which the config names by budget or link
+    with pytest.raises(ValueError, match=r"powers\.P1 / noise_psd must be finite"):
+        single_relay_config(noise_psd=1e-320)
+    with pytest.raises(ValueError, match=r"powers\.P2 / noise_psd"):
+        single_relay_config(p1=0.0, p2=1e10, noise_psd=1e-300)
+    with pytest.raises(ValueError, match=r"\|gains\.c21\|\*\*2 / noise_psd must be finite"):
+        diamond_config(c21=(1e200, 0.0))
+    with pytest.raises(ValueError, match=r"\|gains\.c21\|"):
+        single_relay_config(p1=0.0, p2=0.0, noise_psd=1e-310)
+    with pytest.raises(ValueError, match=r"\|gains\.c42\|"):
+        diamond_config(c42=1e160)
+    # squares that stay finite pass
+    assert single_relay_config(c32=1e150).gains["c32"][0] == 1e150
+
+
+def test_load_rejects_overflowing_ratios_to_noise():
+    doc = json.loads(SINGLE_RELAY_DOC)
+    doc["noise_psd"] = 1e-320
+    with pytest.raises(ValueError, match=r"powers\.P1 / noise_psd"):
+        load_config(json.dumps(doc))
+    doc = json.loads(SINGLE_RELAY_DOC)
+    doc["gains"]["c31"] = [[1e200, 0.0], [0.0, 0.0]]
+    with pytest.raises(ValueError, match=r"\|gains\.c31\|"):
+        load_config(json.dumps(doc))
+
+
 def test_scalar_gain_rejects_vector_links():
     cfg = single_relay_config()
     with pytest.raises(ValueError, match="not a scalar link"):

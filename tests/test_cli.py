@@ -182,6 +182,18 @@ def test_region_broadcast_gap_rejects_one_step(diamond_fading_config, capsys):
     assert "error:" in captured.err and "--steps" in captured.err
 
 
+def test_capacity_rejects_overflowing_power_to_noise(tmp_path, capsys):
+    # P1 / N0 overflows: a clean input error, not a ZeroDivisionError
+    doc = json.loads(single_relay_config(p1=1.0, p2=1.0, c32=1.0).to_json())
+    doc["noise_psd"] = 1e-320
+    path = tmp_path / "tiny_noise.json"
+    path.write_text(json.dumps(doc))
+    assert main(["capacity", "--config", str(path)]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: powers.P1 / noise_psd") and captured.err.count("\n") == 1
+
+
 def test_region_wrong_topology(sync_config, capsys):
     assert main(["region", "--config", sync_config, "--cut", "mac"]) == EXIT_BAD_INPUT
     assert "diamond" in capsys.readouterr().err

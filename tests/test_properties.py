@@ -22,6 +22,7 @@ from relaycap import (
     mac_region_point,
     optimize_capacity,
     optimize_covariance_bound,
+    phase_fading_capacity,
 )
 from relaycap._search import grid_refine
 from relaycap.channel import rounding_slack
@@ -170,6 +171,23 @@ def test_optimizers_ignore_joint_power_and_noise_scaling(cfg, k):
     # every rate depends on the powers only through P / N0
     for rate, scaled in zip(_rates(cfg), _rates(_scaled(cfg, 10.0 ** k))):
         assert abs(scaled - rate) <= rounding_slack(rate)
+
+
+def _dead_relay(cfg, csi):
+    gains = {**cfg.gains, "c32": np.zeros(1)}
+    return ChannelConfig(topology=cfg.topology, csi=csi, powers=cfg.powers, gains=gains, noise_psd=cfg.noise_psd)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(st.one_of(planar_channels(), complex_channels()))
+def test_a_dead_relay_leaves_the_direct_rate(cfg):
+    # with c32 = 0 nothing the relay decodes reaches the destination, so both
+    # optimizers and the phase-fading closed form give |c31|**2 P1 / N0
+    c31 = cfg.gains["c31"]
+    direct = float(np.vdot(c31, c31).real) * cfg.powers["P1"] / cfg.noise_psd
+    synchronous = _dead_relay(cfg, CsiMode.SYNCHRONOUS)
+    for rate in (*_rates(synchronous), phase_fading_capacity(_dead_relay(cfg, CsiMode.PHASE_FADING))):
+        assert abs(rate - direct) <= rounding_slack(direct)
 
 
 PHASES = st.floats(0.0, 2.0 * math.pi)

@@ -463,6 +463,8 @@ def _fading_diamonds(draw):
 # whose grid indices keep the budget
 @example(cfg=diamond_config(p1=0.0, p2=1.25, c21=(0.75 + 0.5j, -1.0), c31=(0.25, 1.0 - 0.5j)), steps=6)
 @example(cfg=diamond_config(p1=1.75, p2=0.0, c21=(1.0, 0.5j), c31=(-0.25 + 0.75j, 1.0)), steps=7)
+# an achievable r3 rounds one bin past bins(g3 . b), its closed-form maximum
+@example(cfg=diamond_config(p1=1.5, p2=3.0, c21=(1 - 0.5j, 0.25 + 0.5j), c31=(-0.25 - 0.25j, -0.25 - 0.5j)), steps=3)
 def test_broadcast_gap_matches_full_sweep(cfg, steps):
     expected = [float(x).hex() for x in _reference_gap(cfg, steps)]
     # one common-1 row per chunk, the default, and every row in one chunk
@@ -536,9 +538,9 @@ def test_broadcast_gap_evaluates_few_chunks():
 
 
 def test_broadcast_gap_memory_stays_small_at_steps_8():
-    # the cover grid spans only the occupied box of rate bins (about
-    # 0.2 MB here), not the full 256 x 256 grid and its two copies, for a
-    # traced peak of about 0.7 MB
+    # the cover grid spans only the box of rate bins that the closed-form
+    # rate maxima bound (about 0.2 MB here), not the full 256 x 256 grid and
+    # its two copies, for a traced peak of about 0.7 MB
     cfg = diamond_config()
     broadcast_region_gap(cfg, steps=8)  # warm-up
     tracemalloc.start()
@@ -568,8 +570,9 @@ def test_broadcast_gap_memory_stays_small():
 def test_broadcast_gap_memory_stays_small_at_steps_33():
     # at steps 33 nearly every chunk is one common-1 row of admitted cells
     # (94 chunks for 33 + 65 rows), at most 33 x 1089 cells: about 0.29 MB
-    # per array and a traced peak of 4.4 MB; all 65 outer rows of
-    # (2*33 - 1) x 33 x 33 cells at once would take 37 MB per array
+    # per array and a traced peak of 3.9 MB, as the achievable pass keeps
+    # no list of its points; all 65 outer rows of (2*33 - 1) x 33 x 33 cells
+    # at once would take 37 MB per array
     cfg = diamond_config()
     broadcast_region_gap(cfg, steps=33)  # warm-up
     tracemalloc.start()
@@ -578,7 +581,7 @@ def test_broadcast_gap_memory_stays_small_at_steps_33():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 14_500_000
+    assert peak < 5_500_000
 
 
 def test_broadcast_gap_validation():
