@@ -60,6 +60,15 @@ _POWER_KEYS: dict[Topology, tuple[str, ...]] = {
     Topology.TWO_RELAY_DIAMOND: ("P1", "P2", "P3"),
 }
 
+# The budget each link's gain is read with.  The source's links carry P1; the
+# diamond's phase-fading broadcast cut reads them per antenna, with P1 and P2.
+_LINK_BUDGETS: dict[Topology, tuple[tuple[str, str], ...]] = {
+    Topology.SINGLE_RELAY: (("c21", "P1"), ("c31", "P1"), ("c32", "P2")),
+    Topology.TWO_RELAY_DIAMOND: (
+        ("c21", "P1"), ("c21", "P2"), ("c31", "P1"), ("c31", "P2"), ("c42", "P2"), ("c43", "P3"),
+    ),
+}
+
 _TOP_LEVEL_KEYS = {"topology", "csi", "noise_psd", "powers", "gains"}
 
 
@@ -110,6 +119,7 @@ class ChannelConfig:
                 f"got {sorted(self.gains)}"
             )
         clean_gains = {}
+        ratios = {}
         for key, dim in want_gains.items():
             vec = np.asarray(self.gains[key], dtype=complex).reshape(-1)
             if vec.size != dim:
@@ -118,11 +128,29 @@ class ChannelConfig:
                 raise ValueError(f"gains.{key} contains non-finite values")
             # nor |c|**2 / N0, the link's gain over the noise
             gain = float(np.vdot(vec, vec).real)
-            if not math.isfinite(gain / self.noise_psd):
+            ratios[key] = gain / self.noise_psd
+            if not math.isfinite(ratios[key]):
                 raise ValueError(f"|gains.{key}|**2 / noise_psd must be finite, got {gain!r} / {self.noise_psd!r}")
             vec.setflags(write=False)
             clean_gains[key] = vec
         object.__setattr__(self, "gains", clean_gains)
+
+        # every rate and dual bound is a sum of link budgets |c|**2 P / N0, at
+        # most three times their total (a coherent (a + b)**2 is at most
+        # 2 a**2 + 2 b**2)
+        total = 0.0
+        for key, budget in _LINK_BUDGETS[self.topology]:
+            product = ratios[key] * clean_powers[budget]
+            if not math.isfinite(product):
+                raise ValueError(
+                    f"|gains.{key}|**2 * powers.{budget} / noise_psd must be finite, "
+                    f"got {ratios[key]!r} * {clean_powers[budget]!r}"
+                )
+            total += product
+        if not math.isfinite(3.0 * total):
+            raise ValueError(
+                f"the link budgets |c|**2 * P / noise_psd sum to {total!r}; three times it must be finite"
+            )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChannelConfig):

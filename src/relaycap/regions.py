@@ -12,20 +12,32 @@ cuts are:
   the cut-set outer bound (:func:`broadcast_outer_rates`) by a sweep over
   stream powers (:func:`broadcast_region_gap`).  Every rate here is linear
   in the six stream powers, one source antenna's share plus the other's;
-  the rate functions and the sweep take those shares from one function,
-  the rate functions on floats and the sweep on arrays.  The gains
-  ``|c21|**2 / N0`` and ``|c31|**2 / N0`` enter as floats worked out once
-  per config.
+  the rate functions and the sweep's achievable pass take those shares
+  from one function, the rate functions on floats and the sweep on arrays.
+  The outer pass sums the same gains times the powers aimed at each relay,
+  which may differ from :func:`broadcast_outer_rates` in the last bits.
+  The gains ``|c21|**2 / N0`` and ``|c31|**2 / N0`` enter as floats worked
+  out once per config.
   The sweep visits only the relay-3 private powers that spend the rest of
   each antenna's budget; for each (common, relay-2 private) cell they
-  dominate the rest of their slab, so the sweep costs O(steps**4) for the
-  answer of the full O(steps**6) grid.  Each antenna tabulates its share of
-  every rate once over the cells it admits, and the sweep adds the two
-  tables a chunk of whole common-1 rows at a time, so no rejected cell is
-  evaluated; the achievable lookup spans only the box of rate bins that
-  the closed-form rate maxima bound, allocated before the sweep and stored
-  with both axes reversed, so that its suffix maximum is two running maxima
-  in place;
+  dominate the rest of their slab.  The achievable pass thus costs about
+  steps**4 / 4 points: each antenna tabulates its share of every rate once
+  over the cells it admits, and the pass adds the two tables a chunk of
+  whole common-1 rows at a time, so no rejected cell is evaluated.  Its
+  lookup spans only the box of rate bins that the closed-form rate maxima
+  bound, allocated before the sweep and stored with both axes reversed, so
+  that its suffix maximum is two running maxima in place.  The outer pass
+  evaluates at most steps**2 demands.  A top cell is a pair of per-antenna
+  powers aimed at relay 2 and powers aimed at relay 3; r2 and one sum bound
+  depend on the first alone, r3 and the other on the second.  Every later
+  step, the clip into the valid cone and the binning, is a floating-point
+  min, max, add, subtract, divide or truncation, each monotone in every
+  argument, and the lookup into a suffix maximum never rises as its bins
+  grow; so the gap never falls when any of the four rises.  The largest gap
+  thus lies on the product of the two sides' Pareto fronts.  An antenna
+  trades one coordinate against the other only on the side of the relay
+  that hears it worse, and on the other side its shares rise together in
+  floating point too, so the two fronts hold at most steps**2 pairs;
 * the synchronous broadcast cut, where rank-one beamforming attains a
   simple triangular region when one relay's channel is degraded with
   respect to the other (:func:`beamforming_rates`), and the minimum total
@@ -308,7 +320,8 @@ class BroadcastGapReport:
     rates up to ``rate_resolution`` offers in sum rate.  ``rate_resolution``
     is the rate quantization implied by the power grid: the matching slack,
     and the natural yardstick for calling the gap zero.  ``worst_demand``
-    records the triple attaining the gap.
+    records the triple attaining the gap, the lexicographically largest
+    ``(r_sum, r2, r3)`` when several do.
     """
 
     max_gap: float
@@ -360,50 +373,95 @@ def _row_chunks(rows, width: int):
     yield start, stop
 
 
+def _aimed_rates(own, other, privates):
+    """One side of the outer pass: the rate of one relay and the sum bound,
+    at every pair of per-antenna grid powers aimed at that relay.
+
+    ``own`` and ``other`` hold each antenna's gain to this relay and to the
+    other one, ``privates`` each antenna's grid of ``steps`` powers from 0
+    to its budget ``b``.  Aiming grid power ``P[x]`` at this relay leaves
+    ``P[n - x]`` for the other relay's private stream, so the antenna adds
+    ``own * P[x]`` to the rate and ``own * P[x] + other * P[n - x]`` to the
+    sum bound.  The latter is written ``m * b + (own - m) * P[x] + (other -
+    m) * P[n - x]`` with ``m = min(own, other)``: one of the last two terms
+    is 0, so on an antenna where ``own >= other`` both shares are
+    nondecreasing in ``x`` in floating point too.
+
+    Returns both, flat over the ``steps**2`` pairs (antenna-1 index major).
+    """
+    rates, sums = [], []
+    for own_gain, other_gain, power in zip(own, other, privates):
+        low = min(own_gain, other_gain)
+        rates.append(own_gain * power)
+        sums.append(low * power[-1] + (own_gain - low) * power + (other_gain - low) * power[::-1])
+    return tuple((share1[:, None] + share2).ravel() for share1, share2 in (rates, sums))
+
+
+def _pareto_front(rates, sums):
+    """The points ``(rates, sums)`` that no other point matches or beats in
+    both coordinates, one of each set of equal points."""
+    order = np.lexsort((sums, rates))[::-1]  # rates falling, ties by sums falling
+    sorted_sums = sums[order]
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = sorted_sums[1:] > np.maximum.accumulate(sorted_sums)[:-1]
+    return rates[order[keep]], sums[order[keep]]
+
+
 def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapReport:
     """Sweep both bounds on power grids and measure the worst mismatch.
 
-    Both passes walk the same stream-power grid and take their rates from the
-    formulas of :func:`common_private_rates` and :func:`broadcast_outer_rates`.
-    The achievable pass bins the best sum rate by per-relay rates.  The outer
-    pass also lets the common powers go negative, which is where the outer
-    box can poke out of the superposition region; it turns every corner into
-    a demand triple (clipped into the valid cone) and matches it against the
-    best achievable sum rate among points whose per-relay rates cover the
+    Both passes walk the same stream-power grid.  The achievable pass takes
+    its rates from the formulas of :func:`common_private_rates` and bins the
+    best sum rate by per-relay rates.  The outer pass also lets the common
+    powers go negative, which is where the outer box can poke out of the
+    superposition region; it turns every corner into a demand triple
+    (clipped into the valid cone) and matches it against the best
+    achievable sum rate among points whose per-relay rates cover the
     demand up to the rate resolution.
 
-    Each pass visits, for every common pair and relay-2 private pair
-    (p12, p22), only the relay-3 private powers (p13, p23) that spend the
-    rest of each antenna's budget, the largest that antenna admits, so the
-    sweep costs O(steps**4) instead of O(steps**6) for the same floats.
-    Every grid power is a whole number of grid steps, so which cells an
-    antenna admits, and their top partners, is integer arithmetic on grid
-    indices (:func:`_antenna_cells`).  With the rest fixed, every rounding
-    step from (p13, p23) to a rate, a bin and a gap is monotone: r3 and the
-    sum cap never fall, r2's bin stays put, and the lookup into the suffix
-    maximum never rises.  So the top point dominates its (p13, p23) slab:
-    the dropped points change neither the suffix maximum nor the largest
-    gap.
+    Every grid power is a whole number of grid steps h = budget / n, n =
+    steps - 1.  An antenna's cell (common i h, privates p = j h, q = k h)
+    keeps its budget when i + j + k <= n, and a negative common power
+    cancels only its own private power: j, k >= -i.  Each pass visits, for
+    every (common, p) cell, only the top partner k = n - i - j, which
+    spends the rest of the budget.  With the rest fixed, every rounding step
+    from q to a rate, a bin and a gap is monotone: r3 and the sum cap never
+    fall, r2's bin stays put, and the lookup into the suffix maximum never
+    rises.  So the top point dominates its slab of partners.
 
-    Every rate term is one antenna's share plus the other's, so each antenna
-    tabulates its shares once over its admitted (common, p) cells, and a
-    cell's terms are one outer add of the two tables: no cell that either
-    antenna rejects is evaluated.  The antenna-1 table is taken in chunks of
-    whole common-1 rows.  Every achievable r2 = min(c2, c3) + q2 is at most
-    c2 + q2 <= g2 . b, attained with no common power and each budget on
-    relay 2's private stream, and likewise r3 with g3.  So the achievable
-    grid covers only the bins up to ``bins(g . b)``, one more for a rounding
-    overshoot and one empty row and column, into which every lookup is
-    clipped; it is allocated before the achievable pass, which scatters
-    each chunk straight into it.  It is stored with both axes reversed: the
-    suffix maximum is then two running maxima in place on a contiguous
-    array, and bin (b2, b3) sits at ``last - (b2 * box3 + b3)``.  The gains
-    are the config's floats, worked out once per config, as in the rate
-    functions.  ``worst_demand`` is the first maximizer in (common
-    pair, p12, p22, p13, p23) order: inside a chunk, the smallest (common
-    pair, p12, p22) among the cells tied at its maximum; across chunks, the
-    first chunk to reach the maximum; inside the winning slab, found by
-    re-evaluating its admitted (p13, p23) box in full.
+    The achievable pass: every rate term is one antenna's share plus the
+    other's, so each antenna tabulates its shares once over its admitted
+    (common, p) cells (:func:`_antenna_cells`), and a pair of cells' terms
+    are one outer add of the two tables, taken in chunks of whole common-1
+    rows; no cell that either antenna rejects is evaluated.  Every
+    achievable r2 = min(c2, c3) + q2 is at most c2 + q2 <= g2 . b, attained
+    with no common power and each budget on relay 2's private stream, and
+    likewise r3 with g3.  So the achievable grid covers only the bins up to
+    ``bins(g . b)``, one more for a rounding overshoot and one empty row and
+    column, into which every lookup is clipped; it is allocated before the
+    pass, which scatters each chunk straight into it.  It is stored with
+    both axes reversed: the suffix maximum is then two running maxima in
+    place on a contiguous array, and bin (b2, b3) sits at ``last - (b2 *
+    box3 + b3)``.  The gains are the config's floats, worked out once per
+    config, as in the rate functions.
+
+    The outer pass: a top cell is fixed by the powers aimed at each relay,
+    x = i + j steps at relay 2 and y = n - j at relay 3, and the pairs (x,
+    y) fill [0, n] on each antenna, so the outer cells are the pairs of an
+    x side and a y side (:func:`_aimed_rates`).  Its rates are those of
+    :func:`broadcast_outer_rates`, summed over the powers aimed at each
+    relay rather than stream by stream, so they may differ in the last
+    bits.  r2 and the first sum bound c2 + q2 + q3 depend on x alone, r3 and
+    the second on y alone, and the
+    gap never falls when any of the four rises, so its maximum lies on the
+    product of the two sides' Pareto fronts (:func:`_pareto_front`).  An
+    antenna with g2 >= g3 raises both of the x side's coordinates as x
+    grows, so it adds no trade-off there, and likewise on the y side with
+    g3 >= g2; so at most one antenna trades on each side, or both on one,
+    and the product has at most ``steps**2`` demands.  ``worst_demand`` is
+    the lexicographically largest (r_sum, r2, r3) among the demands that
+    attain ``max_gap``: every coordinate of the clipped triple is monotone
+    in the four side coordinates too, so the pruning cannot hide it.
     """
     require_network(cfg, "broadcast_region_gap", Topology.TWO_RELAY_DIAMOND, CsiMode.PHASE_FADING)
     try:
@@ -426,14 +484,7 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
         # truncation floors every rate that does not clip to bin 0
         return np.minimum(np.maximum((rates / delta).astype(int), 0), edge)
 
-    private1, private2 = np.linspace(0.0, b1, steps), np.linspace(0.0, b2, steps)
-
-    def tables(common1, common2):
-        return (
-            _antenna_cells(common1, private1, g2[0], g3[0]),
-            _antenna_cells(common2, private2, g2[1], g3[1]),
-        )
-
+    privates = np.linspace(0.0, b1, steps), np.linspace(0.0, b2, steps)
     # the box: every bin up to bins(g . b), one past it for a rounding
     # overshoot and one empty row and column, which every lookup beyond the
     # box is clipped onto, stored with both axes reversed: bin (b2, b3) of
@@ -442,8 +493,10 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
     last = box2 * box3 - 1
     cover = np.full(box2 * box3, -np.inf)
     # the achievable pass's common powers are the private grid itself
-    (rows1, _, shares1), (rows2, _, shares2) = tables(private1, private2)
-    for start, stop in _row_chunks(rows1, len(rows2)):
+    (rows1, _, shares1), (_, _, shares2) = (
+        _antenna_cells(power, power, gain2, gain3) for power, gain2, gain3 in zip(privates, g2, g3)
+    )
+    for start, stop in _row_chunks(rows1, shares2.shape[1]):
         # every pair of an antenna-1 and an antenna-2 cell: the sums that
         # _stream_rates forms, antenna 1's share first
         c2, c3, q2, q3 = shares1[:, start:stop, None] + shares2[:, None, :]
@@ -454,52 +507,28 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
         np.maximum.at(cover, last - (bins(r2, box2 - 1) * box3 + bins(r3, box3 - 1)), r2 + q3)
     _suffix_max(cover.reshape(box2, box3))
 
-    def demands(c2, c3, q2, q3):
-        r2, r3 = c2 + q2, c3 + q3
-        # clip each corner into the valid cone of rate triples
-        r_sum = np.maximum(np.minimum(c2, c3) + q2 + q3, 0.0)
-        r2 = np.minimum(np.maximum(r2, 0.0), r_sum)
-        r3 = np.minimum(np.maximum(r3, 0.0), r_sum)
-        r_sum = np.minimum(r_sum, r2 + r3)
-        # floor, not ceil: the bin holding a point with r >= demand - slack
-        # must stay inside the lookup, so matching is lenient by < one bin
-        lookup = bins(r2 - resolution, box2 - 1) * box3 + bins(r3 - resolution, box3 - 1)
-        return r2, r3, r_sum, r_sum - cover.take(last - lookup)
-
-    max_gap = -math.inf
-    winner = None
-    common1, common2 = np.linspace(-b1, b1, 2 * steps - 1), np.linspace(-b2, b2, 2 * steps - 1)
-    (rows1, cols1, shares1), (rows2, cols2, shares2) = tables(common1, common2)
-    for start, stop in _row_chunks(rows1, len(rows2)):
-        gaps = demands(*(shares1[:, start:stop, None] + shares2[:, None, :]))[3]
-        top = gaps.max()
-        if top > max_gap:
-            max_gap = float(top)
-            cell1, cell2 = np.divmod(np.flatnonzero(gaps == top), len(rows2))
-            cell1 += start
-            # the first tied cell in (common1, common2, p12, p22) order
-            order = (rows1[cell1], rows2[cell2], cols1[cell1], cols2[cell2])
-            k = np.argmin(np.ravel_multi_index(order, (len(common1), len(common2), steps, steps)))
-            winner = tuple(index[k] for index in order)
-
-    worst = (0.0, 0.0, 0.0)
-    if winner is not None:
-        i, j, k12, k22 = winner
-        # an outer common row r lies r - n grid steps from 0, so the slab
-        # admits relay-3 indices from max(0, n - r) up to the top partner
-        n = steps - 1
-        p13 = private1[max(0, n - i) : 2 * n + 1 - i - k12, None]
-        p23 = private2[max(0, n - j) : 2 * n + 1 - j - k22]
-        c2, c3, _, q2, q3 = _stream_rates(g2, g3, common1[i], common2[j], private1[k12], private2[k22], p13, p23)
-        r2, r3, r_sum, gaps = demands(c2, c3, q2, q3)
-        k = np.unravel_index(np.argmax(gaps), gaps.shape)
-        worst = (float(r2[k]), float(r3[k]), float(r_sum[k]))
-
+    # the outer pass: every pair of an x-side and a y-side front point
+    sides = (g2, g3), (g3, g2)
+    (r2, sum2), (r3, sum3) = (_pareto_front(*_aimed_rates(own, other, privates)) for own, other in sides)
+    # clip each corner into the valid cone of rate triples
+    r_sum = np.maximum(np.minimum(sum2[:, None], sum3), 0.0)
+    r2 = np.minimum(np.maximum(r2[:, None], 0.0), r_sum)
+    r3 = np.minimum(np.maximum(r3, 0.0), r_sum)
+    r_sum = np.minimum(r_sum, r2 + r3)
+    # floor, not ceil: the bin holding a point with r >= demand - slack must
+    # stay inside the lookup, so matching is lenient by < one bin
+    lookup = bins(r2 - resolution, box2 - 1) * box3 + bins(r3 - resolution, box3 - 1)
+    gaps = r_sum - cover.take(last - lookup)
+    max_gap = gaps.max()
+    # the lexicographically largest (r_sum, r2, r3) among the demands at it
+    tied = gaps == max_gap
+    r2, r3, r_sum = r2[tied], r3[tied], r_sum[tied]
+    k = np.lexsort((r3, r2, r_sum))[-1]
     return BroadcastGapReport(
-        max_gap=max_gap,
+        max_gap=float(max_gap),
         rate_resolution=resolution,
         steps=steps,
-        worst_demand=RatePoint(*worst),
+        worst_demand=RatePoint(float(r2[k]), float(r3[k]), float(r_sum[k])),
     )
 
 

@@ -205,6 +205,39 @@ def test_load_rejects_overflowing_ratios_to_noise():
         load_config(json.dumps(doc))
 
 
+def test_config_rejects_overflowing_link_budgets():
+    # every ratio to N0 is finite, but a rate |c|**2 P / N0 is not, which
+    # optimize_capacity met as an OverflowError and optimize_covariance_bound
+    # and broadcast_region_gap as overflow warnings; the config names the
+    # link and the budget
+    with pytest.raises(ValueError, match=r"\|gains\.c21\|\*\*2 \* powers\.P1 / noise_psd must be finite"):
+        single_relay_config(p1=1e200, p2=1e200, scale21=1e100, scale31=1e100, c32=1e100)
+    with pytest.raises(ValueError, match=r"\|gains\.c32\|\*\*2 \* powers\.P2"):
+        single_relay_config(p2=1e200, c32=1e100)
+    with pytest.raises(ValueError, match=r"\|gains\.c21\|\*\*2 \* powers\.P1"):
+        diamond_config(p1=1e200, p2=1e200, c21=(1e100, 0.0), c31=(0.0, 1e100))
+    # the broadcast cut reads the source links per antenna, with P2 as well
+    with pytest.raises(ValueError, match=r"\|gains\.c31\|\*\*2 \* powers\.P2"):
+        diamond_config(p1=1.0, p2=1e200, c31=(0.0, 1e100))
+    with pytest.raises(ValueError, match=r"\|gains\.c43\|\*\*2 \* powers\.P3"):
+        diamond_config(p3=1e200, c43=1e100)
+    # finite budgets whose sum overflows, or three times it: a coherent
+    # (a + b)**2 reaches 2 a**2 + 2 b**2
+    with pytest.raises(ValueError, match="link budgets"):
+        single_relay_config(p1=1e300, p2=1e300, scale21=1e4, scale31=1e4, c32=1e4)
+    with pytest.raises(ValueError, match="three times"):
+        single_relay_config(p1=1e300, scale21=1e4, scale31=0.0, c32=0.0)
+    assert single_relay_config(p1=1e100, scale21=1e100, scale31=0.0, c32=0.0).powers["P1"] == 1e100
+
+
+def test_load_rejects_overflowing_link_budgets():
+    doc = json.loads(SINGLE_RELAY_DOC)
+    doc["powers"]["P1"] = 1e200
+    doc["gains"]["c31"] = [[1e100, 0.0], [0.0, 0.0]]
+    with pytest.raises(ValueError, match=r"\|gains\.c31\|\*\*2 \* powers\.P1"):
+        load_config(json.dumps(doc))
+
+
 def test_scalar_gain_rejects_vector_links():
     cfg = single_relay_config()
     with pytest.raises(ValueError, match="not a scalar link"):

@@ -194,6 +194,24 @@ def test_capacity_rejects_overflowing_power_to_noise(tmp_path, capsys):
     assert captured.err.startswith("error: powers.P1 / noise_psd") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, cfg", [
+    (["capacity"], single_relay_config(p1=1.0, p2=1.0, scale21=1.0, scale31=1.0, c32=1.0)),
+    (["region", "--cut", "broadcast", "--gap"], diamond_config()),
+])
+def test_cli_rejects_overflowing_link_budgets(tmp_path, capsys, command, cfg):
+    # every ratio to N0 is finite, but |c|**2 P / N0 is not: a clean input
+    # error, not an OverflowError traceback
+    doc = json.loads(cfg.to_json())
+    doc["powers"]["P1"] = doc["powers"]["P2"] = 1e200
+    doc["gains"]["c21"] = [[1e100, 0.0], [0.0, 0.0]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main([*command, "--config", str(path)]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: |gains.c21|**2 * powers.P1 / noise_psd") and captured.err.count("\n") == 1
+
+
 def test_region_wrong_topology(sync_config, capsys):
     assert main(["region", "--config", sync_config, "--cut", "mac"]) == EXIT_BAD_INPUT
     assert "diamond" in capsys.readouterr().err

@@ -15,6 +15,7 @@ from relaycap import (
     FiniteJoint,
     Topology,
     broadcast_outer_rates,
+    broadcast_region_gap,
     capacity,
     check_conditional_limits,
     check_limit_phase_fading,
@@ -272,6 +273,38 @@ def test_diamond_rates_swap_with_the_relays(case):
         assert abs(swapped.r32_max - base.r23_max) <= slack, csi
         assert abs(swapped.r23_max - base.r32_max) <= slack, csi
         assert abs(swapped.r_sum_max - base.r_sum_max) <= slack, csi
+
+
+@st.composite
+def gap_swap_cases(draw):
+    """Phase-fading diamond gains with entries from ``UNIT``, each antenna
+    at its own scale, budgets on a grid of quarters at a shared scale, and
+    a power-grid size."""
+    def gain():
+        return [complex(draw(UNIT), draw(UNIT)) * draw(SCALES) for _ in range(2)]
+
+    budget = st.integers(0, 12).map(lambda k: k / 4.0)
+    scale = draw(SCALES)
+    powers = {"P1": draw(budget) * scale, "P2": draw(budget) * scale, "P3": 1.0}
+    gains = {"c21": gain(), "c31": gain(), "c42": [1.0], "c43": [1.0]}
+    return gains, powers, draw(SCALES), draw(st.integers(2, 11))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(gap_swap_cases())
+def test_broadcast_gap_keeps_its_value_when_the_relays_swap(case):
+    # swapping c21 and c31 relabels relays 2 and 3 on the broadcast cut; the
+    # largest gap, the resolution and the worst demand's sum rate stay
+    gains, powers, noise_psd, steps = case
+    swapped_gains = dict(gains, c21=gains["c31"], c31=gains["c21"])
+    base, swapped = (
+        broadcast_region_gap(_diamond(g, powers, noise_psd, CsiMode.PHASE_FADING), steps)
+        for g in (gains, swapped_gains)
+    )
+    for report in (base, swapped):
+        assert report.steps == steps
+    got, want = ([r.max_gap.hex(), r.rate_resolution.hex(), r.worst_demand.r_sum.hex()] for r in (swapped, base))
+    assert got == want
 
 
 FADING_BANDWIDTHS = np.logspace(-3, 8, 12)

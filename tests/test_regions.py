@@ -30,6 +30,7 @@ from relaycap.regions import (
     _CHUNK_CELLS,
     _RATE_BINS,
     _antenna_cells,
+    _pareto_front,
     _row_chunks,
     _stream_rates,
     _suffix_max,
@@ -290,7 +291,7 @@ _GAP_PINNED = [
     ("crossed", 4, 0.0, 1.04, (1.5, 1.62, 3.12)),
     ("crossed", 8, 0.0, 0.44571428571428573, (1.5, 1.62, 3.12)),
     ("noisy", 4, 0.0, 0.8666159873333333, (1.3060712500000002, 1.293776712, 2.599847962)),
-    ("noisy", 8, 0.0, 0.3714068517142858, (1.3060712500000005, 1.293776712, 2.599847962)),
+    ("noisy", 8, 0.0, 0.3714068517142858, (1.3060712500000002, 1.293776712, 2.599847962)),
     ("dominated", 12, 0.0, 0.23454545454545456, (0.0, 2.58, 2.58)),
     ("crossed", 12, 0.0, 0.28363636363636363, (1.5, 1.62, 3.12)),
     ("noisy", 12, 0.0, 0.23634981472727273, (1.3060712500000002, 1.293776712, 2.599847962)),
@@ -384,9 +385,11 @@ def test_top_partners_match_pointwise_rule(steps, outer):
         assert got == want, budget
 
 
-def _reference_gap(cfg, steps):
-    """The sweep over every admitted point of the power grid, O(steps**6):
-    (max_gap, rate_resolution, worst r2, r3, r_sum)."""
+def _reference_cover(cfg, steps):
+    """The achievable pass over every admitted point of the power grid:
+    ``(bins, resolution, cover)``, with ``cover[b2, b3]`` the best sum rate
+    among points in rate bins at or beyond ``(b2, b3)``; None when every
+    gain or budget is zero."""
     g2, g3 = (np.abs(cfg.gain(key)) ** 2 / cfg.noise_psd for key in ("c21", "c31"))
     gmax = np.maximum(g2, g3)
     b1 = cfg.powers["P1"]
@@ -394,7 +397,7 @@ def _reference_gap(cfg, steps):
     resolution = (b1 / (steps - 1)) * gmax[0] + (b2 / (steps - 1)) * gmax[1]
     axis_max = gmax[0] * b1 + gmax[1] * b2
     if axis_max <= 0.0:
-        return 0.0, 0.0, 0.0, 0.0, 0.0
+        return None
     delta = axis_max / (_RATE_BINS - 1)
 
     def bins(rates):
@@ -405,21 +408,79 @@ def _reference_gap(cfg, steps):
     for _, _, rc, q2, q3 in _pointwise_masked_rates(g2, g3, b1, b2, steps, *commons):
         np.maximum.at(achievable, (bins(rc + q2), bins(rc + q3)), rc + q2 + q3)
     cover = np.maximum.accumulate(np.maximum.accumulate(achievable[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
+    return bins, resolution, cover
 
-    max_gap = -math.inf
-    worst = (0.0, 0.0, 0.0)
+
+def _clipped_gaps(bins, resolution, cover, r2, r3, sum2, sum3):
+    """Each outer corner clipped into the valid cone of rate triples, and its
+    gap: ``(r2, r3, r_sum, gap)``."""
+    r_sum = np.maximum(np.minimum(sum2, sum3), 0.0)
+    r2 = np.minimum(np.maximum(r2, 0.0), r_sum)
+    r3 = np.minimum(np.maximum(r3, 0.0), r_sum)
+    r_sum = np.minimum(r_sum, r2 + r3)
+    return r2, r3, r_sum, r_sum - cover[bins(r2 - resolution), bins(r3 - resolution)]
+
+
+def _index_cells(steps):
+    """Every cell (i, j, k) one antenna admits on the outer grid, common i h,
+    privates j h and k h: i + j + k <= n, and j, k >= max(0, -i)."""
+    n = steps - 1
+    i, j, k = (arr.ravel() for arr in np.meshgrid(np.arange(-n, n + 1), np.arange(steps), np.arange(steps),
+                                                  indexing="ij"))
+    keep = (i + j + k <= n) & (j >= -i) & (k >= -i)
+    return i[keep], j[keep], k[keep]
+
+
+def _reference_gap(cfg, steps):
+    """The sweep over every admitted point of the power grid, O(steps**6):
+    (max_gap, rate_resolution, worst r2, r3, r_sum).
+
+    The outer demands are in index form: per antenna, with x = i + j steps
+    aimed at relay 2, y = i + k at relay 3, t = i + j + k spent and m the
+    smaller gain, r2 = g2 P[x], r3 = g3 P[y] and the two sum bounds
+    m P[t] + (g2 - m) P[x] + (g3 - m) P[k] and m P[t] + (g3 - m) P[y] +
+    (g2 - m) P[j], which at the top partner k = n - i - j are the sweep's.
+    Among the demands at the largest gap, the worst is the lexicographically
+    largest (r_sum, r2, r3)."""
+    reference = _reference_cover(cfg, steps)
+    if reference is None:
+        return 0.0, 0.0, 0.0, 0.0, 0.0
+    g2, g3 = (np.abs(cfg.gain(key)) ** 2 / cfg.noise_psd for key in ("c21", "c31"))
+    i, j, k = _index_cells(steps)
+    x, y, t = i + j, i + k, i + j + k
+    shares = []
+    for a, budget in enumerate((cfg.powers["P1"], cfg.powers["P2"])):
+        power = np.linspace(0.0, budget, steps)
+        low = min(g2[a], g3[a])
+        shares.append((
+            g2[a] * power[x],
+            g3[a] * power[y],
+            low * power[t] + (g2[a] - low) * power[x] + (g3[a] - low) * power[k],
+            low * power[t] + (g3[a] - low) * power[y] + (g2[a] - low) * power[j],
+        ))
+    # every pair of an antenna-1 and an antenna-2 cell, antenna 1's share first
+    r2, r3, sum2, sum3 = (share1[:, None] + share2 for share1, share2 in zip(*shares))
+    r2, r3, r_sum, gaps = (arr.ravel() for arr in _clipped_gaps(*reference, r2, r3, sum2, sum3))
+    max_gap = gaps.max()
+    tied = gaps == max_gap
+    w = np.lexsort((r3[tied], r2[tied], r_sum[tied]))[-1]
+    return (float(max_gap), reference[1], float(r2[tied][w]), float(r3[tied][w]), float(r_sum[tied][w]))
+
+
+def _stream_sum_gap(cfg, steps):
+    """The largest gap of the outer demands formed as :func:`_stream_rates`
+    sums, over every admitted point of the power grid, O(steps**6)."""
+    reference = _reference_cover(cfg, steps)
+    if reference is None:
+        return 0.0
+    g2, g3 = (np.abs(cfg.gain(key)) ** 2 / cfg.noise_psd for key in ("c21", "c31"))
+    b1 = cfg.powers["P1"]
+    b2 = cfg.powers["P2"]
     commons = np.linspace(-b1, b1, 2 * steps - 1), np.linspace(-b2, b2, 2 * steps - 1)
-    for c2, c3, rc, q2, q3 in _pointwise_masked_rates(g2, g3, b1, b2, steps, *commons):
-        r_sum = np.maximum(rc + q2 + q3, 0.0)
-        r2 = np.minimum(np.maximum(c2 + q2, 0.0), r_sum)
-        r3 = np.minimum(np.maximum(c3 + q3, 0.0), r_sum)
-        r_sum = np.minimum(r_sum, r2 + r3)
-        gaps = r_sum - cover[bins(r2 - resolution), bins(r3 - resolution)]
-        k = int(np.argmax(gaps))
-        if gaps[k] > max_gap:
-            max_gap = float(gaps[k])
-            worst = (float(r2[k]), float(r3[k]), float(r_sum[k]))
-    return (max_gap, resolution, *worst)
+    return max(
+        float(_clipped_gaps(*reference, c2 + q2, c3 + q3, rc + q2 + q3, rc + q2 + q3)[3].max())
+        for c2, c3, rc, q2, q3 in _pointwise_masked_rates(g2, g3, b1, b2, steps, *commons)
+    )
 
 
 # gain entries on a grid of quarters, so exact zeros (a rate flat in one
@@ -447,16 +508,16 @@ def _fading_diamonds(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
 @given(cfg=_fading_diamonds(), steps=st.integers(2, 7))
-# the first maximizer of the winning slab is not its top point
+# demands tie at the largest gap, and in grid order the first of them is
+# not at its slab's top partner
 @example(cfg=diamond_config(p1=1.75, p2=0.75, c21=(5e-3, 7.5e5), c31=(-2.5e-9, -0.1)), steps=5)
 @example(cfg=diamond_config(p1=0.5, p2=0.75, c21=(-7.5e6, -7.5e-9), c31=(-1e3, -7.5e-2)), steps=5)
 @example(cfg=diamond_config(p1=2.0, p2=0.25, c21=(1e7, 0.75), c31=(0.25, 5e-5)), steps=7)
-# a later common row ties the largest gap
+# demands in several common rows tie at the largest gap
 @example(
     cfg=diamond_config(p1=1.5, p2=2.0, c21=(5e5 - 1e6j, -7.5e5), c31=(-1e6 + 5e5j, 5e5 + 7.5e5j)), steps=7
 )
-# the first tied cell of the winning common-1 row is not the one with the
-# smallest p12, so a chunk that ends inside the row picks the wrong one
+# demands with several relay-2 private powers tie at the largest gap
 @example(cfg=diamond_config(p1=1.0, p2=2.0, c21=(1 - 1j, -0.5 + 1j), c31=(1 + 1j, -0.5 + 1j)), steps=5)
 # one zero budget: every power of that antenna's grid is 0, so the float
 # rule of the reference admits all of its cells and the sweep only those
@@ -467,13 +528,55 @@ def _fading_diamonds(draw):
 @example(cfg=diamond_config(p1=1.5, p2=3.0, c21=(1 - 0.5j, 0.25 + 0.5j), c31=(-0.25 - 0.25j, -0.25 - 0.5j)), steps=3)
 def test_broadcast_gap_matches_full_sweep(cfg, steps):
     expected = [float(x).hex() for x in _reference_gap(cfg, steps)]
-    # one common-1 row per chunk, the default, and every row in one chunk
+    # the achievable pass in one common-1 row per chunk, the default, and in
+    # one chunk
     for chunk_cells in (1, _CHUNK_CELLS, 2 ** 30):
         with mock.patch.object(regions, "_CHUNK_CELLS", chunk_cells):
             report = broadcast_region_gap(cfg, steps=steps)
         demand = report.worst_demand
         got = (report.max_gap, report.rate_resolution, demand.r2, demand.r3, demand.r_sum)
         assert [float(x).hex() for x in got] == expected, chunk_cells
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(cfg=_fading_diamonds(), steps=st.integers(2, 7))
+def test_broadcast_gap_near_stream_sum_sweep(cfg, steps):
+    # the outer demands formed stream by stream, as broadcast_outer_rates
+    # forms them, round differently from the sweep's per-relay sums, by a
+    # few units in the last place of the largest rate g . b ~ n * resolution
+    report = broadcast_region_gap(cfg, steps=steps)
+    tolerance = 8 * np.finfo(float).eps * (steps - 1) * report.rate_resolution
+    assert abs(report.max_gap - _stream_sum_gap(cfg, steps)) <= tolerance
+
+
+def _front_sizes(cfg, steps):
+    """The sizes of the two Pareto fronts the sweep's outer pass pairs up."""
+    sizes = []
+
+    def spy(rates, sums):
+        front = _pareto_front(rates, sums)
+        sizes.append(len(front[0]))
+        return front
+
+    with mock.patch.object(regions, "_pareto_front", spy):
+        broadcast_region_gap(cfg, steps=steps)
+    return sizes
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(cfg=_fading_diamonds(), steps=st.integers(2, 33))
+def test_broadcast_gap_evaluates_at_most_steps_squared_demands(cfg, steps):
+    sizes = _front_sizes(cfg, steps)
+    # a zero-power config returns before the outer pass
+    assert sizes == [] or (len(sizes) == 2 and sizes[0] * sizes[1] <= steps ** 2)
+
+
+def test_broadcast_gap_full_front_witness():
+    # relay 3 hears both antennas better, so every power aimed at relay 2
+    # trades r2 against the sum bound: all 33**2 pairs are on the relay-2
+    # front, and relay 3's front is its full-power corner
+    cfg = diamond_config(p1=1.0, p2=math.sqrt(2.0), c21=(1.0, 1.0), c31=(2.0, 2.0))
+    assert _front_sizes(cfg, 33) == [33 ** 2, 1]
 
 
 @st.composite
@@ -522,8 +625,8 @@ def test_rate_functions_share_the_sweeps_arithmetic(case):
 
 
 def test_broadcast_gap_evaluates_few_chunks():
-    # at steps 16 the achievable pass takes 6 chunks and the outer pass 21;
-    # one common-1 row per chunk would take 16 + 31
+    # only the achievable pass is chunked: 6 chunks at steps 16, where one
+    # common-1 row per chunk would take 16
     cells = []
 
     def counted(rows, width):
@@ -533,14 +636,15 @@ def test_broadcast_gap_evaluates_few_chunks():
 
     with mock.patch.object(regions, "_row_chunks", counted):
         broadcast_region_gap(diamond_config(), steps=16)
-    assert len(cells) <= 27
+    assert len(cells) <= 6
     assert max(cells) <= _CHUNK_CELLS
 
 
 def test_broadcast_gap_memory_stays_small_at_steps_8():
     # the cover grid spans only the box of rate bins that the closed-form
     # rate maxima bound (about 0.2 MB here), not the full 256 x 256 grid and
-    # its two copies, for a traced peak of about 0.7 MB
+    # its two copies, and the outer pass holds at most 8**2 demands, for a
+    # traced peak of about 0.34 MB
     cfg = diamond_config()
     broadcast_region_gap(cfg, steps=8)  # warm-up
     tracemalloc.start()
@@ -549,13 +653,14 @@ def test_broadcast_gap_memory_stays_small_at_steps_8():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000
+    assert peak < 500_000
 
 
 def test_broadcast_gap_memory_stays_small():
-    # the sweep holds a chunk of at most _CHUNK_CELLS cells at a time, not
-    # the steps^4 grid (0.5 MB per array at steps 16), for a traced peak of
-    # 1.2 MB; a per-point mask over that grid would need about 8 MB
+    # the achievable pass holds a chunk of at most _CHUNK_CELLS cells at a
+    # time, not the steps^4 grid (0.5 MB per array at steps 16), for a
+    # traced peak of 0.72 MB; a per-point mask over that grid would need
+    # about 8 MB
     cfg = diamond_config()
     broadcast_region_gap(cfg, steps=16)  # warm-up
     tracemalloc.start()
@@ -568,11 +673,11 @@ def test_broadcast_gap_memory_stays_small():
 
 
 def test_broadcast_gap_memory_stays_small_at_steps_33():
-    # at steps 33 nearly every chunk is one common-1 row of admitted cells
-    # (94 chunks for 33 + 65 rows), at most 33 x 1089 cells: about 0.29 MB
-    # per array and a traced peak of 3.9 MB, as the achievable pass keeps
-    # no list of its points; all 65 outer rows of (2*33 - 1) x 33 x 33 cells
-    # at once would take 37 MB per array
+    # at steps 33 nearly every achievable chunk is one common-1 row of admitted
+    # cells, at most 33 x 561: about 0.15 MB per array, and the outer pass
+    # holds at most 33**2 demands, for a traced peak of 2.0 MB; the outer
+    # rows of (2*33 - 1) x 33 x 33 cells evaluated one by one took 3.9 MB,
+    # and all at once would take 37 MB per array
     cfg = diamond_config()
     broadcast_region_gap(cfg, steps=33)  # warm-up
     tracemalloc.start()
@@ -581,7 +686,7 @@ def test_broadcast_gap_memory_stays_small_at_steps_33():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5_500_000
+    assert peak < 2_500_000
 
 
 def test_broadcast_gap_validation():
