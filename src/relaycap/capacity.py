@@ -342,7 +342,8 @@ def covariance_bounds(cfg: ChannelConfig, params: MatrixBoundParams) -> tuple[fl
 
     relay_decode = form(b, c31) + form(a, c21)
     coherent_cov = beta ** 2 * p1 * np.outer(u, u.conj())
-    cross = 2.0 * (beta * c32 * np.vdot(c31, u)).real * math.sqrt(p1 * p2)
+    # one root per link budget, which the config keeps finite; p1 * p2 may not be
+    cross = 2.0 * (beta * (c32 * math.sqrt(p2)) * (np.vdot(c31, u) * math.sqrt(p1))).real
     mac_combine = form(a + b + coherent_cov, c31) + abs(c32) ** 2 * p2 + cross
     return relay_decode, mac_combine
 
@@ -429,7 +430,8 @@ def optimize_covariance_bound(cfg: ChannelConfig) -> CapacityResult:
     c32 = cfg.scalar_gain("c32")
     e1, e2 = _plane_basis(c21, c31)
     relay_gain = m32 ** 2 * p2
-    coherent_amp = 2.0 * m32 * math.sqrt(p1 * p2 * g31)
+    # one root per link budget, which the config keeps finite; p1 * p2 may not be
+    coherent_amp = 2.0 * (math.sqrt(p1 * g31) * (m32 * math.sqrt(p2)))
 
     def best_over_share(k_rd: np.ndarray, k_rd_dest: np.ndarray):
         """Exact max over s and the trace split per pair of relay-block gains; returns (value, s, trace_a).

@@ -24,20 +24,22 @@ cuts are:
   steps**4 / 4 points: each antenna tabulates its share of every rate once
   over the cells it admits, and the pass adds the two tables a chunk of
   whole common-1 rows at a time, so no rejected cell is evaluated.  Its
-  lookup spans only the box of rate bins that the closed-form rate maxima
-  bound, allocated before the sweep and stored with both axes reversed, so
-  that its suffix maximum is two running maxima in place.  The outer pass
-  evaluates at most steps**2 demands.  A top cell is a pair of per-antenna
-  powers aimed at relay 2 and powers aimed at relay 3; r2 and one sum bound
-  depend on the first alone, r3 and the other on the second.  Every later
-  step, the clip into the valid cone and the binning, is a floating-point
-  min, max, add, subtract, divide or truncation, each monotone in every
-  argument, and the lookup into a suffix maximum never rises as its bins
-  grow; so the gap never falls when any of the four rises.  The largest gap
-  thus lies on the product of the two sides' Pareto fronts.  An antenna
-  trades one coordinate against the other only on the side of the relay
-  that hears it worse, and on the other side its shares rise together in
-  floating point too, so the two fronts hold at most steps**2 pairs;
+  lookup grid has one row per distinct rate bin that the demands ask of
+  relay 2, and one column per bin asked of relay 3, plus one for points
+  that reach no demanded bin, stored with both axes reversed, so that its
+  suffix maximum is two running maxima in place.  The outer pass runs
+  first and evaluates at most steps**2 demands.  A top cell is a pair of
+  per-antenna powers aimed at relay 2 and powers aimed at relay 3; r2 and
+  one sum bound depend on the first alone, r3 and the other on the
+  second.  Every later step, the clip into the valid cone and the binning,
+  is a floating-point min, max, add, subtract, divide or truncation, each
+  monotone in every argument, and the lookup into a suffix maximum never
+  rises as its bins grow; so the gap never falls when any of the four
+  rises.  The largest gap thus lies on the product of the two sides'
+  Pareto fronts.  An antenna trades one coordinate against the other only
+  on the side of the relay that hears it worse, and on the other side its
+  shares rise together in floating point too, so the two fronts hold at
+  most steps**2 pairs;
 * the synchronous broadcast cut, where rank-one beamforming attains a
   simple triangular region when one relay's channel is degraded with
   respect to the other (:func:`beamforming_rates`), and the minimum total
@@ -122,7 +124,8 @@ def mac_region_point(cfg: ChannelConfig, rho: float = 0.0) -> MacRegionPoint:
     return MacRegionPoint(
         r23_max=m42 ** 2 * p2 * off,
         r32_max=m43 ** 2 * p3 * off,
-        r_sum_max=m42 ** 2 * p2 + m43 ** 2 * p3 + 2.0 * rho * m42 * m43 * math.sqrt(p2 * p3),
+        # one root per link budget, which the config keeps finite; p2 * p3 may not be
+        r_sum_max=m42 ** 2 * p2 + m43 ** 2 * p3 + 2.0 * rho * (m42 * math.sqrt(p2)) * (m43 * math.sqrt(p3)),
         rho=rho,
     )
 
@@ -429,39 +432,42 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
     fall, r2's bin stays put, and the lookup into the suffix maximum never
     rises.  So the top point dominates its slab of partners.
 
+    The outer pass runs first: a top cell is fixed by the powers aimed at
+    each relay, x = i + j steps at relay 2 and y = n - j at relay 3, and the
+    pairs (x, y) fill [0, n] on each antenna, so the outer cells are the
+    pairs of an x side and a y side (:func:`_aimed_rates`).  Its rates are
+    those of :func:`broadcast_outer_rates`, summed over the powers aimed at
+    each relay rather than stream by stream, so they may differ in the last
+    bits.  r2 and the first sum bound c2 + q2 + q3 depend on x alone, r3
+    and the second on y alone, and the gap never falls when any of the four
+    rises, so its maximum lies on the product of the two sides' Pareto
+    fronts (:func:`_pareto_front`).  An antenna with g2 >= g3 raises both
+    of the x side's coordinates as x grows, so it adds no trade-off there,
+    and likewise on the y side with g3 >= g2; so at most one antenna trades
+    on each side, or both on one, and the product has at most ``steps**2``
+    demands.  ``worst_demand`` is the lexicographically largest (r_sum, r2,
+    r3) among the demands that attain ``max_gap``: every coordinate of the
+    clipped triple is monotone in the four side coordinates too, so the
+    pruning cannot hide it.
+
     The achievable pass: every rate term is one antenna's share plus the
     other's, so each antenna tabulates its shares once over its admitted
     (common, p) cells (:func:`_antenna_cells`), and a pair of cells' terms
     are one outer add of the two tables, taken in chunks of whole common-1
-    rows; no cell that either antenna rejects is evaluated.  Every
-    achievable r2 = min(c2, c3) + q2 is at most c2 + q2 <= g2 . b, attained
-    with no common power and each budget on relay 2's private stream, and
-    likewise r3 with g3.  So the achievable grid covers only the bins up to
-    ``bins(g . b)``, one more for a rounding overshoot and one empty row and
-    column, into which every lookup is clipped; it is allocated before the
-    pass, which scatters each chunk straight into it.  It is stored with
-    both axes reversed: the suffix maximum is then two running maxima in
-    place on a contiguous array, and bin (b2, b3) sits at ``last - (b2 *
-    box3 + b3)``.  The gains are the config's floats, worked out once per
-    config, as in the rate functions.
-
-    The outer pass: a top cell is fixed by the powers aimed at each relay,
-    x = i + j steps at relay 2 and y = n - j at relay 3, and the pairs (x,
-    y) fill [0, n] on each antenna, so the outer cells are the pairs of an
-    x side and a y side (:func:`_aimed_rates`).  Its rates are those of
-    :func:`broadcast_outer_rates`, summed over the powers aimed at each
-    relay rather than stream by stream, so they may differ in the last
-    bits.  r2 and the first sum bound c2 + q2 + q3 depend on x alone, r3 and
-    the second on y alone, and the
-    gap never falls when any of the four rises, so its maximum lies on the
-    product of the two sides' Pareto fronts (:func:`_pareto_front`).  An
-    antenna with g2 >= g3 raises both of the x side's coordinates as x
-    grows, so it adds no trade-off there, and likewise on the y side with
-    g3 >= g2; so at most one antenna trades on each side, or both on one,
-    and the product has at most ``steps**2`` demands.  ``worst_demand`` is
-    the lexicographically largest (r_sum, r2, r3) among the demands that
-    attain ``max_gap``: every coordinate of the clipped triple is monotone
-    in the four side coordinates too, so the pruning cannot hide it.
+    rows; no cell that either antenna rejects is evaluated.  A demand at
+    bins (q2, q3) reads the best sum cap among the points whose bins b2 >=
+    q2 and b3 >= q3, so only the demanded bins matter.  Per axis, with U
+    the distinct demanded bins, bin b has the rank #{u in U : u <= b}; for
+    a demanded bin q, b >= q holds exactly when rank(b) >= rank(q), as the
+    rank never falls and rises at q itself.  So each point is placed by its
+    two ranks, read from a table over the 256 bins whose take also clips
+    its bins into [0, 255], on a grid of (|U2| + 1) x (|U3| + 1) cells,
+    rank 0 holding the points that reach no demanded bin on that axis.  A
+    max is exact, so every report keeps the bits of a lookup over all 256
+    x 256 bins.  The grid is stored with both axes reversed: its suffix
+    maximum is then two running maxima in place on a contiguous array, and
+    ranks (k2, k3) sit at ``last - (k2 * width3 + k3)``.  The gains are the
+    config's floats, worked out once per config, as in the rate functions.
     """
     require_network(cfg, "broadcast_region_gap", Topology.TWO_RELAY_DIAMOND, CsiMode.PHASE_FADING)
     try:
@@ -480,33 +486,11 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
         return BroadcastGapReport(0.0, 0.0, steps, RatePoint(0.0, 0.0, 0.0))
     delta = axis_max / (_RATE_BINS - 1)
 
-    def bins(rates: np.ndarray, edge: int = _RATE_BINS - 1) -> np.ndarray:
+    def bins(rates: np.ndarray) -> np.ndarray:
         # truncation floors every rate that does not clip to bin 0
-        return np.minimum(np.maximum((rates / delta).astype(int), 0), edge)
+        return np.minimum(np.maximum((rates / delta).astype(int), 0), _RATE_BINS - 1)
 
     privates = np.linspace(0.0, b1, steps), np.linspace(0.0, b2, steps)
-    # the box: every bin up to bins(g . b), one past it for a rounding
-    # overshoot and one empty row and column, which every lookup beyond the
-    # box is clipped onto, stored with both axes reversed: bin (b2, b3) of
-    # the box sits at last - (b2 * box3 + b3)
-    box2, box3 = (min(int((g[0] * b1 + g[1] * b2) / delta) + 3, _RATE_BINS) for g in (g2, g3))
-    last = box2 * box3 - 1
-    cover = np.full(box2 * box3, -np.inf)
-    # the achievable pass's common powers are the private grid itself
-    (rows1, _, shares1), (_, _, shares2) = (
-        _antenna_cells(power, power, gain2, gain3) for power, gain2, gain3 in zip(privates, g2, g3)
-    )
-    for start, stop in _row_chunks(rows1, shares2.shape[1]):
-        # every pair of an antenna-1 and an antenna-2 cell: the sums that
-        # _stream_rates forms, antenna 1's share first
-        c2, c3, q2, q3 = shares1[:, start:stop, None] + shares2[:, None, :]
-        rc = np.minimum(c2, c3)
-        r2, r3 = rc + q2, rc + q3
-        # each point's sum cap r2 + q3 = rc + q2 + q3 at its bin pair; ufunc.at
-        # is far quicker on one flat index than on an index pair
-        np.maximum.at(cover, last - (bins(r2, box2 - 1) * box3 + bins(r3, box3 - 1)), r2 + q3)
-    _suffix_max(cover.reshape(box2, box3))
-
     # the outer pass: every pair of an x-side and a y-side front point
     sides = (g2, g3), (g3, g2)
     (r2, sum2), (r3, sum3) = (_pareto_front(*_aimed_rates(own, other, privates)) for own, other in sides)
@@ -517,8 +501,33 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
     r_sum = np.minimum(r_sum, r2 + r3)
     # floor, not ceil: the bin holding a point with r >= demand - slack must
     # stay inside the lookup, so matching is lenient by < one bin
-    lookup = bins(r2 - resolution, box2 - 1) * box3 + bins(r3 - resolution, box3 - 1)
-    gaps = r_sum - cover.take(last - lookup)
+    need2, need3 = bins(r2 - resolution), bins(r3 - resolution)
+    # per axis, each rate bin's rank: how many demanded bins it reaches
+    rank2, rank3 = (np.cumsum(np.bincount(need.ravel(), minlength=_RATE_BINS) > 0) for need in (need2, need3))
+    # the cover grid over (rank2, rank3), stored with both axes reversed:
+    # ranks (k2, k3) sit at last - (k2 * width3 + k3)
+    width3 = rank3[-1] + 1
+    last = (rank2[-1] + 1) * width3 - 1
+    cover = np.full(last + 1, -np.inf)
+    # the achievable pass's common powers are the private grid itself
+    (rows1, _, shares1), (_, _, shares2) = (
+        _antenna_cells(power, power, gain2, gain3) for power, gain2, gain3 in zip(privates, g2, g3)
+    )
+    for start, stop in _row_chunks(rows1, shares2.shape[1]):
+        # every pair of an antenna-1 and an antenna-2 cell: the sums that
+        # _stream_rates forms, antenna 1's share first
+        c2, c3, q2, q3 = shares1[:, start:stop, None] + shares2[:, None, :]
+        rc = np.minimum(c2, c3)
+        a2 = rc + q2
+        # each point's ranks, its bins of r2 = a2 and r3 = rc + q3 clipped
+        # into [0, 255] by the take
+        k2 = rank2.take((a2 / delta).astype(int), mode="clip")
+        k3 = rank3.take(((rc + q3) / delta).astype(int), mode="clip")
+        # its sum cap a2 + q3 = rc + q2 + q3 at its ranks; ufunc.at is far
+        # quicker on one flat index than on an index pair
+        np.maximum.at(cover, last - (k2 * width3 + k3), a2 + q3)
+    _suffix_max(cover.reshape(-1, width3))
+    gaps = r_sum - cover.take(last - (rank2[need2] * width3 + rank3[need3]))
     max_gap = gaps.max()
     # the lexicographically largest (r_sum, r2, r3) among the demands at it
     tied = gaps == max_gap

@@ -279,6 +279,17 @@ def test_covariance_early_exit_keeps_the_pinned_rates():
         assert optimize_covariance_bound(cfg).rate == always_refined_covariance(cfg).rate
 
 
+def test_budget_products_do_not_overflow():
+    # P1 * P2 / N0**2 overflows, though every link budget |c|**2 P / N0 is
+    # 1, so each square root must be taken over one link budget for both
+    # routes and the covariance replay to stay finite
+    cfg = single_relay_config(p1=1e200, p2=1e200, scale21=1e-100, scale31=1e-100, c32=1e-100)
+    power = optimize_capacity(cfg)
+    covariance = optimize_covariance_bound(cfg)
+    assert power.rate == power.upper_bound == covariance.rate == 1.0000000000000002
+    assert covariance_bounds(cfg, covariance.allocation) == (1.0000000000000002, 2.0)
+
+
 def test_phase_fading_capacity_hand_case():
     # direct-link cut min: max(2, 1) * 2 = 4 against 1 * 2 + 1 * 1 = 3
     cfg = single_relay_config(

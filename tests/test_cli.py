@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from relaycap import CsiMode
 from relaycap.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_OK, main
 
 from helpers import diamond_config, single_relay_config
@@ -22,8 +23,6 @@ def sync_config(tmp_path):
 
 @pytest.fixture()
 def fading_config(tmp_path):
-    from relaycap import CsiMode
-
     path = tmp_path / "fading.json"
     path.write_text(
         single_relay_config(p1=2.0, p2=1.0, c32=0.8, csi=CsiMode.PHASE_FADING).to_json()
@@ -210,6 +209,26 @@ def test_cli_rejects_overflowing_link_budgets(tmp_path, capsys, command, cfg):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: |gains.c21|**2 * powers.P1 / noise_psd") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, cfg, want", [
+    (["capacity", "--cross-check"],
+     single_relay_config(p1=1e200, p2=1e200, scale21=1e-100, scale31=1e-100, c32=1e-100),
+     ["rate=1", "covariance_rate=1"]),
+    (["region", "--cut", "mac", "--steps", "3"],
+     diamond_config(p2=1e200, p3=1e200, c42=1e-100, c43=1e-100, csi=CsiMode.SYNCHRONOUS),
+     ["0,1,1,2", "0.5,0.75,0.75,3", "1,0,0,4"]),
+])
+def test_cli_handles_overflowing_budget_products(tmp_path, capsys, command, cfg, want):
+    # P * P / N0**2 overflows, though every link budget |c|**2 P / N0 is 1:
+    # a valid config, whose output must be finite
+    path = tmp_path / "huge.json"
+    path.write_text(cfg.to_json())
+    assert main([*command, "--config", str(path)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "nan" not in captured.out and "inf" not in captured.out
+    assert set(want) <= set(captured.out.splitlines())
 
 
 def test_region_wrong_topology(sync_config, capsys):

@@ -1,5 +1,6 @@
 """Property-based tests over generated channels and edge geometries."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from relaycap import (
     check_limit_phase_fading,
     common_private_rates,
     mac_region_point,
+    max_min_beam_gain,
     optimize_capacity,
     optimize_covariance_bound,
     phase_fading_capacity,
@@ -205,6 +207,41 @@ def test_optimizers_ignore_a_phase_rotation_per_link(cfg, t21, t31, t32):
                             noise_psd=cfg.noise_psd)
     for rate, turned in zip(_rates(cfg), _rates(rotated)):
         assert abs(turned - rate) <= rounding_slack(rate)
+
+
+def _unitary(theta, a, b, phase):
+    """A 2 x 2 unitary: every one is a phase times an SU(2) matrix."""
+    return np.exp(1j * phase) * np.array([
+        [math.cos(theta) * np.exp(1j * a), math.sin(theta) * np.exp(1j * b)],
+        [-math.sin(theta) * np.exp(-1j * b), math.cos(theta) * np.exp(-1j * a)],
+    ])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(st.one_of(planar_channels(), complex_channels()), PHASES, PHASES, PHASES, PHASES)
+def test_optimizers_ignore_a_unitary_on_the_source_antennas(cfg, theta, a, b, phase):
+    # one unitary on both source gain vectors keeps their norms and the
+    # angle between them, and a beam turned with it is heard as before
+    u = _unitary(theta, a, b, phase)
+    c21, c31 = cfg.gains["c21"], cfg.gains["c31"]
+    turned = dataclasses.replace(cfg, gains=dict(cfg.gains, c21=u @ c21, c31=u @ c31))
+    for rate, turned_rate in zip(_rates(cfg), _rates(turned)):
+        assert abs(turned_rate - rate) <= rounding_slack(rate)
+    if np.any(c21) and np.any(c31):
+        beam = max_min_beam_gain(c21, c31)
+        assert abs(max_min_beam_gain(u @ c21, u @ c31) - beam) <= rounding_slack(beam)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(st.one_of(planar_channels(), complex_channels()), st.sampled_from(["P1", "P2"]), st.floats(1.0, 1e3))
+def test_rates_never_fall_when_a_budget_grows(cfg, budget, factor):
+    # a larger budget admits every allocation the smaller one did
+    richer = dataclasses.replace(cfg, powers=dict(cfg.powers, **{budget: cfg.powers[budget] * factor}))
+    for rate, richer_rate in zip(_rates(cfg), _rates(richer)):
+        assert richer_rate >= rate - rounding_slack(rate)
+    fading, richer_fading = (dataclasses.replace(c, csi=CsiMode.PHASE_FADING) for c in (cfg, richer))
+    rate = phase_fading_capacity(fading)
+    assert phase_fading_capacity(richer_fading) >= rate - rounding_slack(rate)
 
 
 @st.composite

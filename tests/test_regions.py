@@ -78,6 +78,16 @@ def test_mac_point_synchronous_endpoints():
     )
 
 
+def test_mac_point_budget_product_does_not_overflow():
+    # P2 * P3 / N0**2 overflows, though each relay's link budget
+    # |c|**2 P / N0 is 1, so the sum bound's coherent term must take one
+    # square root per link budget
+    cfg = diamond_config(p2=1e200, p3=1e200, c42=1e-100, c43=1e-100, csi=CsiMode.SYNCHRONOUS)
+    points = [mac_region_point(cfg, rho) for rho in (0.0, 0.5, 1.0)]
+    assert [(pt.r23_max, pt.r32_max, pt.r_sum_max) for pt in points] == [
+        (1.0, 1.0, 2.0), (0.75, 0.75, 3.0), (0.0, 0.0, 4.0)]
+
+
 def test_mac_point_sum_rate_concave_in_rho():
     cfg = diamond_config(p2=1.0, p3=2.0, c42=0.8, c43=1.1, csi=CsiMode.SYNCHRONOUS)
     rhos = np.linspace(0.0, 1.0, 21)
@@ -385,11 +395,10 @@ def test_top_partners_match_pointwise_rule(steps, outer):
         assert got == want, budget
 
 
-def _reference_cover(cfg, steps):
-    """The achievable pass over every admitted point of the power grid:
-    ``(bins, resolution, cover)``, with ``cover[b2, b3]`` the best sum rate
-    among points in rate bins at or beyond ``(b2, b3)``; None when every
-    gain or budget is zero."""
+def _reference_bins(cfg, steps):
+    """The sweep's rate binning: ``(bins, resolution)``, with ``bins`` the
+    rate bin of each rate, clipped into [0, 255]; None when every gain or
+    budget is zero."""
     g2, g3 = (np.abs(cfg.gain(key)) ** 2 / cfg.noise_psd for key in ("c21", "c31"))
     gmax = np.maximum(g2, g3)
     b1 = cfg.powers["P1"]
@@ -403,6 +412,21 @@ def _reference_cover(cfg, steps):
     def bins(rates):
         return np.minimum(np.maximum((rates / delta).astype(int), 0), _RATE_BINS - 1)
 
+    return bins, resolution
+
+
+def _reference_cover(cfg, steps):
+    """The achievable pass over every admitted point of the power grid:
+    ``(bins, resolution, cover)``, with ``cover[b2, b3]`` the best sum rate
+    among points in rate bins at or beyond ``(b2, b3)``, on all 256 x 256
+    bins; None when every gain or budget is zero."""
+    binning = _reference_bins(cfg, steps)
+    if binning is None:
+        return None
+    bins, resolution = binning
+    g2, g3 = (np.abs(cfg.gain(key)) ** 2 / cfg.noise_psd for key in ("c21", "c31"))
+    b1 = cfg.powers["P1"]
+    b2 = cfg.powers["P2"]
     achievable = np.full((_RATE_BINS, _RATE_BINS), -np.inf)
     commons = np.linspace(0.0, b1, steps), np.linspace(0.0, b2, steps)
     for _, _, rc, q2, q3 in _pointwise_masked_rates(g2, g3, b1, b2, steps, *commons):
@@ -411,13 +435,19 @@ def _reference_cover(cfg, steps):
     return bins, resolution, cover
 
 
-def _clipped_gaps(bins, resolution, cover, r2, r3, sum2, sum3):
-    """Each outer corner clipped into the valid cone of rate triples, and its
-    gap: ``(r2, r3, r_sum, gap)``."""
+def _clip_into_cone(r2, r3, sum2, sum3):
+    """Each outer corner clipped into the valid cone of rate triples:
+    ``(r2, r3, r_sum)``."""
     r_sum = np.maximum(np.minimum(sum2, sum3), 0.0)
     r2 = np.minimum(np.maximum(r2, 0.0), r_sum)
     r3 = np.minimum(np.maximum(r3, 0.0), r_sum)
-    r_sum = np.minimum(r_sum, r2 + r3)
+    return r2, r3, np.minimum(r_sum, r2 + r3)
+
+
+def _clipped_gaps(bins, resolution, cover, r2, r3, sum2, sum3):
+    """Each outer corner clipped into the valid cone of rate triples, and its
+    gap: ``(r2, r3, r_sum, gap)``."""
+    r2, r3, r_sum = _clip_into_cone(r2, r3, sum2, sum3)
     return r2, r3, r_sum, r_sum - cover[bins(r2 - resolution), bins(r3 - resolution)]
 
 
@@ -526,6 +556,12 @@ def _fading_diamonds(draw):
 @example(cfg=diamond_config(p1=1.75, p2=0.0, c21=(1.0, 0.5j), c31=(-0.25 + 0.75j, 1.0)), steps=7)
 # an achievable r3 rounds one bin past bins(g3 . b), its closed-form maximum
 @example(cfg=diamond_config(p1=1.5, p2=3.0, c21=(1 - 0.5j, 0.25 + 0.5j), c31=(-0.25 - 0.25j, -0.25 - 0.5j)), steps=3)
+# relay 3 hears nothing, so every demand asks for r3 bin 0 and one r2 bin:
+# a 2 x 2 lookup grid
+@example(cfg=diamond_config(p1=1.5, p2=2.0, c21=(1.0, 0.5), c31=(0.0, 0.0)), steps=5)
+# achievable points lie below every demanded bin on both axes, in the
+# lookup grid's rank-0 row and column
+@example(cfg=diamond_config(p1=1.5, p2=2.0, c21=(1.0, 0.2), c31=(0.3, 0.9)), steps=5)
 def test_broadcast_gap_matches_full_sweep(cfg, steps):
     expected = [float(x).hex() for x in _reference_gap(cfg, steps)]
     # the achievable pass in one common-1 row per chunk, the default, and in
@@ -577,6 +613,51 @@ def test_broadcast_gap_full_front_witness():
     # front, and relay 3's front is its full-power corner
     cfg = diamond_config(p1=1.0, p2=math.sqrt(2.0), c21=(1.0, 1.0), c31=(2.0, 2.0))
     assert _front_sizes(cfg, 33) == [33 ** 2, 1]
+
+
+def _lookup_grids(cfg, steps):
+    """The shapes of the cover grids the sweep's suffix maximum runs on,
+    with the number of distinct rate bins its demands ask of relays 2 and
+    3, from the two Pareto fronts it pairs up."""
+    grids, fronts = [], []
+
+    def grid_spy(reversed_grid):
+        grids.append(reversed_grid.shape)
+        _suffix_max(reversed_grid)
+
+    def front_spy(rates, sums):
+        fronts.append(_pareto_front(rates, sums))
+        return fronts[-1]
+
+    with mock.patch.object(regions, "_suffix_max", grid_spy), mock.patch.object(regions, "_pareto_front", front_spy):
+        broadcast_region_gap(cfg, steps=steps)
+    if not grids:  # a zero-power config returns before both passes
+        return grids, None
+    bins, resolution = _reference_bins(cfg, steps)
+    (r2, sum2), (r3, sum3) = fronts
+    r2, r3, _ = _clip_into_cone(r2[:, None], r3, sum2[:, None], sum3)
+    return grids, tuple(len(np.unique(bins(r - resolution))) for r in (r2, r3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(cfg=_fading_diamonds(), steps=st.integers(2, 33))
+def test_broadcast_gap_lookup_spans_the_demanded_bins(cfg, steps):
+    # one row per distinct r2 bin the demands ask for and one column per r3
+    # bin, plus one of each for points that reach no demanded bin; with at
+    # most steps**2 demands, never more than (steps**2 + 1)**2 cells
+    grids, demanded = _lookup_grids(cfg, steps)
+    for rows, cols in grids:
+        assert rows * cols <= (demanded[0] + 1) * (demanded[1] + 1)
+        assert rows * cols <= (steps ** 2 + 1) ** 2
+
+
+@pytest.mark.parametrize("steps, shape", [(8, (6, 9)), (12, (8, 13)), (16, (10, 17)), (33, (18, 34))])
+def test_broadcast_gap_lookup_grid_on_the_default_diamond(steps, shape):
+    # a box of every rate bin below the closed-form rate maxima would be
+    # 196 x 134 here at every steps
+    grids, demanded = _lookup_grids(diamond_config(), steps)
+    assert grids == [shape]
+    assert shape == (demanded[0] + 1, demanded[1] + 1)
 
 
 @st.composite
@@ -641,10 +722,10 @@ def test_broadcast_gap_evaluates_few_chunks():
 
 
 def test_broadcast_gap_memory_stays_small_at_steps_8():
-    # the cover grid spans only the box of rate bins that the closed-form
-    # rate maxima bound (about 0.2 MB here), not the full 256 x 256 grid and
-    # its two copies, and the outer pass holds at most 8**2 demands, for a
-    # traced peak of about 0.34 MB
+    # the cover grid has one row and column per demanded rate bin, 6 x 9
+    # cells here, where the box of bins below the closed-form rate maxima
+    # took 196 x 134 (0.21 MB, for a traced peak of 0.34 MB), and the outer
+    # pass holds at most 8**2 demands, for a traced peak of 0.14 MB
     cfg = diamond_config()
     broadcast_region_gap(cfg, steps=8)  # warm-up
     tracemalloc.start()
@@ -653,14 +734,15 @@ def test_broadcast_gap_memory_stays_small_at_steps_8():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 500_000
+    assert peak < 200_000
 
 
 def test_broadcast_gap_memory_stays_small():
     # the achievable pass holds a chunk of at most _CHUNK_CELLS cells at a
-    # time, not the steps^4 grid (0.5 MB per array at steps 16), for a
-    # traced peak of 0.72 MB; a per-point mask over that grid would need
-    # about 8 MB
+    # time, not the steps^4 grid (0.5 MB per array at steps 16), and the
+    # cover grid 10 x 17 cells, for a traced peak of 0.55 MB (0.72 MB with
+    # the 196 x 134 box of rate bins); a per-point mask over that grid would
+    # need about 8 MB
     cfg = diamond_config()
     broadcast_region_gap(cfg, steps=16)  # warm-up
     tracemalloc.start()
@@ -669,15 +751,15 @@ def test_broadcast_gap_memory_stays_small():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5_000_000
+    assert peak < 650_000
 
 
 def test_broadcast_gap_memory_stays_small_at_steps_33():
     # at steps 33 nearly every achievable chunk is one common-1 row of admitted
-    # cells, at most 33 x 561: about 0.15 MB per array, and the outer pass
-    # holds at most 33**2 demands, for a traced peak of 2.0 MB; the outer
-    # rows of (2*33 - 1) x 33 x 33 cells evaluated one by one took 3.9 MB,
-    # and all at once would take 37 MB per array
+    # cells, at most 33 x 561: about 0.15 MB per array, the outer pass holds
+    # at most 33**2 demands and the cover grid 18 x 34 cells, for a traced
+    # peak of 1.96 MB; the outer rows of (2*33 - 1) x 33 x 33 cells evaluated
+    # one by one took 3.9 MB, and all at once would take 37 MB per array
     cfg = diamond_config()
     broadcast_region_gap(cfg, steps=33)  # warm-up
     tracemalloc.start()
@@ -686,7 +768,7 @@ def test_broadcast_gap_memory_stays_small_at_steps_33():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2_500_000
+    assert peak < 2_200_000
 
 
 def test_broadcast_gap_validation():
