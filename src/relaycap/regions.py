@@ -214,9 +214,9 @@ def _check_antenna_budgets(cfg: ChannelConfig, alloc: CommonPrivateAllocation) -
 
 # Under phase fading every broadcast-cut rate is linear in the six stream
 # powers, and each stream's rate is one antenna's share plus the other's.
-# The two helpers below hold those formulas for both bounds; they work on
-# floats, which the rate functions pass, and elementwise on arrays, with
-# which the region sweep tabulates the shares.
+# _antenna_shares holds those shares for both bounds; it works on floats,
+# which the rate functions pass, and elementwise on arrays, with which the
+# region sweep tabulates them.
 
 
 def _antenna_shares(gain2, gain3, common, private2, private3):
@@ -226,26 +226,26 @@ def _antenna_shares(gain2, gain3, common, private2, private3):
     return gain2 * common, gain3 * common, gain2 * private2, gain3 * private3
 
 
-def _stream_rates(g2, g3, p1c, p2c, p12, p22, p13, p23):
-    """Rate each stream carries on its own.
+def _alloc_stream_rates(cfg: ChannelConfig, alloc: CommonPrivateAllocation, what: str):
+    """Rate each stream of ``alloc`` carries on its own.
 
     Returns ``(common2, common3, rc, private2, private3)``: the common
     stream's rate at relays 2 and 3, the rate ``rc`` at which both decode it,
-    and each private stream's rate at its own relay.  ``g2`` and ``g3``
-    hold each antenna's gain; the powers may be floats, or arrays of any
-    shapes that broadcast together.
+    and each private stream's rate at its own relay.  Each is antenna 1's
+    share plus antenna 2's, the sums the sweep forms, in plain scalar
+    arithmetic: numpy's ufuncs would give the same bits at several times
+    the cost on single values.
     """
-    shares1 = _antenna_shares(g2[0], g3[0], p1c, p12, p13)
-    shares2 = _antenna_shares(g2[1], g3[1], p2c, p22, p23)
-    common2, common3, private2, private3 = (share1 + share2 for share1, share2 in zip(shares1, shares2))
-    return common2, common3, np.minimum(common2, common3), private2, private3
-
-
-def _alloc_stream_rates(cfg: ChannelConfig, alloc: CommonPrivateAllocation, what: str):
     require_network(cfg, what, Topology.TWO_RELAY_DIAMOND, CsiMode.PHASE_FADING)
     _check_antenna_budgets(cfg, alloc)
     g2, g3 = cfg._broadcast_gains
-    return _stream_rates(g2, g3, alloc.p1c, alloc.p2c, alloc.p12, alloc.p22, alloc.p13, alloc.p23)
+    common2_1, common3_1, private2_1, private3_1 = _antenna_shares(g2[0], g3[0], alloc.p1c, alloc.p12, alloc.p13)
+    common2_2, common3_2, private2_2, private3_2 = _antenna_shares(g2[1], g3[1], alloc.p2c, alloc.p22, alloc.p23)
+    common2 = common2_1 + common2_2
+    common3 = common3_1 + common3_2
+    # on a tie min keeps its first argument and np.minimum, which the sweep
+    # uses, its second: with the arguments swapped a signed zero keeps its sign
+    return common2, common3, min(common3, common2), private2_1 + private2_2, private3_1 + private3_2
 
 
 def common_private_rates(cfg: ChannelConfig, alloc: CommonPrivateAllocation) -> CommonPrivateRates:
@@ -515,7 +515,7 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
     )
     for start, stop in _row_chunks(rows1, shares2.shape[1]):
         # every pair of an antenna-1 and an antenna-2 cell: the sums that
-        # _stream_rates forms, antenna 1's share first
+        # the rate functions form, antenna 1's share first
         c2, c3, q2, q3 = shares1[:, start:stop, None] + shares2[:, None, :]
         rc = np.minimum(c2, c3)
         a2 = rc + q2
@@ -524,8 +524,9 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
         k2 = rank2.take((a2 / delta).astype(int), mode="clip")
         k3 = rank3.take(((rc + q3) / delta).astype(int), mode="clip")
         # its sum cap a2 + q3 = rc + q2 + q3 at its ranks; ufunc.at is far
-        # quicker on one flat index than on an index pair
-        np.maximum.at(cover, last - (k2 * width3 + k3), a2 + q3)
+        # quicker on one flat index than on an index pair, and the index
+        # array must be 1-D too: a 2-D one takes numpy's generic loop
+        np.maximum.at(cover, (last - (k2 * width3 + k3)).ravel(), (a2 + q3).ravel())
     _suffix_max(cover.reshape(-1, width3))
     gaps = r_sum - cover.take(last - (rank2[need2] * width3 + rank3[need3]))
     max_gap = gaps.max()

@@ -312,6 +312,20 @@ def test_diamond_rates_swap_with_the_relays(case):
         assert abs(swapped.r_sum_max - base.r_sum_max) <= slack, csi
 
 
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(relay_swap_cases(), st.sampled_from(["P2", "P3"]), st.floats(1.0, 1e3))
+def test_mac_bounds_never_fall_when_a_relay_budget_grows(case, budget, factor):
+    # every bound is a sum of products of nonnegative gains, budgets and
+    # their square roots, and each of those operations rounds monotonically,
+    # so a larger budget never lowers one, in floating point too
+    gains, powers, noise_psd, _, rho = case
+    richer = dict(powers, **{budget: powers[budget] * factor})
+    for csi in CsiMode:
+        base, grown = (mac_region_point(_diamond(gains, p, noise_psd, csi), rho) for p in (powers, richer))
+        for field in ("r23_max", "r32_max", "r_sum_max"):
+            assert getattr(grown, field) >= getattr(base, field), (csi, field)
+
+
 @st.composite
 def gap_swap_cases(draw):
     """Phase-fading diamond gains with entries from ``UNIT``, each antenna

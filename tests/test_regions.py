@@ -30,9 +30,9 @@ from relaycap.regions import (
     _CHUNK_CELLS,
     _RATE_BINS,
     _antenna_cells,
+    _antenna_shares,
     _pareto_front,
     _row_chunks,
-    _stream_rates,
     _suffix_max,
 )
 
@@ -340,6 +340,17 @@ def test_broadcast_gap_pinned_at_large_steps(name, steps, fields):
     demand = report.worst_demand
     got = (report.max_gap, report.rate_resolution, demand.r2, demand.r3, demand.r_sum)
     assert tuple(float(x).hex() for x in got) == fields
+
+
+def _stream_rates(g2, g3, p1c, p2c, p12, p22, p13, p23):
+    """The sweep's arithmetic on arrays of powers of any shapes that
+    broadcast together: ``(common2, common3, rc, private2, private3)``, each
+    stream's rate antenna 1's share plus antenna 2's, and ``rc`` their
+    elementwise minimum over the common stream, by ``np.minimum``."""
+    shares1 = _antenna_shares(g2[0], g3[0], p1c, p12, p13)
+    shares2 = _antenna_shares(g2[1], g3[1], p2c, p22, p23)
+    common2, common3, private2, private3 = (share1 + share2 for share1, share2 in zip(shares1, shares2))
+    return common2, common3, np.minimum(common2, common3), private2, private3
 
 
 def _pointwise_masked_rates(g2, g3, b1, b2, steps, common1, common2):
@@ -678,6 +689,23 @@ def _fading_allocations(draw):
     return cfg, CommonPrivateAllocation(p1c=p1c, p2c=p2c, p12=p12, p22=p22, p13=p13, p23=p23)
 
 
+def _table_allocation(cfg, rows, row):
+    """Row ``row`` of the common/private splits that ``relaycap region --cut
+    broadcast --steps rows`` tabulates: every power an ``np.float64``, as the
+    fractions come from ``np.linspace``."""
+    b1 = cfg.powers["P1"]
+    b2 = cfg.powers["P2"]
+    frac = np.linspace(0.0, 1.0, rows)[row]
+    return CommonPrivateAllocation(
+        p1c=frac * b1, p2c=frac * b2,
+        p12=(1.0 - frac) * b1 / 2.0, p22=(1.0 - frac) * b2 / 2.0,
+        p13=(1.0 - frac) * b1 / 2.0, p23=(1.0 - frac) * b2 / 2.0,
+    )
+
+
+_NOISY_DIAMOND = diamond_config(**_GAP_CASES["noisy"])
+
+
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
 @given(case=_fading_allocations())
 # a negative common power that cancels a private stream on each antenna
@@ -687,8 +715,10 @@ def _fading_allocations(draw):
         CommonPrivateAllocation(p1c=-0.5, p2c=-0.25, p12=0.5, p22=1.0, p13=1.0, p23=0.25),
     )
 )
+# numpy scalar powers, as the CLI's rate table forms them
+@example(case=(_NOISY_DIAMOND, _table_allocation(_NOISY_DIAMOND, 33, 13)))
 def test_rate_functions_share_the_sweeps_arithmetic(case):
-    # the rate functions work on float gains and powers; the sweep evaluates
+    # the rate functions work on scalar gains and powers; the sweep evaluates
     # the same formula elementwise on arrays: both give the same bits
     cfg, alloc = case
     g2, g3 = (np.abs(cfg.gain(key)) ** 2 / cfg.noise_psd for key in ("c21", "c31"))
@@ -703,6 +733,45 @@ def test_rate_functions_share_the_sweeps_arithmetic(case):
     ]
     for got, want in cases:
         assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+
+class _ScatterShapes:
+    """Stands in for ``numpy`` in ``regions``: ``maximum.at`` records the
+    dimensions of the index and value arrays it is handed and forwards."""
+
+    class _Maximum:
+        def __init__(self):
+            self.ndims = []
+
+        def __call__(self, *args, **kwargs):
+            return np.maximum(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(np.maximum, name)
+
+        def at(self, target, indices, values):
+            self.ndims.append((np.ndim(indices), np.ndim(values)))
+            np.maximum.at(target, indices, values)
+
+    def __init__(self):
+        self.maximum = self._Maximum()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("name, steps, fields", _GAP_PINNED_HEX)
+def test_broadcast_gap_scatters_on_one_dimensional_arrays(name, steps, fields):
+    # maximum.at on a 2-D index takes numpy's generic loop, several times
+    # slower than on a 1-D one; a max is exact, so the bits stay pinned
+    proxy = _ScatterShapes()
+    with mock.patch.object(regions, "np", proxy):
+        report = broadcast_region_gap(diamond_config(**_GAP_CASES[name]), steps=steps)
+    assert proxy.maximum.ndims
+    assert set(proxy.maximum.ndims) == {(1, 1)}
+    demand = report.worst_demand
+    got = (report.max_gap, report.rate_resolution, demand.r2, demand.r3, demand.r_sum)
+    assert tuple(float(x).hex() for x in got) == fields
 
 
 def test_broadcast_gap_evaluates_few_chunks():
