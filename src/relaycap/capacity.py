@@ -152,7 +152,7 @@ _RELAY_ANGLE_POINTS = 133
 
 def _check_source_budget(cfg: ChannelConfig, spent: float) -> None:
     p1 = cfg.powers["P1"]
-    if spent > p1 + rounding_slack(p1):
+    if spent > p1 and spent > p1 + rounding_slack(p1):
         raise ValueError(f"source power {spent!r} W exceeds the budget P1={p1!r} W")
 
 

@@ -124,12 +124,14 @@ class ChannelConfig:
             vec = np.asarray(self.gains[key], dtype=complex).reshape(-1)
             if vec.size != dim:
                 raise ValueError(f"gains.{key} must have {dim} component(s), got {vec.size}")
-            if not np.all(np.isfinite(vec.view(float))):
-                raise ValueError(f"gains.{key} contains non-finite values")
-            # nor |c|**2 / N0, the link's gain over the noise
+            # |c|**2 / N0, the link's gain over the noise, must be finite; a
+            # non-finite entry makes |c|**2 inf or nan, so the entries are
+            # only looked at to tell the two faults apart
             gain = float(np.vdot(vec, vec).real)
             ratios[key] = gain / self.noise_psd
             if not math.isfinite(ratios[key]):
+                if not np.all(np.isfinite(vec.view(float))):
+                    raise ValueError(f"gains.{key} contains non-finite values")
                 raise ValueError(f"|gains.{key}|**2 / noise_psd must be finite, got {gain!r} / {self.noise_psd!r}")
             vec.setflags(write=False)
             clean_gains[key] = vec

@@ -149,11 +149,24 @@ class CommonPrivateAllocation:
     p23: float
 
     def __post_init__(self) -> None:
+        # Every check below passes when the powers are finite and no private
+        # power or stream total is negative; the slack is only >= 0, so that
+        # case is settled without it.  A NaN fails isfinite, and a sum is
+        # formed only with a negative common power, so it cannot overflow.
+        p1c, p2c, p12, p22, p13, p23 = self.p1c, self.p2c, self.p12, self.p22, self.p13, self.p23
+        isfinite = math.isfinite
+        if (
+            isfinite(p1c) and isfinite(p2c) and isfinite(p12) and isfinite(p22) and isfinite(p13) and isfinite(p23)
+            and min(p12, p22, p13, p23) >= 0.0
+            and (p1c >= 0.0 or min(p1c + p12, p1c + p13) >= 0.0)
+            and (p2c >= 0.0 or min(p2c + p22, p2c + p23) >= 0.0)
+        ):
+            return
         for name in ("p1c", "p2c", "p12", "p22", "p13", "p23"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if not isfinite(value):
                 raise ValueError(f"power {name!r} must be finite, got {value!r}")
-        slack = rounding_slack(self.p1c, self.p2c, self.p12, self.p22, self.p13, self.p23)
+        slack = rounding_slack(p1c, p2c, p12, p22, p13, p23)
         for name in ("p12", "p22", "p13", "p23"):
             if getattr(self, name) < -slack:
                 raise ValueError(f"private power {name!r} must be >= 0")
@@ -204,12 +217,15 @@ class BroadcastOuterRates:
 
 
 def _check_antenna_budgets(cfg: ChannelConfig, alloc: CommonPrivateAllocation) -> None:
+    # budget + slack >= budget, so the slack is formed only past the budget
     b1 = cfg.powers["P1"]
     b2 = cfg.powers["P2"]
-    if alloc.antenna1_total > b1 + rounding_slack(b1, alloc.p1c, alloc.p12, alloc.p13):
-        raise ValueError(f"antenna 1 spends {alloc.antenna1_total!r} W, budget is {b1!r} W")
-    if alloc.antenna2_total > b2 + rounding_slack(b2, alloc.p2c, alloc.p22, alloc.p23):
-        raise ValueError(f"antenna 2 spends {alloc.antenna2_total!r} W, budget is {b2!r} W")
+    spent1 = alloc.antenna1_total
+    if spent1 > b1 and spent1 > b1 + rounding_slack(b1, alloc.p1c, alloc.p12, alloc.p13):
+        raise ValueError(f"antenna 1 spends {spent1!r} W, budget is {b1!r} W")
+    spent2 = alloc.antenna2_total
+    if spent2 > b2 and spent2 > b2 + rounding_slack(b2, alloc.p2c, alloc.p22, alloc.p23):
+        raise ValueError(f"antenna 2 spends {spent2!r} W, budget is {b2!r} W")
 
 
 # Under phase fading every broadcast-cut rate is linear in the six stream
@@ -289,14 +305,19 @@ class RatePoint:
     r_sum: float
 
     def __post_init__(self) -> None:
-        slack = rounding_slack(self.r2, self.r3, self.r_sum)
-        for name in ("r2", "r3", "r_sum"):
-            value = getattr(self, name)
+        # Every check below passes on finite rates >= 0 with
+        # max(r2, r3) <= r_sum <= r2 + r3; the slack is only >= 0, so that
+        # case is settled without it.  A NaN fails every comparison.
+        r2, r3, r_sum = self.r2, self.r3, self.r_sum
+        if math.isfinite(r_sum) and 0.0 <= r2 <= r_sum and 0.0 <= r3 <= r_sum <= r2 + r3:
+            return
+        slack = rounding_slack(r2, r3, r_sum)
+        for name, value in (("r2", r2), ("r3", r3), ("r_sum", r_sum)):
             if not math.isfinite(value) or value < -slack:
                 raise ValueError(f"rate {name!r} must be finite and >= 0, got {value!r}")
-        if self.r_sum > self.r2 + self.r3 + slack:
+        if r_sum > r2 + r3 + slack:
             raise ValueError("r_sum cannot exceed r2 + r3")
-        if self.r_sum < max(self.r2, self.r3) - slack:
+        if r_sum < max(r2, r3) - slack:
             raise ValueError("r_sum cannot be smaller than max(r2, r3)")
 
 
@@ -604,7 +625,7 @@ def beamforming_rates(cfg: ChannelConfig, weights: BeamformingWeights) -> Beamfo
     g_strong, g_weak = (g31, g21) if swapped else (g21, g31)
     budget = cfg.powers["P1"]
     spent = weights.private * g_strong + weights.common * g_weak
-    if spent > budget + rounding_slack(budget):
+    if spent > budget and spent > budget + rounding_slack(budget):
         raise ValueError(f"beam weights spend {spent!r} W, budget is {budget!r} W")
     n0 = cfg.noise_psd
     r_strong = (weights.private * g_strong ** 2 + weights.common * g_weak ** 2) / n0

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,41 @@ def test_config_validates_key_sets():
 def test_config_rejects_nonfinite_gains():
     with pytest.raises(ValueError, match="non-finite"):
         single_relay_config(c32=float("inf"))
+
+
+_NON_FINITE = (math.inf, -math.inf, math.nan, complex(math.inf, math.nan), complex(0.0, -math.inf),
+               complex(math.nan, 1e200))
+
+
+@pytest.mark.parametrize("entry", _NON_FINITE, ids=repr)
+@pytest.mark.parametrize("position", [0, 1])
+def test_config_names_nonfinite_gain_entries(entry, position):
+    # |c|**2 of such an entry is inf or nan: the entries are only looked at
+    # once |c|**2 / N0 is not finite, to name the fault, and no warning is
+    # raised on the way
+    c21 = [1e200, 0.5]
+    c21[position] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^gains\.c21 contains non-finite values$"):
+            diamond_config(c21=tuple(c21))
+        with pytest.raises(ValueError, match=r"^gains\.c43 contains non-finite values$"):
+            diamond_config(c43=entry)
+
+
+def test_load_names_nonfinite_gain_entries():
+    doc = json.loads(SINGLE_RELAY_DOC)
+    doc["gains"]["c31"] = [[1.0, 0.0], [0.0, float("nan")]]
+    with pytest.raises(ValueError, match=r"^gains\.c31 contains non-finite values$"):
+        load_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize("c21", [(1e200, 0.0), (0.0, 1e155j), (1e154, 1e154), (complex(2e154, 2e154), 0.0)], ids=repr)
+def test_config_names_finite_gains_whose_square_overflows(c21):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^\|gains\.c21\|\*\*2 / noise_psd must be finite, got (inf|nan) / 1\.0$"):
+            diamond_config(c21=c21)
 
 
 def test_config_rejects_overflowing_ratios_to_noise():

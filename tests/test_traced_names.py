@@ -1,5 +1,6 @@
 """The benchmark's tracer finds every library function it wraps, and the
-parameters it reads by name, in the current signatures; every keyword the
+parameters it reads by name, in the current signatures; every name the
+benchmark imports from the library still resolves; every keyword the
 benchmark's workloads pass is still a parameter, and every command line the
 CLI workload runs still parses."""
 
@@ -35,6 +36,24 @@ def _load(name):
 def test_traced_functions_import_from_their_modules():
     for name, (module, attr) in _load("tracing").LIBRARY.items():
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_benchmark_imports_resolve():
+    # the workloads import some names straight from their modules, outside
+    # the tracer's table; each must still be there
+    imported = 0
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "relaycap":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), f"{path.name}: {node.module} has no {alias.name}"
+                    imported += 1
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "relaycap":
+                        importlib.import_module(alias.name)
+    assert imported >= 5  # FiniteJoint, comparison_rows, BeamformingWeights, ...
 
 
 def test_traced_parameter_names_exist():
