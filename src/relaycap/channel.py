@@ -126,8 +126,11 @@ class ChannelConfig:
                 raise ValueError(f"gains.{key} must have {dim} component(s), got {vec.size}")
             # |c|**2 / N0, the link's gain over the noise, must be finite; a
             # non-finite entry makes |c|**2 inf or nan, so the entries are
-            # only looked at to tell the two faults apart
-            gain = float(np.vdot(vec, vec).real)
+            # only looked at to tell the two faults apart.  |c|**2 is summed
+            # in Python floats, where a finite entry too large to square
+            # gives inf; np.vdot gives nan when both of its parts are, as its
+            # complex product forms inf - inf
+            gain = sum(z.real * z.real + z.imag * z.imag for z in vec.tolist())
             ratios[key] = gain / self.noise_psd
             if not math.isfinite(ratios[key]):
                 if not np.all(np.isfinite(vec.view(float))):

@@ -22,8 +22,8 @@ cuts are:
   each antenna's budget; for each (common, relay-2 private) cell they
   dominate the rest of their slab.  The achievable pass thus costs about
   steps**4 / 4 points: each antenna tabulates its share of every rate once
-  over the cells it admits, and the pass adds the two tables a chunk of
-  whole common-1 rows at a time, so no rejected cell is evaluated.  Its
+  over the cells it admits, and the pass adds the two tables in chunks of
+  a fixed number of antenna-1 cells, so no rejected cell is evaluated.  Its
   lookup grid has one row per distinct rate bin that the demands ask of
   relay 2, and one column per bin asked of relay 3, plus one for points
   that reach no demanded bin, stored with both axes reversed, so that its
@@ -177,13 +177,15 @@ class CommonPrivateAllocation:
                     "may only offset private power on the same antenna"
                 )
 
+    # in Python floats: numpy scalars warn where a total overflows to inf,
+    # which the budget check reports
     @property
     def antenna1_total(self) -> float:
-        return self.p1c + self.p12 + self.p13
+        return float(self.p1c) + float(self.p12) + float(self.p13)
 
     @property
     def antenna2_total(self) -> float:
-        return self.p2c + self.p22 + self.p23
+        return float(self.p2c) + float(self.p22) + float(self.p23)
 
 
 @dataclass(frozen=True)
@@ -354,47 +356,28 @@ class BroadcastGapReport:
     worst_demand: RatePoint
 
 
-def _antenna_cells(commons, private, gain2, gain3):
-    """One antenna's admitted (common, p) cells, in (common, p) order.
+def _antenna_cells(power, gain2, gain3):
+    """One antenna's shares at each of its admitted (common, p) cells.
 
     Every power of the sweep is a whole number of grid steps h = budget / n,
-    n = steps - 1: the private powers p = j h and q = k h with j, k in
-    [0, n], the grid ``private`` of ``steps`` powers from 0 to the budget,
-    and ``commons`` the last ``len(commons)`` of i h with i <= n.
-    The antenna keeps its budget, c + (p + q) <= budget, and a negative
-    common power cancels only its own private power, c + min(p, q) >= 0:
-    in grid steps i + j + k <= n, j >= -i and k >= -i.  So (c, p) is
-    admitted when 0 <= i + j <= n, and its top partner k = n - i - j spends
-    the rest of the budget.
+    n = steps - 1, read from the grid ``power`` of ``steps`` powers from 0
+    to the budget: the common power c = i h and the private powers p = j h
+    and q = k h, with i, j, k in [0, n].  The antenna keeps its budget when
+    i + j + k <= n, so (c, p) is admitted when i + j <= n, and its top
+    partner k = n - i - j spends the rest of the budget.
 
-    Returns the admitted cells' common (row) and private (column) indices
-    and a ``(4, cells)`` table of :func:`_antenna_shares` at each cell's
+    Returns a ``(4, cells)`` table of :func:`_antenna_shares` at each cell's
     common power, its private power ``p`` and its top partner ``q``.
     """
-    steps = len(private)
-    n = steps - 1
-    spent = np.arange(steps - len(commons), steps)[:, None] + np.arange(steps)
-    rows, cols = np.nonzero((spent >= 0) & (spent <= n))
-    shares = _antenna_shares(gain2, gain3, commons[rows], private[cols], private[n - spent[rows, cols]])
-    return rows, cols, np.stack(shares)
+    n = len(power) - 1
+    grid = np.arange(n + 1)
+    i, j = np.nonzero(grid[:, None] + grid <= n)
+    return np.stack(_antenna_shares(gain2, gain3, power[i], power[j], power[n - i - j]))
 
 
-# Cells per chunk of antenna-1 rows in broadcast_region_gap, unless one
-# common-1 row alone is larger.
+# Points per chunk of the achievable pass in broadcast_region_gap, unless
+# one antenna-1 cell alone pairs with more antenna-2 cells.
 _CHUNK_CELLS = 4096
-
-
-def _row_chunks(rows, width: int):
-    """Split a table sorted by ``rows`` into runs ``(start, stop)`` of whole
-    rows, each as long as fits in ``_CHUNK_CELLS`` cells when every entry
-    pairs with ``width`` others, and at least one row long."""
-    start = stop = 0
-    for end in [*(np.flatnonzero(np.diff(rows)) + 1).tolist(), len(rows)]:
-        if stop > start and (end - start) * width > _CHUNK_CELLS:
-            yield start, stop
-            start = stop
-        stop = end
-    yield start, stop
 
 
 def _aimed_rates(own, other, privates):
@@ -474,18 +457,19 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
     The achievable pass: every rate term is one antenna's share plus the
     other's, so each antenna tabulates its shares once over its admitted
     (common, p) cells (:func:`_antenna_cells`), and a pair of cells' terms
-    are one outer add of the two tables, taken in chunks of whole common-1
-    rows; no cell that either antenna rejects is evaluated.  A demand at
-    bins (q2, q3) reads the best sum cap among the points whose bins b2 >=
-    q2 and b3 >= q3, so only the demanded bins matter.  Per axis, with U
-    the distinct demanded bins, bin b has the rank #{u in U : u <= b}; for
-    a demanded bin q, b >= q holds exactly when rank(b) >= rank(q), as the
-    rank never falls and rises at q itself.  So each point is placed by its
-    two ranks, read from a table over the 256 bins whose take also clips
-    its bins into [0, 255], on a grid of (|U2| + 1) x (|U3| + 1) cells,
-    rank 0 holding the points that reach no demanded bin on that axis.  A
-    max is exact, so every report keeps the bits of a lookup over all 256
-    x 256 bins.  The grid is stored with both axes reversed: its suffix
+    are one outer add of the two tables, taken in chunks of a fixed number
+    of antenna-1 cells, each paired with every antenna-2 cell; no cell that
+    either antenna rejects is evaluated.  A demand at bins (q2, q3) reads
+    the best sum cap among the points whose bins b2 >= q2 and b3 >= q3, so
+    only the demanded bins matter.  Per axis, with U the distinct demanded
+    bins, bin b has the rank #{u in U : u <= b}; for a demanded bin q, b >=
+    q holds exactly when rank(b) >= rank(q), as the rank never falls and
+    rises at q itself.  So each point is placed by its two ranks, read from
+    a table over the 256 bins whose take also clips its bins into [0, 255],
+    on a grid of (|U2| + 1) x (|U3| + 1) cells, rank 0 holding the points
+    that reach no demanded bin on that axis.  A max is exact in any order,
+    so every report keeps the bits of a lookup over all 256 x 256 bins,
+    whatever the chunk size.  The grid is stored with both axes reversed: its suffix
     maximum is then two running maxima in place on a contiguous array, and
     ranks (k2, k3) sit at ``last - (k2 * width3 + k3)``.  The gains are the
     config's floats, worked out once per config, as in the rate functions.
@@ -530,14 +514,12 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
     width3 = rank3[-1] + 1
     last = (rank2[-1] + 1) * width3 - 1
     cover = np.full(last + 1, -np.inf)
-    # the achievable pass's common powers are the private grid itself
-    (rows1, _, shares1), (_, _, shares2) = (
-        _antenna_cells(power, power, gain2, gain3) for power, gain2, gain3 in zip(privates, g2, g3)
-    )
-    for start, stop in _row_chunks(rows1, shares2.shape[1]):
+    shares1, shares2 = (_antenna_cells(power, gain2, gain3) for power, gain2, gain3 in zip(privates, g2, g3))
+    chunk = max(1, _CHUNK_CELLS // shares2.shape[1])
+    for start in range(0, shares1.shape[1], chunk):
         # every pair of an antenna-1 and an antenna-2 cell: the sums that
         # the rate functions form, antenna 1's share first
-        c2, c3, q2, q3 = shares1[:, start:stop, None] + shares2[:, None, :]
+        c2, c3, q2, q3 = shares1[:, start:start + chunk, None] + shares2[:, None, :]
         rc = np.minimum(c2, c3)
         a2 = rc + q2
         # each point's ranks, its bins of r2 = a2 and r3 = rc + q3 clipped

@@ -209,7 +209,7 @@ def test_load_names_nonfinite_gain_entries():
 def test_config_names_finite_gains_whose_square_overflows(c21):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"^\|gains\.c21\|\*\*2 / noise_psd must be finite, got (inf|nan) / 1\.0$"):
+        with pytest.raises(ValueError, match=r"^\|gains\.c21\|\*\*2 / noise_psd must be finite, got inf / 1\.0$"):
             diamond_config(c21=c21)
 
 

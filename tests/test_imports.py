@@ -2,6 +2,7 @@
 subcommand imports only the layers it runs. Every check that reads
 ``sys.modules`` runs in a fresh interpreter."""
 
+import ast
 import json
 import os
 import subprocess
@@ -31,6 +32,23 @@ def _loaded_after(code: str) -> dict:
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, timeout=120, env=env)
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_package_imports_only_stdlib_numpy_and_itself():
+    # numpy is the only runtime dependency; scipy serves only as a test oracle
+    allowed = set(sys.stdlib_module_names) | {"numpy", "relaycap"}
+    modules = sorted(Path(SRC, "relaycap").glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or relative to the package
+            for name in names:
+                assert name.partition(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"
 
 
 def test_bare_import_loads_no_layer_and_no_numpy():
