@@ -29,6 +29,7 @@ from relaycap.channel import rounding_slack
 from relaycap.regions import (
     _CHUNK_CELLS,
     _RATE_BINS,
+    _aimed_rates,
     _antenna_cells,
     _antenna_shares,
     _pareto_front,
@@ -386,21 +387,38 @@ def _pointwise_masked_rates(g2, g3, b1, b2, steps, common1, common2):
 
 
 @pytest.mark.parametrize("steps", range(2, 41))
-def test_top_partners_match_pointwise_rule(steps):
-    # unit gains make the share table (c, c, p, q): each admitted cell's
-    # common power, private power and top partner
+@pytest.mark.parametrize("outer", [False, True])
+def test_top_partners_match_pointwise_rule(steps, outer):
     for budget in (0.0, 1e-300, 1e-6, 0.7, 1.5, 1e6, 1e300):
-        # the achievable pass's common powers are the private grid itself
         private = np.linspace(0.0, budget, steps)
-        c, p, q = private[:, None, None], private[:, None], private
+        # the common powers of the sweep's outer and achievable passes
+        if outer:
+            commons = np.linspace(-budget, budget, 2 * steps - 1)
+        else:
+            commons = private
+        c, p, q = commons[:, None, None], private[:, None], private
         slack = rounding_slack(budget)
         fits = (c + (p + q) <= budget + slack) & (c + np.minimum(p, q) >= -slack)
-        common, _, p_share, q_share = _antenna_cells(private, 1.0, 1.0)
         expected_rows, expected_cols = np.nonzero(fits.any(axis=2))
         # the largest admitted partner index of each admitted cell
         top = steps - 1 - np.argmax(fits[expected_rows, expected_cols, ::-1], axis=1)
-        got = list(zip(common.tolist(), p_share.tolist(), q_share.tolist()))
-        want = list(zip(private[expected_rows].tolist(), private[expected_cols].tolist(), private[top].tolist()))
+        want = list(zip(commons[expected_rows].tolist(), private[expected_cols].tolist(), private[top].tolist()))
+        if outer:
+            # aiming P[x] at one relay leaves P[n - x] for the other's
+            # private stream: with a unit gain to the other relay on antenna
+            # 1 alone, the sum bound over x reads that rest
+            _, sums = _aimed_rates((0.0, 0.0), (1.0, 0.0), (private, private))
+            rest = sums.reshape(steps, steps)[:, 0]
+            # a top cell aims x = i + j steps at relay 2 and y = n - j at
+            # relay 3: common index x + y of commons, p the rest of y and q
+            # the rest of x, for every pair (x, y) in [0, n]**2
+            x, y = (arr.ravel() for arr in np.meshgrid(np.arange(steps), np.arange(steps), indexing="ij"))
+            got = list(zip(commons[x + y].tolist(), rest[y].tolist(), rest[x].tolist()))
+        else:
+            # unit gains make the share table (c, c, p, q): each admitted
+            # cell's common power, private power and top partner
+            common, _, p_share, q_share = _antenna_cells(private, 1.0, 1.0)
+            got = list(zip(common.tolist(), p_share.tolist(), q_share.tolist()))
         if budget > 0.0:
             assert sorted(got) == sorted(want), budget
         # every grid power is 0 at a zero budget, so the float rule admits
