@@ -22,9 +22,15 @@ bisects for that minimum, solves the powers exactly at the beam angle it
 gives, and returns ``g(lambda*)`` as a certified upper bound next to the
 achieved rate.  :func:`optimize_covariance_bound` stays a primal search.
 
-With phase fading (no carrier-phase tracking at the transmitters) the
-coherent terms average out and the capacity has a closed form, provided by
-:func:`phase_fading_capacity`.
+The csi mode reaches the power route as one number, the coherent gain
+``gc``: ``g31`` with synchronized carriers and 0 under phase fading (no
+carrier-phase tracking at the transmitters).  Without phase knowledge the
+source power ``pb1`` sent with the relay's symbol no longer adds to the
+relay's signal in amplitude at the destination, only in power (``g31 *
+pb1``); the beams stay.  So :func:`cutset_bounds` and
+:func:`optimize_capacity` take both modes, and :func:`phase_fading_capacity`
+is the certified optimum's rate.  The covariance route stays synchronous,
+so the cross-check between the two routes is unchanged.
 
 All rates are in nats per second; powers are in Watts.
 """
@@ -68,8 +74,10 @@ class PowerAllocation:
 
     ``p21`` feeds the beam pointed ``theta`` radians away from the direct
     gain vector (towards the relay), ``p31`` feeds the beam aligned with the
-    direct gain vector, and ``pb1`` is the source power spent coherently with
-    the relay transmission.  ``alpha`` optionally records the angle between
+    direct gain vector, and ``pb1`` is the source power sent with the relay's
+    symbol: coherently with the relay transmission when the carriers are
+    synchronous, and adding only its power ``g31 * pb1`` at the destination
+    under phase fading.  ``alpha`` optionally records the angle between
     the relay and destination gain vectors at the time the split was
     computed; it is informational only.
     """
@@ -159,11 +167,13 @@ def _check_source_budget(cfg: ChannelConfig, spent: float) -> None:
 def _single_relay_geometry(cfg: ChannelConfig):
     """Normalized powers and link geometry shared by the bound evaluators.
 
-    Returns ``(g21, g31, m32, alpha, p1, p2)`` where the ``g``s are squared
-    gain norms, ``m32`` is the relay-to-destination gain magnitude, ``alpha``
-    the angle between the source gain vectors, and ``p1``, ``p2`` the power
-    budgets divided by the noise spectral density (so products ``g * p`` are
-    rates in nats/s).
+    Returns ``(g21, g31, gc, m32, alpha, p1, p2)`` where the ``g``s are
+    squared gain norms, ``m32`` is the relay-to-destination gain magnitude,
+    ``alpha`` the angle between the source gain vectors, and ``p1``, ``p2``
+    the power budgets divided by the noise spectral density (so products
+    ``g * p`` are rates in nats/s).  ``gc`` is the coherent gain, the only
+    number the csi mode sets: ``g31`` when synchronous, and 0 under phase
+    fading, where the source cannot align its phase with the relay's.
     """
     c21 = cfg.gain("c21")
     c31 = cfg.gain("c31")
@@ -173,7 +183,8 @@ def _single_relay_geometry(cfg: ChannelConfig):
     m32 = abs(cfg.scalar_gain("c32"))
     p1 = cfg.powers["P1"] / cfg.noise_psd
     p2 = cfg.powers["P2"] / cfg.noise_psd
-    return g21, g31, m32, alpha, p1, p2
+    gc = g31 if cfg.csi is CsiMode.SYNCHRONOUS else 0.0
+    return g21, g31, gc, m32, alpha, p1, p2
 
 
 def cutset_bounds(cfg: ChannelConfig, alloc: PowerAllocation) -> tuple[float, float]:
@@ -183,18 +194,21 @@ def cutset_bounds(cfg: ChannelConfig, alloc: PowerAllocation) -> tuple[float, fl
     from the source (broadcast cut), the second what the destination can
     collect from source and relay together (MAC cut).  The capacity upper
     bound at this split is their minimum.  ``alloc.theta`` may lie outside
-    [0, alpha]; such angles are valid inputs, they just never help.
+    [0, alpha]; such angles are valid inputs, they just never help.  Under
+    phase fading ``pb1`` and the relay add their powers at the destination,
+    ``g31 * pb1 + |c32|**2 P2 / N0``, where synchronous carriers add their
+    amplitudes; nothing else changes.
     """
-    require_network(cfg, "cutset_bounds", Topology.SINGLE_RELAY, CsiMode.SYNCHRONOUS)
+    require_network(cfg, "cutset_bounds", Topology.SINGLE_RELAY)
     _check_source_budget(cfg, alloc.total)
-    g21, g31, m32, alpha, _, p2 = _single_relay_geometry(cfg)
+    g21, g31, gc, m32, alpha, _, p2 = _single_relay_geometry(cfg)
     n0 = cfg.noise_psd
     p21 = alloc.p21 / n0
     p31 = alloc.p31 / n0
     pb1 = alloc.pb1 / n0
     theta = alloc.theta
     relay_decode = g31 * p31 + g21 * math.cos(alpha - theta) ** 2 * p21
-    coherent = (math.sqrt(pb1 * g31) + m32 * math.sqrt(p2)) ** 2
+    coherent = (math.sqrt(pb1 * gc) + m32 * math.sqrt(p2)) ** 2 + (g31 - gc) * pb1
     mac_combine = g31 * p31 + g31 * math.cos(theta) ** 2 * p21 + coherent
     return relay_decode, mac_combine
 
@@ -210,7 +224,7 @@ def achievable_rate(cfg: ChannelConfig, alloc: PowerAllocation) -> float:
     return min(bound_rd, bound_mac)
 
 
-def _dual(lam, g21, g31, alpha, p1, partner):
+def _dual(lam, g21, g31, gc, alpha, p1, partner):
     """``(g(lam), slope, theta)`` for :func:`optimize_capacity`: the dual, its
     slope ``relay_decode - mac_combine`` at the inner maximizer, and the top
     eigenvector's angle, clipped to ``[0, alpha]``."""
@@ -223,19 +237,19 @@ def _dual(lam, g21, g31, alpha, p1, partner):
     theta = min(max(0.5 * math.atan2(2.0 * b, a - c), 0.0), alpha)
     # stationary sqrt(pb1) = num / den, capped at sqrt(p1); num = 0 (dead
     # relay, lam = 1, no direct link) means no coherent power, even at den = 0
-    num = mac_weight * partner * math.sqrt(g31)
+    num = mac_weight * partner * math.sqrt(gc)
     den = k - mac_weight * g31
     cap = math.sqrt(p1)
     root = (cap if num > 0.0 else 0.0) if num >= cap * den else num / den
     rest = p1 - root ** 2
-    coherent = (root * math.sqrt(g31) + partner) ** 2
+    coherent = (root * math.sqrt(gc) + partner) ** 2 + (g31 - gc) * root ** 2
     # rd - mac per Watt of the rest: on the direct beam both cuts gain alike
     beam = 0.0 if g31 >= top else g21 * math.cos(alpha - theta) ** 2 - g31 * math.cos(theta) ** 2
     return k * rest + mac_weight * coherent, beam * rest - coherent, theta
 
 
 def optimize_capacity(cfg: ChannelConfig) -> CapacityResult:
-    """Maximize ``min(cutset_bounds)`` over power splits and beam angle.
+    """Maximize ``min(cutset_bounds)`` over power splits and beam angle, in either csi mode.
 
     The capacity equals the minimum over ``lambda`` in ``[0, 1]`` of the
     convex dual ``g(lambda)``, the largest ``lambda * relay_decode + (1 -
@@ -244,14 +258,18 @@ def optimize_capacity(cfg: ChannelConfig) -> CapacityResult:
     e(alpha) e(alpha)^T + (1 - lambda) g31 e(0) e(0)^T``, so the best beam
     earns the top eigenvalue of ``M``, or ``g31`` on the beam that also
     carries the direct link; the coherent power ``pb1`` then maximizes a
-    concave quadratic in ``sqrt(pb1)`` (:func:`_dual`).  By Danskin's
+    concave quadratic in ``sqrt(pb1)`` (:func:`_dual`).  The coherent gain
+    ``gc`` scales its linear term, so under phase fading the quadratic peaks
+    at ``pb1 = 0``: the rest earns at least as much per Watt.  By Danskin's
     theorem ``g`` has the slope ``relay_decode - mac_combine`` there, and as
     ``g`` is convex the minimizer is 0 or 1 where the slope points out of
     ``[0, 1]``, and is otherwise bisected on the slope's sign down to a
     bracket ``2**-53`` wide (53 halvings, each midpoint exact).  The smaller
     ``g`` at its ends is ``upper_bound``, and its top eigenvector's angle the
     optimal beam.  Where ``g`` is flat at its minimum that angle can miss,
-    so the beam pointed at the relay (``theta = alpha``) is tried as well.
+    so the beam pointed at the relay (``theta = alpha``) and the other end's
+    angle are tried as well, in that order; a later angle is taken only
+    where it is strictly better.
 
     The powers are solved exactly at these angles rather than read from
     the dual: at a kink of ``g`` the optimum mixes the inner maximizers on
@@ -261,11 +279,11 @@ def optimize_capacity(cfg: ChannelConfig) -> CapacityResult:
     :func:`~relaycap._search.coherent_max`.  The allocation
     is replayed through :func:`cutset_bounds` to pick the binding cut.
     """
-    require_network(cfg, "optimize_capacity", Topology.SINGLE_RELAY, CsiMode.SYNCHRONOUS)
-    g21, g31, m32, alpha, p1, p2 = _single_relay_geometry(cfg)
+    require_network(cfg, "optimize_capacity", Topology.SINGLE_RELAY)
+    g21, g31, gc, m32, alpha, p1, p2 = _single_relay_geometry(cfg)
     n0 = cfg.noise_psd
     partner = m32 * math.sqrt(p2)
-    geometry = (g21, g31, alpha, p1, partner)
+    geometry = (g21, g31, gc, alpha, p1, partner)
     lo, hi = 0.0, 1.0
     at_lo, at_hi = _dual(lo, *geometry), _dual(hi, *geometry)
     while at_lo[1] < 0.0 < at_hi[1] and hi - lo > 2.0 ** -53:
@@ -275,30 +293,32 @@ def optimize_capacity(cfg: ChannelConfig) -> CapacityResult:
             hi, at_hi = mid, at_mid
         else:
             lo, at_lo = mid, at_mid
-    bound, _, theta_dual = at_lo if at_lo[0] <= at_hi[0] else at_hi
-    thetas = np.array([theta_dual, alpha])
+    near, far = (at_lo, at_hi) if at_lo[0] <= at_hi[0] else (at_hi, at_lo)
+    thetas = np.array([near[2], alpha, far[2]])
     values, pb1s, p21s = coherent_max(
         g21 * np.cos(alpha - thetas) ** 2, g31 * np.cos(thetas) ** 2, g31, 1.0, p1,
-        partner ** 2, 2.0 * partner * math.sqrt(g31), g31)
+        partner ** 2, 2.0 * partner * math.sqrt(gc), g31)
     best = int(np.argmax(values))
     value, pb1, p21, theta = (float(v[best]) for v in (values, pb1s, p21s, thetas))
     alloc = PowerAllocation(p21=p21 * n0, p31=max(0.0, p1 - pb1 - p21) * n0, pb1=pb1 * n0,
                             theta=theta, alpha=alpha)
     bound_rd, bound_mac = cutset_bounds(cfg, alloc)
     binding = BindingBound.RELAY_DECODE if bound_rd <= bound_mac else BindingBound.MAC_COMBINE
-    return CapacityResult(rate=value, allocation=alloc, binding_bound=binding, upper_bound=bound)
+    return CapacityResult(rate=value, allocation=alloc, binding_bound=binding, upper_bound=near[0])
 
 
 def phase_fading_capacity(cfg: ChannelConfig) -> float:
-    """Closed-form capacity of the single-relay network under phase fading.
+    """Capacity of the single-relay network under phase fading, a float.
 
-    Without transmitter phase knowledge beams are useless, so the broadcast
-    cut saturates at the better of the two source links and the MAC cut adds
-    the relay link power incoherently.
+    Without transmitter phase knowledge the source still points its beams
+    at the relay and the destination; only the coherent term of the MAC cut
+    drops, so the relay's power adds to the source's at the destination
+    incoherently (:func:`cutset_bounds`).  The joint max-min of the two cuts
+    is solved by :func:`optimize_capacity`, whose ``upper_bound`` certifies
+    it in this mode too; this returns its ``rate``.
     """
     require_network(cfg, "phase_fading_capacity", Topology.SINGLE_RELAY, CsiMode.PHASE_FADING)
-    g21, g31, m32, _, p1, p2 = _single_relay_geometry(cfg)
-    return min(max(g21, g31) * p1, g31 * p1 + m32 ** 2 * p2)
+    return optimize_capacity(cfg).rate
 
 
 def covariance_bounds(cfg: ChannelConfig, params: MatrixBoundParams) -> tuple[float, float]:
@@ -423,7 +443,7 @@ def optimize_covariance_bound(cfg: ChannelConfig) -> CapacityResult:
     ``alpha`` raises both gains.
     """
     require_network(cfg, "optimize_covariance_bound", Topology.SINGLE_RELAY, CsiMode.SYNCHRONOUS)
-    g21, g31, m32, alpha, p1, p2 = _single_relay_geometry(cfg)
+    g21, g31, _, m32, alpha, p1, p2 = _single_relay_geometry(cfg)
     n0 = cfg.noise_psd
     c21 = cfg.gain("c21")
     c31 = cfg.gain("c31")

@@ -3,8 +3,8 @@
 Subcommands map one-to-one onto the library layers:
 
 ``capacity``
-    Optimize the single-relay bounds for a channel config (closed form under
-    phase fading).
+    Optimize the single-relay bounds for a channel config (only the rate is
+    printed under phase fading).
 ``region``
     Tabulate the MAC cut or the broadcast superposition region of the
     two-relay diamond as CSV; optionally run the inner-vs-outer gap sweep.

@@ -100,12 +100,22 @@ def test_cutset_rejects_over_budget():
     cutset_bounds(tiny, PowerAllocation(p21=5e-16, p31=5e-16, pb1=0.0, theta=0.0))
 
 
-def test_cutset_requires_synchronous_single_relay():
+def test_cutset_requires_single_relay():
     alloc = PowerAllocation(p21=0.0, p31=1.0, pb1=0.0, theta=0.0)
     with pytest.raises(ValueError, match="single-relay topology"):
         cutset_bounds(diamond_config(csi=CsiMode.SYNCHRONOUS), alloc)
-    with pytest.raises(ValueError, match="csi mode"):
-        cutset_bounds(single_relay_config(csi=CsiMode.PHASE_FADING), alloc)
+
+
+def test_cutset_phase_fading_adds_the_coherent_power_incoherently():
+    # the split of test_cutset_relay_beam_and_coherent_terms without phase
+    # knowledge: the beams and the broadcast cut stay, and pb1 adds
+    # g31 * pb1 = 1 to the MAC cut next to the relay's own 0.8**2, where
+    # synchronous it adds (1 + 0.8)**2 in all
+    cfg = single_relay_config(p1=3.0, p2=1.0, alpha=0.4, c32=0.8, csi=CsiMode.PHASE_FADING)
+    theta = 0.15
+    rd, mac = cutset_bounds(cfg, PowerAllocation(p21=1.0, p31=1.0, pb1=1.0, theta=theta))
+    assert rd == pytest.approx(1.0 + math.cos(0.4 - theta) ** 2)
+    assert mac == pytest.approx(1.0 + math.cos(theta) ** 2 + 1.0 + 0.8**2)
 
 
 def test_optimize_weak_relay_link_reduces_to_direct(monkeypatch):
@@ -291,7 +301,8 @@ def test_budget_products_do_not_overflow():
 
 
 def test_phase_fading_capacity_hand_case():
-    # direct-link cut min: max(2, 1) * 2 = 4 against 1 * 2 + 1 * 1 = 3
+    # parallel links (alpha = 0): p21 = t and p31 = 2 - t give the cuts
+    # 2 * t + (2 - t) = 2 + t and 1 * 2 + 1 * 1 = 3, equal at t = 1
     cfg = single_relay_config(
         p1=2.0, p2=1.0, alpha=0.0, c32=1.0, csi=CsiMode.PHASE_FADING, scale21=math.sqrt(2.0)
     )
@@ -308,6 +319,26 @@ def test_phase_fading_capacity_monotone_in_relay_power():
     assert rates == sorted(rates)
     # saturates at the broadcast cut
     assert rates[-1] == pytest.approx(max(1.0, 1.0) * 2.0)
+
+
+def test_phase_fading_witness_stays_below_synchronous():
+    # each cut maximized on its own gives min(2 * 1, 1 * 1 + 1) = 2.0, above
+    # the synchronous 16/9. Jointly, the beam at the relay (theta = alpha)
+    # gives the cuts 1 + p21 and 2 - p21, so the capacity is 1.5 at p21 = 0.5
+    cfg = single_relay_config(p1=1.0, p2=1.0, alpha=math.pi / 2, c32=1.0, scale21=math.sqrt(2.0),
+                              csi=CsiMode.PHASE_FADING)
+    rate = phase_fading_capacity(cfg)
+    assert type(rate) is float
+    assert rate == 1.5
+    result = optimize_capacity(cfg)
+    assert result.rate == result.upper_bound == 1.5
+    assert result.allocation.theta == result.allocation.alpha
+    assert result.allocation.pb1 == 0.0
+    assert result.allocation.p21 == pytest.approx(0.5)
+    assert min(cutset_bounds(cfg, result.allocation)) == pytest.approx(1.5)
+    synchronous = optimize_capacity(single_relay_config(p1=1.0, p2=1.0, alpha=math.pi / 2, c32=1.0,
+                                                        scale21=math.sqrt(2.0)))
+    assert synchronous.rate == pytest.approx(16.0 / 9.0)
 
 
 def test_phase_fading_capacity_requires_phase_fading():

@@ -89,9 +89,20 @@ def test_capacity_phase_fading(fading_config, capsys):
     assert main(["capacity", "--config", fading_config]) == EXIT_OK
     kv = parse_kv(capsys.readouterr().out)
     assert kv["csi"] == "phase_fading"
-    # closed form: min(max(1,1)*2, 2 + 0.64) = 2
+    # the broadcast cut's largest value, g31 * P1 = 2 with all of P1 on the
+    # destination's beam, where the MAC cut adds the relay's 0.64
     assert float(kv["rate"]) == pytest.approx(2.0)
     assert "p21" not in kv
+
+
+def test_capacity_phase_fading_witness(tmp_path, capsys):
+    # each cut maximized on its own would print rate=2; see
+    # test_phase_fading_witness_stays_below_synchronous
+    path = tmp_path / "witness.json"
+    path.write_text(single_relay_config(p1=1.0, p2=1.0, alpha=np.pi / 2, c32=1.0, scale21=np.sqrt(2.0),
+                                        csi=CsiMode.PHASE_FADING).to_json())
+    assert main(["capacity", "--config", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == "csi=phase_fading\nrate=1.5\n"
 
 
 def test_capacity_rejects_grid_flag(sync_config, capsys):

@@ -82,21 +82,28 @@ def test_star_import_binds_all():
 
 @pytest.fixture(scope="module")
 def cli_files(tmp_path_factory):
+    from relaycap import CsiMode
+
     from helpers import diamond_config, single_relay_config
 
     root = tmp_path_factory.mktemp("cli_imports")
     sync = root / "sync.json"
     sync.write_text(single_relay_config(p1=2.0, p2=1.0, alpha=0.4, c32=0.8).to_json())
+    fading = root / "fading.json"
+    fading.write_text(
+        single_relay_config(p1=2.0, p2=1.0, alpha=0.4, c32=0.8, csi=CsiMode.PHASE_FADING).to_json())
     diamond = root / "diamond.json"
     diamond.write_text(diamond_config(p1=1.5, p2=2.0).to_json())
     matrix = root / "matrix.json"
     matrix.write_text("[[2, 1], [1, 2]]")
-    return {"sync": str(sync), "diamond": str(diamond), "matrix": str(matrix)}
+    return {"sync": str(sync), "fading": str(fading), "diamond": str(diamond), "matrix": str(matrix)}
 
 
 SUBCOMMANDS = {
     "capacity": (["capacity", "--config", "{sync}", "--cross-check"],
                  {"capacity", "_search", "matrices"}),
+    # phase fading runs the same solver as the synchronous mode
+    "capacity-phase-fading": (["capacity", "--config", "{fading}"], {"capacity", "_search", "matrices"}),
     "region": (["region", "--config", "{diamond}", "--cut", "broadcast", "--gap", "--steps", "4"],
                {"regions"}),
     "min-power": (["min-power", "--r2", "1", "--r3", "1", "--r-sum", "1.5", "--c2-sq", "1",

@@ -27,7 +27,7 @@ from relaycap import (
     optimize_covariance_bound,
     phase_fading_capacity,
 )
-from relaycap._search import grid_refine
+from relaycap._search import grid_refine, split_max
 from relaycap.channel import rounding_slack
 
 from helpers import (FLAT_DUAL_CHANNELS, KINK_CHANNELS, always_refined_covariance, gains_single_relay,
@@ -89,6 +89,64 @@ def test_dual_bound_certifies_the_rate(cfg):
     result = optimize_capacity(cfg)
     assert result.upper_bound >= result.rate - rounding_slack(result.rate)
     assert result.upper_bound - result.rate <= 6e-15 * result.upper_bound
+
+
+# Each cut maximized on its own gives 2.0 here under phase fading, above the
+# synchronous 16/9; the joint max-min is 1.5.
+FADING_WITNESS = single_relay_config(p1=1.0, p2=1.0, alpha=math.pi / 2, c32=1.0, scale21=math.sqrt(2.0))
+# Under phase fading the beam of the final lambda bracket's far end beats
+# the near end's and the relay's; solved at those two alone, the gap is
+# 9.1e-15 relative.
+FADING_FAR_END_CHANNEL = gains_single_relay(
+    3.4530395714174684, 2.8649006651138538, 1.0,
+    (0.09350612554029468 + 0.23971680635043444j, -1.8555402636313378 + 1.1068248178170996j),
+    (-0.023408092592395475 - 0.17156403968092573j, -0.02404524437109667 + 0.10022234019663481j),
+    -0.8808684562645849 + 1.1003692049990983j)
+
+
+def with_fading_examples(test):
+    for cfg in (FADING_WITNESS, FADING_FAR_END_CHANNEL, *KINK_CHANNELS):
+        test = example(cfg)(test)
+    return with_flat_dual_examples(test)
+
+
+def _phase_fading(cfg):
+    return dataclasses.replace(cfg, csi=CsiMode.PHASE_FADING)
+
+
+@with_fading_examples
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(st.one_of(planar_channels(), complex_channels()))
+def test_phase_fading_never_beats_synchronous(cfg):
+    # phase knowledge at the transmitters can only help
+    fading = phase_fading_capacity(_phase_fading(cfg))
+    synchronous = optimize_capacity(cfg).rate
+    assert fading <= synchronous + rounding_slack(synchronous)
+
+
+@with_fading_examples
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(st.one_of(planar_channels(), complex_channels()))
+def test_dual_bound_certifies_the_phase_fading_rate(cfg):
+    # the synchronous certificate's bounds, held by the same solver
+    result = optimize_capacity(_phase_fading(cfg))
+    assert result.upper_bound >= result.rate - rounding_slack(result.rate)
+    assert result.upper_bound - result.rate <= 6e-15 * result.upper_bound
+
+
+@with_fading_examples
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(st.one_of(planar_channels(), complex_channels()))
+def test_phase_fading_rate_tops_a_beam_angle_grid(cfg):
+    # with no coherent term pb1 earns no more than p31 (and nothing in the
+    # broadcast cut), so the capacity is the best split of P1 between the
+    # beam at theta and the destination's beam
+    fading = _phase_fading(cfg)
+    g21, g31, _, m32, alpha, p1, p2 = capacity._single_relay_geometry(fading)
+    theta = np.linspace(0.0, alpha, 20_001)
+    values, _ = split_max(g21 * np.cos(alpha - theta) ** 2, g31 * np.cos(theta) ** 2, g31, m32 ** 2 * p2, p1)
+    rate = phase_fading_capacity(fading)
+    assert values.max() <= rate + rounding_slack(rate)
 
 
 # A narrow peak in the relay-block angle that the angle scan steps over; the
@@ -185,7 +243,7 @@ def _dead_relay(cfg, csi):
 @given(st.one_of(planar_channels(), complex_channels()))
 def test_a_dead_relay_leaves_the_direct_rate(cfg):
     # with c32 = 0 nothing the relay decodes reaches the destination, so both
-    # optimizers and the phase-fading closed form give |c31|**2 P1 / N0
+    # optimizers and the phase-fading capacity give |c31|**2 P1 / N0
     c31 = cfg.gains["c31"]
     direct = float(np.vdot(c31, c31).real) * cfg.powers["P1"] / cfg.noise_psd
     synchronous = _dead_relay(cfg, CsiMode.SYNCHRONOUS)
