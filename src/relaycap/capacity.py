@@ -44,7 +44,9 @@ from enum import Enum
 import numpy as np
 
 from ._search import coherent_max, grid_refine
-from .channel import ChannelConfig, CsiMode, Topology, angle_between, require_network, rounding_slack
+from .channel import (
+    ChannelConfig, CsiMode, Topology, angle_between, require_network, require_within_budget, rounding_slack,
+)
 from .matrices import require_psd
 
 __all__ = [
@@ -158,12 +160,6 @@ class CapacityResult:
 _RELAY_ANGLE_POINTS = 133
 
 
-def _check_source_budget(cfg: ChannelConfig, spent: float) -> None:
-    p1 = cfg.powers["P1"]
-    if spent > p1 and spent > p1 + rounding_slack(p1):
-        raise ValueError(f"source power {spent!r} W exceeds the budget P1={p1!r} W")
-
-
 def _single_relay_geometry(cfg: ChannelConfig):
     """Normalized powers and link geometry shared by the bound evaluators.
 
@@ -200,7 +196,7 @@ def cutset_bounds(cfg: ChannelConfig, alloc: PowerAllocation) -> tuple[float, fl
     amplitudes; nothing else changes.
     """
     require_network(cfg, "cutset_bounds", Topology.SINGLE_RELAY)
-    _check_source_budget(cfg, alloc.total)
+    require_within_budget(alloc.total, cfg.powers["P1"], "source power {spent!r} W exceeds the budget P1={budget!r} W")
     g21, g31, gc, m32, alpha, _, p2 = _single_relay_geometry(cfg)
     n0 = cfg.noise_psd
     p21 = alloc.p21 / n0
@@ -341,11 +337,8 @@ def covariance_bounds(cfg: ChannelConfig, params: MatrixBoundParams) -> tuple[fl
         raise ValueError(f"beam vector u must have unit norm, got norm {u_norm!r}")
     beta = min(max(params.beta, 0.0), 1.0)
     spent = float(np.trace(params.a).real + np.trace(params.b).real) + beta ** 2 * p1_watts
-    if spent > p1_watts + tol:
-        raise ValueError(
-            f"covariance traces plus coherent power spend {spent!r} W, "
-            f"exceeding the budget P1={p1_watts!r} W"
-        )
+    require_within_budget(spent, p1_watts, "covariance traces plus coherent power spend {spent!r} W, "
+                          "exceeding the budget P1={budget!r} W")
 
     n0 = cfg.noise_psd
     c21 = cfg.gain("c21")

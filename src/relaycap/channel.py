@@ -326,3 +326,15 @@ def rounding_slack(*quantities: float) -> float:
     must hold exactly).
     """
     return REL_TOL * max(map(abs, quantities))
+
+
+def require_within_budget(spent: float, budget: float, message: str, *parts: float) -> None:
+    """Raise ValueError, with ``message.format(spent=spent, budget=budget)``,
+    when ``spent`` exceeds ``budget`` by more than
+    ``rounding_slack(budget, *parts)``.
+
+    The slack is >= 0, so a spend within the budget passes on one
+    comparison; the slack and the message are formed only past it.
+    """
+    if spent > budget and spent > budget + rounding_slack(budget, *parts):
+        raise ValueError(message.format(spent=spent, budget=budget))

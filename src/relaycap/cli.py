@@ -24,16 +24,16 @@ Exit codes: 0 success, 1 bad input, 2 check failed.  All output is plain
 ASCII and deterministic for fixed arguments.
 
 Only the stdlib, numpy and :mod:`relaycap.channel` are imported with this
-module. The names the subcommands call from the other layers are listed in
-``_LAYER_NAMES``, by layer, and a module ``__getattr__`` (PEP 562) imports a
-name's layer the first time the name is read, so a process loads only the
-layers its subcommand runs: ``capacity`` loads capacity (with ``_search`` and
-matrices), ``region`` and ``min-power`` regions, ``verify-limits`` wideband
-(with matrices), ``counterexample`` counterexample (with regions and
-matrices) and ``matrix-check`` matrices. The subcommands call these names
-through the module object (``_cli.optimize_capacity(cfg)``), so they stay
-attributes of this module: a caller that replaces one, as a tracer wrapping
-it does, sees every call the subcommands make through it.
+module. The subcommands read the package's public names (``relaycap.__all__``)
+as attributes of this module, ``_cli.optimize_capacity(cfg)``. The first read
+of one goes through a module ``__getattr__`` (PEP 562) to the package's own,
+which imports the name's layer, and binds the name here. So a process loads
+only the layers its subcommand runs: ``capacity`` loads capacity (with
+``_search`` and matrices), ``region`` and ``min-power`` regions,
+``verify-limits`` wideband (with matrices), ``counterexample``
+counterexample (with regions and matrices) and ``matrix-check`` matrices.
+And a caller that replaces one of these names here, as a tracer wrapping it
+does, sees every call the subcommands make through it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import importlib
 import json
 import sys
 from pathlib import Path
@@ -50,27 +49,12 @@ import numpy as np
 
 from .channel import ChannelConfig, CsiMode, Topology, load_config
 
-_LAYER_NAMES = {
-    "capacity": ("optimize_capacity", "optimize_covariance_bound", "phase_fading_capacity"),
-    "counterexample": ("CAVEAT", "comparison_rows", "run_counterexample"),
-    "matrices": ("eigenvalues_ascending", "is_hermitian", "loewner_compare"),
-    "regions": (
-        "CommonPrivateAllocation",
-        "broadcast_region_gap",
-        "common_private_rates",
-        "mac_region_point",
-        "min_power",
-    ),
-    "wideband": ("DEFAULT_BANDWIDTHS", "check_limit_constant_phase", "check_limit_phase_fading"),
-}
-_LAYER_OF = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
-
 
 def __getattr__(name: str):
-    layer = _LAYER_OF.get(name)
-    if layer is None:
+    package = sys.modules[__package__]
+    if name not in package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__package__}.{layer}"), name)
+    value = getattr(package, name)
     globals()[name] = value  # bound here, where a caller can replace it
     return value
 
@@ -216,8 +200,10 @@ def _cmd_min_power(args: argparse.Namespace) -> int:
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> int:
+    from .counterexample import CAVEAT, comparison_rows
+
     report = _cli.run_counterexample()
-    rows = _cli.comparison_rows(report)
+    rows = comparison_rows(report)
     if args.csv:
         _emit(
             [[name, _fmt(got), _fmt(want), _fmt(tol), "yes" if ok else "no"] for name, got, want, tol, ok in rows],
@@ -236,7 +222,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
             print("power needed by common/private messaging exceeds the outer-bound budget:", file=stream)
             print(f"  p_required={_fmt(report.p_required)} > trace_x={_fmt(report.trace_x)}", file=stream)
             print(file=stream)
-            print("note: " + _cli.CAVEAT, file=stream)
+            print("note: " + CAVEAT, file=stream)
     return EXIT_OK if report.matches_reference else EXIT_CHECK_FAILED
 
 

@@ -10,36 +10,10 @@ cuts are:
   coding with a common and two private streams gives an inner bound
   (:func:`common_private_rates`) that can be compared numerically against
   the cut-set outer bound (:func:`broadcast_outer_rates`) by a sweep over
-  stream powers (:func:`broadcast_region_gap`).  Every rate here is linear
-  in the six stream powers, one source antenna's share plus the other's;
-  the rate functions and the sweep's achievable pass take those shares
-  from one function, the rate functions on floats and the sweep on arrays.
-  The outer pass sums the same gains times the powers aimed at each relay,
-  which may differ from :func:`broadcast_outer_rates` in the last bits.
-  The gains ``|c21|**2 / N0`` and ``|c31|**2 / N0`` enter as floats worked
-  out once per config.
-  The sweep visits only the relay-3 private powers that spend the rest of
-  each antenna's budget; for each (common, relay-2 private) cell they
-  dominate the rest of their slab.  The achievable pass thus costs about
-  steps**4 / 4 points: each antenna tabulates its share of every rate once
-  over the cells it admits, and the pass adds the two tables in chunks of
-  a fixed number of antenna-1 cells, so no rejected cell is evaluated.  Its
-  lookup grid has one row per distinct rate bin that the demands ask of
-  relay 2, and one column per bin asked of relay 3, plus one for points
-  that reach no demanded bin, stored with both axes reversed, so that its
-  suffix maximum is two running maxima in place.  The outer pass runs
-  first and evaluates at most steps**2 demands.  A top cell is a pair of
-  per-antenna powers aimed at relay 2 and powers aimed at relay 3; r2 and
-  one sum bound depend on the first alone, r3 and the other on the
-  second.  Every later step, the clip into the valid cone and the binning,
-  is a floating-point min, max, add, subtract, divide or truncation, each
-  monotone in every argument, and the lookup into a suffix maximum never
-  rises as its bins grow; so the gap never falls when any of the four
-  rises.  The largest gap thus lies on the product of the two sides'
-  Pareto fronts.  An antenna trades one coordinate against the other only
-  on the side of the relay that hears it worse, and on the other side its
-  shares rise together in floating point too, so the two fronts hold at
-  most steps**2 pairs;
+  stream powers (:func:`broadcast_region_gap`, whose docstring derives the
+  sweep).  Every rate here is linear in the six stream powers, one source
+  antenna's share plus the other's, and one function gives those shares to
+  the rate functions, on floats, and to the sweep, on arrays;
 * the synchronous broadcast cut, where rank-one beamforming attains a
   simple triangular region when one relay's channel is degraded with
   respect to the other (:func:`beamforming_rates`), and the minimum total
@@ -57,7 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import REL_TOL, ChannelConfig, CsiMode, Topology, angle_between, require_network, rounding_slack
+from .channel import (
+    REL_TOL, ChannelConfig, CsiMode, Topology, angle_between, require_network, require_within_budget, rounding_slack,
+)
 
 __all__ = [
     "MacRegionPoint",
@@ -100,33 +76,32 @@ def mac_region_point(cfg: ChannelConfig, rho: float = 0.0) -> MacRegionPoint:
 
     With synchronized carriers the individual bounds shrink by ``1 - rho**2``
     while the sum bound gains a coherent term; under phase fading the
-    correlation cannot be exploited and ``rho`` is ignored.
+    correlation cannot be exploited and ``rho`` is ignored: the cut is the
+    synchronous one at correlation 0.
     """
     require_network(cfg, "mac_region_point", Topology.TWO_RELAY_DIAMOND)
     if not math.isfinite(rho):
         raise ValueError(f"rho must be finite, got {rho!r}")
+    fading = cfg.csi is CsiMode.PHASE_FADING
+    if not fading and not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must lie in [0, 1] for the synchronous cut, got {rho!r}")
+    # Under phase fading r is a zero, so off is 1.0 and the cross term a zero:
+    # each bound is its link budget, or their sum. The zero is -0.0, whose
+    # cross term keeps a sum of two -0.0 budgets at -0.0.
+    r = -0.0 if fading else rho
     n0 = cfg.noise_psd
     m42 = abs(cfg.scalar_gain("c42"))
     m43 = abs(cfg.scalar_gain("c43"))
     p2 = cfg.powers["P2"] / n0
     p3 = cfg.powers["P3"] / n0
-    if cfg.csi is CsiMode.PHASE_FADING:
-        return MacRegionPoint(
-            r23_max=m42 ** 2 * p2,
-            r32_max=m43 ** 2 * p3,
-            r_sum_max=m42 ** 2 * p2 + m43 ** 2 * p3,
-            rho=rho,
-            rho_ignored=rho != 0.0,
-        )
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1] for the synchronous cut, got {rho!r}")
-    off = 1.0 - rho ** 2
+    off = 1.0 - r ** 2
     return MacRegionPoint(
         r23_max=m42 ** 2 * p2 * off,
         r32_max=m43 ** 2 * p3 * off,
         # one root per link budget, which the config keeps finite; p2 * p3 may not be
-        r_sum_max=m42 ** 2 * p2 + m43 ** 2 * p3 + 2.0 * rho * (m42 * math.sqrt(p2)) * (m43 * math.sqrt(p3)),
+        r_sum_max=m42 ** 2 * p2 + m43 ** 2 * p3 + 2.0 * r * (m42 * math.sqrt(p2)) * (m43 * math.sqrt(p3)),
         rho=rho,
+        rho_ignored=fading and rho != 0.0,
     )
 
 
@@ -219,15 +194,10 @@ class BroadcastOuterRates:
 
 
 def _check_antenna_budgets(cfg: ChannelConfig, alloc: CommonPrivateAllocation) -> None:
-    # budget + slack >= budget, so the slack is formed only past the budget
-    b1 = cfg.powers["P1"]
-    b2 = cfg.powers["P2"]
-    spent1 = alloc.antenna1_total
-    if spent1 > b1 and spent1 > b1 + rounding_slack(b1, alloc.p1c, alloc.p12, alloc.p13):
-        raise ValueError(f"antenna 1 spends {spent1!r} W, budget is {b1!r} W")
-    spent2 = alloc.antenna2_total
-    if spent2 > b2 and spent2 > b2 + rounding_slack(b2, alloc.p2c, alloc.p22, alloc.p23):
-        raise ValueError(f"antenna 2 spends {spent2!r} W, budget is {b2!r} W")
+    require_within_budget(alloc.antenna1_total, cfg.powers["P1"],
+                          "antenna 1 spends {spent!r} W, budget is {budget!r} W", alloc.p1c, alloc.p12, alloc.p13)
+    require_within_budget(alloc.antenna2_total, cfg.powers["P2"],
+                          "antenna 2 spends {spent!r} W, budget is {budget!r} W", alloc.p2c, alloc.p22, alloc.p23)
 
 
 # Under phase fading every broadcast-cut rate is linear in the six stream
@@ -459,17 +429,18 @@ def broadcast_region_gap(cfg: ChannelConfig, steps: int = 16) -> BroadcastGapRep
     (common, p) cells (:func:`_antenna_cells`), and a pair of cells' terms
     are one outer add of the two tables, taken in chunks of a fixed number
     of antenna-1 cells, each paired with every antenna-2 cell; no cell that
-    either antenna rejects is evaluated.  A demand at bins (q2, q3) reads
-    the best sum cap among the points whose bins b2 >= q2 and b3 >= q3, so
-    only the demanded bins matter.  Per axis, with U the distinct demanded
-    bins, bin b has the rank #{u in U : u <= b}; for a demanded bin q, b >=
-    q holds exactly when rank(b) >= rank(q), as the rank never falls and
-    rises at q itself.  So each point is placed by its two ranks, read from
-    a table over the 256 bins whose take also clips its bins into [0, 255],
-    on a grid of (|U2| + 1) x (|U3| + 1) cells, rank 0 holding the points
-    that reach no demanded bin on that axis.  A max is exact in any order,
-    so every report keeps the bits of a lookup over all 256 x 256 bins,
-    whatever the chunk size.  The grid is stored with both axes reversed: its suffix
+    either antenna rejects is evaluated: about ``steps**4 / 4`` points in
+    all.  A demand at bins (q2, q3) reads the best sum cap among the points
+    whose bins b2 >= q2 and b3 >= q3, so only the demanded bins matter.
+    Per axis, with U the distinct demanded bins, bin b has the rank
+    #{u in U : u <= b}; for a demanded bin q, b >= q holds exactly when
+    rank(b) >= rank(q), as the rank never falls and rises at q itself.  So
+    each point is placed by its two ranks, read from a table over the 256
+    bins whose take also clips its bins into [0, 255], on a grid of
+    (|U2| + 1) x (|U3| + 1) cells, rank 0 holding the points that reach no
+    demanded bin on that axis.  A max is exact in any order, so every
+    report keeps the bits of a lookup over all 256 x 256 bins, whatever the
+    chunk size.  The grid is stored with both axes reversed: its suffix
     maximum is then two running maxima in place on a contiguous array, and
     ranks (k2, k3) sit at ``last - (k2 * width3 + k3)``.  The gains are the
     config's floats, worked out once per config, as in the rate functions.
@@ -605,10 +576,8 @@ def beamforming_rates(cfg: ChannelConfig, weights: BeamformingWeights) -> Beamfo
     g31 = float(np.vdot(c31, c31).real)
     swapped = g21 < g31
     g_strong, g_weak = (g31, g21) if swapped else (g21, g31)
-    budget = cfg.powers["P1"]
     spent = weights.private * g_strong + weights.common * g_weak
-    if spent > budget and spent > budget + rounding_slack(budget):
-        raise ValueError(f"beam weights spend {spent!r} W, budget is {budget!r} W")
+    require_within_budget(spent, cfg.powers["P1"], "beam weights spend {spent!r} W, budget is {budget!r} W")
     n0 = cfg.noise_psd
     r_strong = (weights.private * g_strong ** 2 + weights.common * g_weak ** 2) / n0
     r_weak = weights.common * g_weak ** 2 / n0

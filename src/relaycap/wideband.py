@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,9 +217,10 @@ def check_limit_phase_fading(
     SNR 2e7; with amplitudes (1e3, 1e3, 1e-3) it was 4e-8 at SNR 2e9 and
     about 1e-6 at SNRs of 2e11 and more. With one or two antennas that
     phase carries no amplitude, a single node is exact, and
-    ``num_phase_samples`` is not used. Nothing is random: ``rng_seed`` is
-    accepted but not read, and the standard errors are all 0. Convergence
-    is judged at the fixed relative tolerance 1e-3.
+    ``num_phase_samples`` is not used, though it must still be an integer
+    >= 1. Nothing is random: ``rng_seed`` is accepted but not read, and the
+    standard errors are all 0. Convergence is judged at the fixed relative
+    tolerance 1e-3.
     """
     gains = np.asarray(gain_mags, dtype=complex).reshape(-1)
     # hypot, unlike abs of a complex array, rounds alike whatever the memory
@@ -229,7 +231,11 @@ def check_limit_phase_fading(
     if mags.size > 3:
         raise ValueError(f"phase fading is averaged for at most 3 antennas, got {mags.size}")
     var = _validate_input_var(input_var, mags.size)
-    if num_phase_samples < 1:
+    try:
+        n = operator.index(num_phase_samples)
+    except TypeError:
+        raise ValueError(f"num_phase_samples must be an integer, got {num_phase_samples!r}") from None
+    if n < 1:
         raise ValueError("num_phase_samples must be >= 1")
     _validate_noise_psd(noise_psd)
     b = _validate_bandwidths(bandwidths)
@@ -239,7 +245,6 @@ def check_limit_phase_fading(
     # zeros pad a short link in front, so its gridded amplitude is 0 and the
     # single node 1.0 is exact. That node leaves w_abs a Python float.
     gridded, fixed, last = np.concatenate((np.zeros(3 - amps.size), amps)).tolist()
-    n = num_phase_samples
     phasors = np.exp(2j * np.pi * np.arange(n) / n) if gridded else 1.0
     w_abs = abs(fixed + gridded * phasors)
     s = (noise_psd * b)[:, None]

@@ -126,3 +126,24 @@ def test_subcommand_imports_only_its_layers(command, cli_files):
         "assert rc == 0, rc"
     )
     assert set(loaded["relaycap"]) == CLI_BASE | {f"relaycap.{layer}" for layer in layers}
+
+
+def test_cli_reads_only_package_names():
+    # the subcommands read their layer names as _cli.<name>, which the CLI
+    # resolves through the package; each must be one of its public names
+    tree = ast.parse(Path(SRC, "relaycap", "cli.py").read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "_cli"}
+    assert {"optimize_capacity", "mac_region_point", "run_counterexample", "loewner_compare"} <= read
+    assert read <= set(relaycap.__all__), read - set(relaycap.__all__)
+
+
+def test_cli_names_resolve_through_the_package():
+    import relaycap.cli as cli
+
+    assert cli.min_power is relaycap.min_power
+    with pytest.raises(AttributeError, match=r"^module 'relaycap\.cli' has no attribute 'not_a_name'$"):
+        cli.not_a_name  # noqa: B018
+    # the counterexample's table helpers are not package names, so the CLI
+    # does not resolve them
+    assert not hasattr(cli, "comparison_rows")

@@ -385,6 +385,38 @@ def test_mac_bounds_never_fall_when_a_relay_budget_grows(case, budget, factor):
 
 
 @st.composite
+def mac_cases(draw):
+    """Relay-to-destination links and budgets of a diamond, each at its own
+    scale from 1e-6 to 1e6, with zero links and zero budgets of both signs
+    among the draws, and a relay correlation."""
+    def link():
+        return [complex(draw(UNIT), draw(UNIT)) * draw(SCALES)]
+
+    budget = st.one_of(st.sampled_from([0.0, -0.0]), SCALES)
+    gains = {"c21": [1.0, 0.0], "c31": [0.6, 0.8], "c42": link(), "c43": link()}
+    powers = {"P1": 1.0, "P2": draw(budget), "P3": draw(budget)}
+    rho = draw(st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(allow_nan=False, allow_infinity=False)))
+    return gains, powers, draw(SCALES), rho
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(mac_cases())
+def test_phase_fading_mac_cut_is_the_synchronous_cut_at_rho_zero(case):
+    gains, powers, noise_psd, rho = case
+    point = mac_region_point(_diamond(gains, powers, noise_psd, CsiMode.PHASE_FADING), rho)
+    sync = mac_region_point(_diamond(gains, powers, noise_psd, CsiMode.SYNCHRONOUS), 0.0)
+    want = [sync.r23_max, sync.r32_max, sync.r_sum_max]
+    # the one difference: two -0.0 budgets sum to -0.0, which phase fading
+    # keeps and the synchronous cross term, +0.0 at rho = 0, turns to 0.0
+    if math.copysign(1.0, powers["P2"]) < 0.0 and math.copysign(1.0, powers["P3"]) < 0.0:
+        want[2] = -0.0
+    assert [float.hex(v) for v in (point.r23_max, point.r32_max, point.r_sum_max)] == [float.hex(v) for v in want]
+    assert point.rho is rho
+    assert point.rho_ignored is (rho != 0.0)
+    assert sync.rho_ignored is False
+
+
+@st.composite
 def gap_swap_cases(draw):
     """Phase-fading diamond gains with entries from ``UNIT``, each antenna
     at its own scale, budgets on a grid of quarters at a shared scale, and

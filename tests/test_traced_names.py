@@ -101,6 +101,7 @@ def test_patched_cli_records_its_layer_calls(tmp_path, monkeypatch):
     from helpers import diamond_config, single_relay_config
 
     import relaycap.cli as cli
+    from relaycap import CsiMode
 
     tracing = _load("tracing")
     for _, attr in tracing.LIBRARY.values():
@@ -112,6 +113,8 @@ def test_patched_cli_records_its_layer_calls(tmp_path, monkeypatch):
     sync.write_text(single_relay_config(p1=2.0, p2=1.0, alpha=0.4, c32=0.8).to_json())
     diamond = tmp_path / "diamond.json"
     diamond.write_text(diamond_config(p1=1.5, p2=2.0).to_json())
+    fading = tmp_path / "fading.json"
+    fading.write_text(single_relay_config(p1=2.0, p2=1.0, alpha=0.4, c32=0.8, csi=CsiMode.PHASE_FADING).to_json())
 
     assert cli.main(["capacity", "--config", str(sync), "--cross-check"]) == 0
     assert [span["name"] for span in tracer.spans] == [
@@ -122,3 +125,9 @@ def test_patched_cli_records_its_layer_calls(tmp_path, monkeypatch):
     assert [span["name"] for span in tracer.spans] == [
         "channel.load_config", "regions.broadcast_region_gap"]
     assert tracer.spans[1]["variant"] == "steps4"
+    del tracer.spans[:]
+    assert cli.main(["capacity", "--config", str(fading)]) == 0
+    assert [span["name"] for span in tracer.spans] == ["channel.load_config", "capacity.phase_fading_capacity"]
+    del tracer.spans[:]
+    assert cli.main(["counterexample", "--csv"]) == 0
+    assert [span["name"] for span in tracer.spans] == ["counterexample.run_counterexample"]

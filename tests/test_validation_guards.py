@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaycap import BeamformingWeights, CommonPrivateAllocation, CsiMode, RatePoint, beamforming_rates
-from relaycap.capacity import _check_source_budget
-from relaycap.channel import REL_TOL, rounding_slack
+from relaycap import (
+    BeamformingWeights, CommonPrivateAllocation, CsiMode, PowerAllocation, RatePoint, beamforming_rates, cutset_bounds,
+)
+from relaycap.channel import REL_TOL, require_within_budget, rounding_slack
 from relaycap.regions import _check_antenna_budgets
 
 from helpers import diamond_config, single_relay_config
@@ -70,6 +71,15 @@ def _source_budget_oracle(cfg, spent):
     p1 = cfg.powers["P1"]
     if spent > p1 + rounding_slack(p1):
         raise ValueError(f"source power {spent!r} W exceeds the budget P1={p1!r} W")
+
+
+def _source_budget_guard(cfg, spent):
+    """cutset_bounds' source budget check at this spend: through cutset_bounds
+    where a PowerAllocation can carry the spend, else the guard as it calls it."""
+    if math.isfinite(spent) and spent >= 0.0:
+        cutset_bounds(cfg, PowerAllocation(spent, 0.0, 0.0, 0.0))
+    else:
+        require_within_budget(spent, cfg.powers["P1"], "source power {spent!r} W exceeds the budget P1={budget!r} W")
 
 
 def _verdict(call, *args):
@@ -190,7 +200,7 @@ def test_source_budget_guard_matches_the_full_check():
         cfg = single_relay_config(p1=p1, scale21=0.0, scale31=0.0, c32=0.0)
         edge = p1 + rounding_slack(p1)
         for spent in _ulps(edge, 3) + _ulps(p1) + [0.0, -0.0, *_SPECIALS]:
-            assert _verdict(_check_source_budget, cfg, spent) == _verdict(_source_budget_oracle, cfg, spent)
+            assert _verdict(_source_budget_guard, cfg, spent) == _verdict(_source_budget_oracle, cfg, spent)
 
 
 def test_beamforming_budget_guard_matches_the_full_check():

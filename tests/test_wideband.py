@@ -245,6 +245,24 @@ def test_phase_fading_validation():
         check_limit_phase_fading([1.0], [1.0], 1.0)  # rng_seed is keyword-only
 
 
+@pytest.mark.parametrize("samples", [2.5, 3.0, np.float64(3.0), "3", None])
+def test_phase_fading_rejects_a_non_integer_sample_count(samples):
+    # a fractional count would average on a wrong grid: 2.5 nodes give 3.33
+    # at B = 1e4 against a target of 3
+    with pytest.raises(ValueError, match=r"^num_phase_samples must be an integer, got "):
+        check_limit_phase_fading(np.ones(3), np.ones(3), 1.0, (1e4,), samples, rng_seed=0)
+    # also where the count is not used
+    with pytest.raises(ValueError, match="num_phase_samples must be an integer"):
+        check_limit_phase_fading([1.0], [1.0], 1.0, num_phase_samples=samples, rng_seed=0)
+
+
+def test_phase_fading_reads_any_integer_sample_count():
+    want = check_limit_phase_fading(np.ones(3), np.ones(3), 1.0, (1e4,), 7, rng_seed=0).scaled_mi
+    for samples in (np.int64(7), np.uint16(7)):
+        got = check_limit_phase_fading(np.ones(3), np.ones(3), 1.0, (1e4,), samples, rng_seed=0).scaled_mi
+        np.testing.assert_array_equal(got, want)
+
+
 def test_bandwidth_validation():
     with pytest.raises(ValueError, match="at least one"):
         check_limit_constant_phase(np.ones(2), np.ones(2), 1.0, bandwidths=[])
